@@ -69,7 +69,11 @@ def _effective_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=int(args.seed))
     if getattr(args, "steps", None) is not None:
-        cfg = replace(cfg, train=replace(cfg.train, steps=int(args.steps)))
+        steps = int(args.steps)
+        cfg = replace(
+            cfg,
+            train=replace(cfg.train, steps=steps, warmup_steps=min(cfg.train.warmup_steps, steps)),
+        )
     if getattr(args, "lambda_l", None) is not None:
         cfg = replace(
             cfg, train=replace(cfg.train, loss=replace(cfg.train.loss, lambda_l=args.lambda_l))
@@ -295,7 +299,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--data", help="directory holding the manifests (default OUT/data)")
     p.add_argument("--resume", help="checkpoint to resume from")
-    p.add_argument("--steps", type=int, help="override train.steps")
+    p.add_argument("--steps", type=int, help="override train.steps (warmup is capped to fit)")
     p.add_argument("--lambda-l", dest="lambda_l", type=float, help="override loss weight")
 
     p = sub.add_parser("eval", help="retrieval and zero-shot evaluation of a checkpoint")
@@ -313,7 +317,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("repro", help="synth, train with and without the order loss, compare")
     common(p)
-    p.add_argument("--steps", type=int, help="override train.steps")
+    p.add_argument("--steps", type=int, help="override train.steps (warmup is capped to fit)")
     return parser
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .encoders import EncoderConfig
@@ -148,10 +148,6 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     out = asdict(cfg)
     out["eval"]["recall_ks"] = list(cfg.eval.recall_ks)
     return out
-
-
-def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(cfg, seed=int(seed))
 
 
 def split_seed(root: int, purpose: str) -> int:

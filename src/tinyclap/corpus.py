@@ -14,10 +14,8 @@ independent of generation order.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,8 +31,7 @@ from .errors import (
     UnparsableSegment,
 )
 
-MANIFEST_SCHEMA_VERSION = 1
-FRAME_MAGIC = b"TCLP"
+MANIFEST_SCHEMA_VERSION = 2
 FRAME_DTYPE = np.dtype("<f4")
 
 # Connectors the generator may emit (forward temporal order only).
@@ -212,20 +209,11 @@ def _event_blocks(
     occurrences: dict[int, int] = {}
     blocks = []
     for eid in event_ids:
-        if not 0 <= eid < len(catalog):
-            raise UnknownEvent(f"event id {eid} not in catalog of {len(catalog)} classes")
         occ = occurrences.get(eid, 0)
         occurrences[eid] = occ + 1
         child = np.random.default_rng([root, eid, occ])
         blocks.append(synth_event_frames(catalog.classes[eid], frames_per_event, noise_sigma, child))
     return blocks
-
-
-def compose_clip(spec: ClipSpec, catalog: EventCatalog, rng: np.random.Generator) -> AudioClip:
-    """Vertical concatenation of per-event frame blocks, in spec order."""
-    root = int(rng.integers(2**63))
-    blocks = _event_blocks(spec.event_ids, catalog, spec.frames_per_event, spec.noise_sigma, root)
-    return AudioClip(frames=np.concatenate(blocks, axis=0))
 
 
 # -- captions ------------------------------------------------------------------
@@ -468,58 +456,25 @@ def build_labeled_clips(
 
 
 # -- serialization ---------------------------------------------------------------
-
-def _frame_bytes(clip: AudioClip) -> bytes:
-    t, f = clip.frames.shape
-    return FRAME_MAGIC + struct.pack("<III", t, f, 0) + clip.frames.astype(FRAME_DTYPE).tobytes()
-
-
-def _frames_from_bytes(raw: bytes, where: str) -> AudioClip:
-    if len(raw) < 16 or raw[:4] != FRAME_MAGIC:
-        raise FormatError(f"{where}: bad clip header (expected magic {FRAME_MAGIC!r})")
-    t, f, _reserved = struct.unpack("<III", raw[4:16])
-    payload = raw[16:]
-    if len(payload) != 4 * t * f:
-        raise FormatError(f"{where}: clip payload is {len(payload)} bytes, expected {4 * t * f}")
-    frames = np.frombuffer(payload, dtype=FRAME_DTYPE).reshape(t, f).copy()
-    return AudioClip(frames=frames)
+# A manifest is two files: <stem>.jsonl, a header line plus one JSON row per
+# record, and <stem>.frames.npy, one float32 array holding every clip (then
+# its reversed copy, if any) in record order. A row names each of its clips
+# by its [start, stop) row span in the array; the spans of a file tile the
+# array. Paired rows store event ids and connector, from which the captions
+# are rebuilt on load and checked against the stored text.
 
 
-def _write_clip_ref(clip, tag: str, manifest_path: Path, inline: bool):
-    if clip is None:
-        return None
-    raw = _frame_bytes(clip)
-    if inline:
-        return {"b64": base64.b64encode(raw).decode("ascii")}
-    frames_dir = manifest_path.parent / (manifest_path.stem + "_frames")
-    frames_dir.mkdir(parents=True, exist_ok=True)
-    rel = f"{manifest_path.stem}_frames/{tag}.tclp"
-    (manifest_path.parent / rel).write_bytes(raw)
-    return {"path": rel}
-
-
-def _read_clip_ref(ref, manifest_path: Path, where: str) -> AudioClip:
-    if not isinstance(ref, dict):
-        raise FormatError(f"{where}: clip reference must be an object")
-    if "b64" in ref:
-        try:
-            raw = base64.b64decode(ref["b64"], validate=True)
-        except Exception as exc:
-            raise FormatError(f"{where}: bad base64 clip payload: {exc}") from exc
-        return _frames_from_bytes(raw, where)
-    if "path" in ref:
-        target = manifest_path.parent / ref["path"]
-        if not target.is_file():
-            raise FormatError(f"{where}: clip file {ref['path']!r} missing")
-        return _frames_from_bytes(target.read_bytes(), where)
-    raise FormatError(f"{where}: clip reference needs 'path' or 'b64'")
+def _frames_path(path: Path) -> Path:
+    return path.with_name(path.stem + ".frames.npy")
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def save_manifest(manifest: DatasetManifest, path, inline_frames: bool = False) -> None:
+def save_manifest(manifest: DatasetManifest, path) -> None:
+    """Write the manifest and its frame array; paired records must carry
+    generator captions (one connector, as render_caption makes them)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = {
@@ -527,7 +482,6 @@ def save_manifest(manifest: DatasetManifest, path, inline_frames: bool = False) 
         "kind": manifest.kind,
         "split": manifest.split,
         "seed": manifest.seed,
-        "inline_frames": inline_frames,
         "n_records": len(manifest.records),
         "catalog": {
             "n_classes": manifest.catalog_ref.n_classes,
@@ -536,58 +490,53 @@ def save_manifest(manifest: DatasetManifest, path, inline_frames: bool = False) 
         },
     }
     lines = [_dump(header)]
+    blocks = [np.empty((0, manifest.catalog_ref.frame_dim), FRAME_DTYPE)]
+    n_rows = 0
+
+    def span(clip):
+        nonlocal n_rows
+        if clip is None:
+            return None
+        blocks.append(clip.frames)
+        n_rows += len(clip.frames)
+        return [n_rows - len(clip.frames), n_rows]
+
     for rec in manifest.records:
         if manifest.kind == "labeled":
-            row = {
-                "id": rec.record_id,
-                "label": rec.label_id,
-                "clip": _write_clip_ref(rec.clip, f"r{rec.record_id:06d}", path, inline_frames),
-            }
+            row = {"id": rec.record_id, "label": rec.label_id, "clip": span(rec.clip)}
         else:
             row = {
                 "id": rec.record_id,
                 "events": list(rec.spec.event_ids),
                 "frames_per_event": rec.spec.frames_per_event,
                 "noise_sigma": rec.spec.noise_sigma,
+                "connector": rec.caption_pos.connectors[0],
                 "caption_pos": rec.caption_pos.text,
                 "caption_neg": rec.caption_neg.text if rec.caption_neg else None,
-                "clip": _write_clip_ref(rec.clip, f"r{rec.record_id:06d}", path, inline_frames),
-                "clip_neg": _write_clip_ref(
-                    rec.clip_neg, f"r{rec.record_id:06d}_neg", path, inline_frames
-                ),
+                "clip": span(rec.clip),
+                "clip_neg": span(rec.clip_neg),
             }
         lines.append(_dump(row))
+    with open(_frames_path(path), "wb") as fh:
+        np.save(fh, np.concatenate(blocks).astype(FRAME_DTYPE, copy=False), allow_pickle=False)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _caption_from_text(text: str, catalog: EventCatalog, where: str) -> Caption:
+def _load_frames(path: Path, frame_dim: int) -> np.ndarray:
+    target = _frames_path(path)
     try:
-        ids, connectors = parse_caption(text, catalog)
-    except (NoConnector, UnparsableSegment) as exc:
-        raise FormatError(f"{where}: caption {text!r} does not parse: {exc}") from exc
-    # Rebuild spans from the surface form so round-trips are structural no-ops.
-    surface: list[tuple[int, tuple[str, ...]]] = []
-    pos = 0
-    toks = tuple(text.split())
-    order = [0]
-    for k, conn in enumerate(connectors):
-        if conn in INVERTING_CONNECTORS:
-            order.insert(order.index(k), k + 1)
-        else:
-            order.append(k + 1)
-    # surface ids recovered by undoing the temporal fold
-    surface_ids = [0] * len(ids)
-    for temporal_pos, surf_idx in enumerate(order):
-        surface_ids[surf_idx] = ids[temporal_pos]
-    for j, eid in enumerate(surface_ids):
-        if j > 0:
-            pos += len(connectors[j - 1].split())
-        words = tuple(catalog.name_of(eid).split())
-        if toks[pos : pos + len(words)] != words:
-            raise FormatError(f"{where}: caption {text!r} inconsistent with catalog names")
-        surface.append((eid, words))
-        pos += len(words)
-    return _assemble_caption(surface, list(connectors))
+        frames = np.load(target, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise FormatError(f"{target}: cannot read frame array: {exc}") from exc
+    if not isinstance(frames, np.ndarray):  # np.load opens a zip archive as an NpzFile
+        frames.close()
+        raise FormatError(f"{target}: not a .npy array")
+    if frames.dtype != FRAME_DTYPE or frames.ndim != 2 or frames.shape[1] != frame_dim:
+        raise FormatError(
+            f"{target}: frame array must be {FRAME_DTYPE.str} of shape (rows, {frame_dim}), "
+            f"got {frames.dtype.str} {frames.shape}"
+        )
+    return frames
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -615,9 +564,29 @@ def load_manifest(path) -> DatasetManifest:
     except (KeyError, TypeError, ValueError) as exc:
         fail(1, f"bad catalog reference: {exc}")
     catalog = build_catalog(ref.n_classes, ref.frame_dim, ref.seed)
+    frames = _load_frames(path, ref.frame_dim)
     kind = header.get("kind", "paired")
     n_expected = header.get("n_records")
     records = []
+    next_row = 0
+
+    def clip_at(span, line_no: int) -> AudioClip:
+        nonlocal next_row
+        if not (isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)):
+            fail(line_no, f"clip span must be [start, stop], got {span!r}")
+        start, stop = span
+        if not 0 <= start < stop <= len(frames):
+            fail(line_no, f"clip span {span} out of range for {len(frames)} frame rows")
+        if start != next_row:
+            fail(line_no, f"clip span {span} does not start at row {next_row} (gap or overlap)")
+        next_row = stop
+        return AudioClip(frames=frames[start:stop])
+
+    def checked(caption: Caption, text, line_no: int, field_name: str) -> Caption:
+        if text != caption.text:
+            fail(line_no, f"{field_name} {text!r} disagrees with its events ({caption.text!r})")
+        return caption
+
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             fail(line_no, "blank record line")
@@ -625,7 +594,6 @@ def load_manifest(path) -> DatasetManifest:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             fail(line_no, f"bad record JSON: {exc}")
-        where = f"{path}, line {line_no}"
         try:
             if kind == "labeled":
                 label = int(row["label"])
@@ -635,31 +603,34 @@ def load_manifest(path) -> DatasetManifest:
                     LabeledRecord(
                         record_id=int(row["id"]),
                         label_id=label,
-                        clip=_read_clip_ref(row["clip"], path, where),
+                        clip=clip_at(row["clip"], line_no),
                     )
                 )
             else:
-                caption_pos = _caption_from_text(str(row["caption_pos"]), catalog, where)
-                caption_neg = (
-                    _caption_from_text(str(row["caption_neg"]), catalog, where)
-                    if row.get("caption_neg")
-                    else None
-                )
                 spec = ClipSpec(
                     event_ids=tuple(int(e) for e in row["events"]),
                     frames_per_event=int(row["frames_per_event"]),
                     noise_sigma=float(row["noise_sigma"]),
                 )
+                caption_pos = checked(
+                    render_caption(spec.event_ids, catalog, row["connector"]),
+                    row["caption_pos"], line_no, "caption_pos",
+                )
+                caption_neg = (
+                    checked(negate_caption(caption_pos), row["caption_neg"], line_no, "caption_neg")
+                    if row["caption_neg"] is not None
+                    else None
+                )
                 records.append(
                     DatasetRecord(
                         record_id=int(row["id"]),
-                        clip=_read_clip_ref(row["clip"], path, where),
+                        clip=clip_at(row["clip"], line_no),
                         spec=spec,
                         caption_pos=caption_pos,
                         caption_neg=caption_neg,
                         clip_neg=(
-                            _read_clip_ref(row["clip_neg"], path, where)
-                            if row.get("clip_neg")
+                            clip_at(row["clip_neg"], line_no)
+                            if row["clip_neg"] is not None
                             else None
                         ),
                     )
@@ -671,6 +642,10 @@ def load_manifest(path) -> DatasetManifest:
     if n_expected is not None and len(records) != n_expected:
         raise FormatError(
             f"{path}: header promises {n_expected} records, found {len(records)} (truncated?)"
+        )
+    if next_row != len(frames):
+        raise FormatError(
+            f"{_frames_path(path)}: {len(frames) - next_row} frame rows after the last clip span"
         )
     return DatasetManifest(
         records=tuple(records),

@@ -185,6 +185,8 @@ def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:
     cfg = params.config
     by_len: dict[int, list[int]] = {}
     for i, item in enumerate(inputs):
+        if tower == "audio" and (item.ndim != 2 or item.shape[1] != cfg.frame_dim):
+            raise InvalidConfig(f"clip must be T x {cfg.frame_dim}, got shape {item.shape}")
         n = len(item)
         _check_length(n, cfg.max_positions, f"{tower} input {i}")
         by_len.setdefault(n, []).append(i)
@@ -208,22 +210,6 @@ def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:
         return out
     inverse = np.argsort(np.asarray(order, dtype=np.int64))
     return T.gather_rows(out, inverse)
-
-
-def encode_text(params: ModelParams, tokens) -> T.Tensor:
-    """One caption to a 1 x D unit-norm row; token ids come from params.vocab."""
-    ids = params.vocab.encode(tokens)
-    return _encode_groups(params, "text", [ids])
-
-
-def encode_audio(params: ModelParams, frames: np.ndarray) -> T.Tensor:
-    """One T x F clip to a 1 x D unit-norm row."""
-    frames = np.asarray(frames)
-    if frames.ndim != 2 or frames.shape[1] != params.config.frame_dim:
-        raise InvalidConfig(
-            f"clip must be T x {params.config.frame_dim}, got shape {frames.shape}"
-        )
-    return _encode_groups(params, "audio", [frames])
 
 
 def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:

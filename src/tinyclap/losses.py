@@ -43,15 +43,6 @@ class LossConfig:
 
 
 @dataclass(frozen=True)
-class SimilarityMatrix:
-    values: T.Tensor  # N x N, entry ij = cos(audio_i, text_j)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.values.data
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     l_c: T.Tensor
     l_t: T.Tensor
@@ -64,8 +55,9 @@ def _as_tensor(x) -> T.Tensor:
     return x if isinstance(x, T.Tensor) else T.Tensor(np.asarray(x, dtype=float))
 
 
-def similarity_matrix(audio_emb, text_emb) -> SimilarityMatrix:
-    """Cosine similarity of every audio row against every text row.
+def similarity_matrix(audio_emb, text_emb) -> T.Tensor:
+    """Cosine similarity of every audio row against every text row: N x M,
+    entry ij = cos(audio_i, text_j).
 
     Inputs need not be unit-norm; rows are normalized here, so for unit
     inputs this is the plain inner-product matrix.
@@ -77,17 +69,12 @@ def similarity_matrix(audio_emb, text_emb) -> SimilarityMatrix:
         norms = np.linalg.norm(m.data, axis=1)
         if norms.size and norms.min() < 1e-12:
             raise NumericError(f"zero-norm {tag} embedding row at index {int(norms.argmin())}")
-    s = T.matmul(T.row_l2_normalize(ea), T.transpose(T.row_l2_normalize(et)))
-    return SimilarityMatrix(values=s)
-
-
-def _sim_tensor(s) -> T.Tensor:
-    return s.values if isinstance(s, SimilarityMatrix) else _as_tensor(s)
+    return T.matmul(T.row_l2_normalize(ea), T.transpose(T.row_l2_normalize(et)))
 
 
 def contrastive_loss(s, log_temperature) -> T.Tensor:
     """Symmetric softmax cross-entropy with the diagonal as targets."""
-    sv = _sim_tensor(s)
+    sv = _as_tensor(s)
     if sv.data.ndim != 2 or sv.shape[0] != sv.shape[1]:
         raise ShapeError(f"contrastive loss needs a square matrix, got {sv.shape}")
     logits = T.mul_scalar(sv, T.exp(_as_tensor(log_temperature)))

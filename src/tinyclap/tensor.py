@@ -26,14 +26,6 @@ DEFAULT_DTYPE = np.float64
 _EPS_DENOM = 1e-8  # floor used in relative-error comparisons
 
 
-def set_default_dtype(dtype) -> None:
-    """Switch the build-wide float width (64-bit default, 32-bit for speed)."""
-    global DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ShapeError(f"unsupported dtype {dtype!r}; use np.float32 or np.float64")
-    DEFAULT_DTYPE = dtype
-
-
 _uid_counter = itertools.count()
 
 
@@ -166,17 +158,6 @@ def relu(x: Tensor) -> Tensor:
         _acc(adj, x, g * mask)
 
     return _result(np.maximum(x.data, 0.0), (x,), bw, "relu")
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    """Average over the row index: m x n -> n."""
-    _need_2d(x, "mean_rows")
-    m = x.shape[0]
-
-    def bw(g, adj):
-        _acc(adj, x, np.repeat(g[None, :] / m, m, axis=0))
-
-    return _result(x.data.mean(axis=0), (x,), bw, "mean_rows")
 
 
 def block_mean_rows(x: Tensor, block: int) -> Tensor:

@@ -79,11 +79,6 @@ class TrainConfig:
         return self.loss.lambda_l
 
 
-def full_scale_preset() -> TrainConfig:
-    """Reference values for the full-size recipe; hours of CPU, kept for documentation."""
-    return TrainConfig(steps=30_000, batch_size=512, base_lr=1e-4, warmup_steps=10_000)
-
-
 def compose_batch(primary_pool, temporal_pool, batch_size, temporal_fraction, rng):
     """Returns (records, temporal_mask); draw order is temporal idx, primary idx, shuffle."""
     n_temporal = math.floor(batch_size * temporal_fraction + 1e-9)
@@ -316,15 +311,8 @@ def init_run(config: TrainConfig, primary, temporal=None) -> tuple[TrainConfig, 
     vocab = build_vocab(manifests)
     enc = config.encoder
     if enc.vocab_size == 0:
-        enc = EncoderConfig(
-            frame_dim=enc.frame_dim,
-            vocab_size=len(vocab),
-            token_embed_dim=enc.token_embed_dim,
-            max_positions=enc.max_positions,
-            hidden_dim=enc.hidden_dim,
-            shared_dim=enc.shared_dim,
-        )
-        config = TrainConfig(**{**asdict(config), "encoder": enc, "loss": config.loss})
+        enc = dc_replace(enc, vocab_size=len(vocab))
+        config = dc_replace(config, encoder=enc)
     return config, init_params(enc, vocab, config.seed)
 
 

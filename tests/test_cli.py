@@ -180,8 +180,8 @@ def test_numeric_failure_exits_three(monkeypatch, capsys):
 
 
 def test_synth_writes_all_manifests_and_echo(synth_dir):
-    for name in MANIFESTS:
-        assert (synth_dir / "data" / f"{name}.jsonl").is_file()
+    written = sorted(p.name for p in (synth_dir / "data").iterdir())
+    assert written == sorted(f"{n}{ext}" for n in MANIFESTS for ext in (".jsonl", ".frames.npy"))
     echo = json.loads((synth_dir / "config.json").read_text())
     assert echo["seed"] == 0
     assert echo["corpus"]["events_per_clip"] == 2
@@ -192,9 +192,10 @@ def test_synth_byte_identical_across_runs(tiny_config, tmp_path):
     for out in (out_a, out_b):
         assert cli.main(["synth", "--config", str(tiny_config), "--out", str(out)]) == 0
     for name in MANIFESTS:
-        assert (out_a / "data" / f"{name}.jsonl").read_bytes() == (
-            out_b / "data" / f"{name}.jsonl"
-        ).read_bytes()
+        for ext in (".jsonl", ".frames.npy"):
+            assert (out_a / "data" / f"{name}{ext}").read_bytes() == (
+                out_b / "data" / f"{name}{ext}"
+            ).read_bytes()
     assert (out_a / "config.json").read_bytes() == (out_b / "config.json").read_bytes()
 
 
@@ -235,6 +236,17 @@ def test_steps_flag_overrides_config(tiny_config, synth_dir):
     lines = (synth_dir / "train" / "metrics.jsonl").read_text().splitlines()
     assert len(lines) == 2
     assert json.loads((synth_dir / "config.json").read_text())["train"]["steps"] == 2
+
+
+def test_steps_flag_below_warmup_lowers_warmup(tiny_config, synth_dir):
+    code = cli.main(
+        ["train", "--config", str(tiny_config), "--out", str(synth_dir), "--steps", "1"]
+    )
+    assert code == 0
+    lines = (synth_dir / "train" / "metrics.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    echo = json.loads((synth_dir / "config.json").read_text())
+    assert echo["train"]["steps"] == 1 and echo["train"]["warmup_steps"] == 1
 
 
 def test_lambda_flag_overrides_config(tiny_config, synth_dir):

@@ -131,26 +131,23 @@ def test_frame_noise_mean_concentrates(catalog):
     assert dev.max() < 3 * sigma / math.sqrt(n) + 1e-7
 
 
-def test_compose_clip_block_layout(catalog):
-    spec = C.ClipSpec(event_ids=(2, 7), frames_per_event=5, noise_sigma=0.0)
-    clip = C.compose_clip(spec, catalog, np.random.default_rng(1))
-    assert clip.frames.shape == (10, 16)
-    np.testing.assert_array_equal(clip.frames[0:5], np.tile(catalog.classes[2].prototype, (5, 1)))
-    np.testing.assert_array_equal(clip.frames[5:10], np.tile(catalog.classes[7].prototype, (5, 1)))
+def _prototype_blocks(catalog, event_ids, n_frames):
+    return [np.tile(catalog.classes[e].prototype, (n_frames, 1)) for e in event_ids]
 
 
-def test_compose_clip_reversed_spec_swaps_blocks(catalog):
-    fwd = C.ClipSpec(event_ids=(2, 7), frames_per_event=5, noise_sigma=0.3)
-    rev = C.ClipSpec(event_ids=(7, 2), frames_per_event=5, noise_sigma=0.3)
-    a = C.compose_clip(fwd, catalog, np.random.default_rng(9))
-    b = C.compose_clip(rev, catalog, np.random.default_rng(9))
-    np.testing.assert_array_equal(b.frames, np.concatenate([a.frames[5:], a.frames[:5]]))
+def test_zero_noise_clip_block_layout(catalog):
+    man = C.build_mixed_dataset(catalog, 10, 3, 5, 0.0, False, seed=1)
+    for rec in man.records:
+        assert rec.clip.frames.shape == (15, 16)
+        blocks = _prototype_blocks(catalog, rec.spec.event_ids, 5)
+        np.testing.assert_array_equal(rec.clip.frames, np.concatenate(blocks))
 
 
-def test_compose_clip_unknown_event(catalog):
-    spec = C.ClipSpec(event_ids=(0, 99), frames_per_event=2, noise_sigma=0.0)
-    with pytest.raises(UnknownEvent):
-        C.compose_clip(spec, catalog, np.random.default_rng(0))
+def test_zero_noise_negative_clip_reverses_blocks(catalog):
+    man = C.build_mixed_dataset(catalog, 10, 3, 5, 0.0, True, seed=9)
+    for rec in man.records:
+        blocks = _prototype_blocks(catalog, rec.spec.event_ids, 5)
+        np.testing.assert_array_equal(rec.clip_neg.frames, np.concatenate(blocks[::-1]))
 
 
 # -- caption grammar ----------------------------------------------------------------
@@ -290,7 +287,7 @@ def test_mixed_dataset_validates_arguments(catalog):
 def test_record_rejects_mismatched_negative(catalog):
     cap = C.render_caption((0, 1, 2), catalog, "and then")
     bad_neg = C.render_caption((1, 0, 2), catalog, "and then")
-    clip = C.compose_clip(C.ClipSpec((0, 1, 2), 2, 0.0), catalog, np.random.default_rng(0))
+    clip = C.AudioClip(np.concatenate(_prototype_blocks(catalog, (0, 1, 2), 2)))
     with pytest.raises(InvalidConfig):
         C.DatasetRecord(
             record_id=0,
@@ -314,85 +311,199 @@ def test_labeled_clips_shapes_and_determinism(catalog):
 # -- serialization --------------------------------------------------------------------
 
 
-def test_manifest_round_trip_path_refs(tmp_path, small_corpus):
+def frames_file(manifest_path):
+    return manifest_path.with_name(manifest_path.stem + ".frames.npy")
+
+
+def rewrite_row(path, line_no, change):
+    """Apply change(row) to the JSON object on 1-based line line_no."""
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[line_no - 1])
+    change(row)
+    lines[line_no - 1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture()
+def saved(tmp_path, small_corpus):
     p = tmp_path / "corpus.jsonl"
     C.save_manifest(small_corpus, p)
-    assert C.load_manifest(p) == small_corpus
+    return p
 
 
-def test_manifest_round_trip_inline(tmp_path, small_corpus):
+def test_manifest_round_trip_path_refs(saved, small_corpus):
+    assert C.load_manifest(saved) == small_corpus
+
+
+def test_manifest_round_trip_without_negative_clips(tmp_path, catalog):
+    man = C.build_mixed_dataset(catalog, 30, 3, 4, 0.2, False, seed=8)
     p = tmp_path / "corpus.jsonl"
-    C.save_manifest(small_corpus, p, inline_frames=True)
-    assert C.load_manifest(p) == small_corpus
-    assert not (tmp_path / "corpus_frames").exists()
+    C.save_manifest(man, p)
+    assert C.load_manifest(p) == man
 
 
 def test_labeled_manifest_round_trip(tmp_path, catalog):
     man = C.build_labeled_clips(catalog, 12, 3, 0.2, seed=6)
     p = tmp_path / "labeled.jsonl"
-    C.save_manifest(man, p, inline_frames=True)
+    C.save_manifest(man, p)
     assert C.load_manifest(p) == man
+
+
+def test_save_writes_manifest_and_one_frame_array(tmp_path, small_corpus, catalog):
+    C.save_manifest(small_corpus, tmp_path / "a.jsonl")
+    C.save_manifest(C.build_labeled_clips(catalog, 5, 3, 0.1, seed=1), tmp_path / "b.jsonl")
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["a.frames.npy", "a.jsonl", "b.frames.npy", "b.jsonl"]
+
+
+def test_frame_array_holds_clips_in_record_order(saved, small_corpus):
+    frames = np.load(frames_file(saved))
+    assert frames.dtype == np.dtype("<f4")
+    clips = [c.frames for r in small_corpus.records for c in (r.clip, r.clip_neg)]
+    np.testing.assert_array_equal(frames, np.concatenate(clips))
 
 
 def test_save_is_byte_deterministic(tmp_path, catalog):
     man = C.build_mixed_dataset(catalog, 20, 2, 3, 0.2, True, seed=13)
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    C.save_manifest(man, p1, inline_frames=True)
-    C.save_manifest(man, p2, inline_frames=True)
+    C.save_manifest(man, p1)
+    C.save_manifest(man, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert frames_file(p1).read_bytes() == frames_file(p2).read_bytes()
 
 
-def test_truncated_manifest_rejected(tmp_path, small_corpus):
-    p = tmp_path / "corpus.jsonl"
-    C.save_manifest(small_corpus, p, inline_frames=True)
-    lines = p.read_text().splitlines()
-    p.write_text("\n".join(lines[:-10]) + "\n")
+def test_truncated_manifest_rejected(saved):
+    lines = saved.read_text().splitlines()
+    saved.write_text("\n".join(lines[:-10]) + "\n")
     with pytest.raises(FormatError, match="truncated"):
-        C.load_manifest(p)
+        C.load_manifest(saved)
 
 
-def test_corrupt_record_line_reports_line_number(tmp_path, small_corpus):
-    p = tmp_path / "corpus.jsonl"
-    C.save_manifest(small_corpus, p, inline_frames=True)
-    lines = p.read_text().splitlines()
+def test_corrupt_record_line_reports_line_number(saved):
+    lines = saved.read_text().splitlines()
     lines[3] = lines[3][:-5]
-    p.write_text("\n".join(lines) + "\n")
+    saved.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="line 4"):
-        C.load_manifest(p)
+        C.load_manifest(saved)
 
 
 def test_bad_caption_text_rejected(tmp_path, catalog):
     man = C.build_mixed_dataset(catalog, 3, 2, 2, 0.0, False, seed=1)
     p = tmp_path / "corpus.jsonl"
-    C.save_manifest(man, p, inline_frames=True)
-    lines = p.read_text().splitlines()
-    row = json.loads(lines[1])
-    row["caption_pos"] = "volcano erupting followed by thunder"
-    lines[1] = json.dumps(row, sort_keys=True, separators=(",", ":"))
-    p.write_text("\n".join(lines) + "\n")
+    C.save_manifest(man, p)
+    rewrite_row(p, 2, lambda row: row.update(caption_pos="volcano erupting followed by thunder"))
     with pytest.raises(FormatError, match="line 2"):
         C.load_manifest(p)
 
 
-def test_missing_frames_file_rejected(tmp_path, small_corpus):
-    p = tmp_path / "corpus.jsonl"
-    C.save_manifest(small_corpus, p)
-    victim = next((tmp_path / "corpus_frames").iterdir())
-    victim.unlink()
-    with pytest.raises(FormatError, match="missing"):
-        C.load_manifest(p)
+def _swap_connector(row):
+    row["connector"] = "and then" if row["connector"] == "followed by" else "followed by"
 
 
-def test_bad_schema_version_rejected(tmp_path, small_corpus):
-    p = tmp_path / "corpus.jsonl"
-    C.save_manifest(small_corpus, p, inline_frames=True)
-    lines = p.read_text().splitlines()
-    header = json.loads(lines[0])
-    header["schema_version"] = 999
-    lines[0] = json.dumps(header)
-    p.write_text("\n".join(lines) + "\n")
+@pytest.mark.parametrize(
+    "change",
+    [
+        _swap_connector,
+        lambda row: row.update(events=row["events"][::-1]),
+        lambda row: row.update(caption_neg=row["caption_pos"]),
+        lambda row: row.update(caption_pos=row["caption_pos"] + " "),
+    ],
+    ids=["connector", "events", "caption_neg", "caption_pos"],
+)
+def test_caption_disagreeing_with_events_rejected(saved, change):
+    rewrite_row(saved, 3, change)
+    with pytest.raises(FormatError, match="line 3.*disagrees"):
+        C.load_manifest(saved)
+
+
+def test_manifest_unknown_event_rejected(saved):
+    rewrite_row(saved, 2, lambda row: row.update(events=[0, 1, 99]))
+    with pytest.raises(FormatError, match="line 2"):
+        C.load_manifest(saved)
+
+
+def test_missing_frames_file_rejected(saved):
+    frames_file(saved).unlink()
+    with pytest.raises(FormatError, match="cannot read frame array"):
+        C.load_manifest(saved)
+
+
+@pytest.mark.parametrize("keep", [0, 3, 40, -64], ids=["empty", "magic", "header", "payload"])
+def test_truncated_frames_file_rejected(saved, keep):
+    target = frames_file(saved)
+    target.write_bytes(target.read_bytes()[:keep])
+    with pytest.raises(FormatError, match="cannot read frame array"):
+        C.load_manifest(saved)
+
+
+def test_zip_frames_file_rejected(saved):
+    target = frames_file(saved)
+    frames = np.load(target)
+    with open(target, "wb") as fh:
+        np.savez(fh, frames=frames)
+    with pytest.raises(FormatError, match="not a .npy array"):
+        C.load_manifest(saved)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda f: f[:, :-1],
+        lambda f: f.astype(np.float64),
+        lambda f: f.astype(">f4"),
+        lambda f: f.reshape(-1),
+    ],
+    ids=["width", "float64", "big-endian", "1-d"],
+)
+def test_wrong_frame_array_rejected(saved, bad):
+    target = frames_file(saved)
+    np.save(target, bad(np.load(target)))
+    with pytest.raises(FormatError, match="frame array must be <f4"):
+        C.load_manifest(saved)
+
+
+@pytest.mark.parametrize(
+    "make_span, message",
+    [
+        (lambda start, n_rows: [start, n_rows + 1], "out of range"),
+        (lambda start, n_rows: [start, start], "out of range"),
+        (lambda start, n_rows: [start, 1.5 * n_rows], r"must be \[start, stop\]"),
+        (lambda start, n_rows: {"path": "r000299_neg.tclp"}, r"must be \[start, stop\]"),
+    ],
+    ids=["past-end", "empty", "float", "v1-path"],
+)
+def test_bad_span_rejected(saved, make_span, message):
+    n_rows = len(np.load(frames_file(saved)))
+    rewrite_row(saved, 301, lambda row: row.update(clip_neg=make_span(row["clip_neg"][0], n_rows)))
+    with pytest.raises(FormatError, match=f"line 301.*{message}"):
+        C.load_manifest(saved)
+
+
+@pytest.mark.parametrize("shift", [-1, 1], ids=["overlap", "gap"])
+def test_span_overlap_or_gap_rejected(saved, shift):
+    rewrite_row(saved, 3, lambda row: row["clip"].__setitem__(0, row["clip"][0] + shift))
+    with pytest.raises(FormatError, match="line 3.*gap or overlap"):
+        C.load_manifest(saved)
+
+
+def test_leftover_frame_rows_rejected(saved):
+    target = frames_file(saved)
+    frames = np.load(target)
+    np.save(target, np.concatenate([frames, frames[:2]]))
+    with pytest.raises(FormatError, match="2 frame rows after the last clip span"):
+        C.load_manifest(saved)
+
+
+def test_bad_schema_version_rejected(saved):
+    rewrite_row(saved, 1, lambda header: header.update(schema_version=999))
     with pytest.raises(FormatError, match="schema version"):
-        C.load_manifest(p)
+        C.load_manifest(saved)
+
+
+def test_v1_manifest_rejected(saved):
+    rewrite_row(saved, 1, lambda header: header.update(schema_version=1, inline_frames=False))
+    with pytest.raises(FormatError, match="unsupported schema version 1"):
+        C.load_manifest(saved)
 
 
 def test_missing_manifest_file(tmp_path):

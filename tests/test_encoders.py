@@ -107,35 +107,35 @@ UNIT_TOL = 1e-7
 
 
 def test_encode_text_unit_norm(params):
-    out = E.encode_text(params, ["dog", "barking"])
+    out = E.encode_text_batch(params, [["dog", "barking"]])
     assert out.shape == (1, 5)
     assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=UNIT_TOL)
 
 
 def test_encode_audio_unit_norm(params):
     clip = np.random.default_rng(0).standard_normal((7, 6))
-    out = E.encode_audio(params, clip)
+    out = E.encode_audio_batch(params, [clip])
     assert out.shape == (1, 5)
     assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=UNIT_TOL)
 
 
 def test_encode_audio_checks_frame_dim(params):
     with pytest.raises(InvalidConfig):
-        E.encode_audio(params, np.zeros((4, 3)))
+        E.encode_audio_batch(params, [np.zeros((4, 3))])
 
 
 def test_empty_inputs_rejected(params):
     with pytest.raises(EmptyInput):
-        E.encode_text(params, [])
+        E.encode_text_batch(params, [[]])
     with pytest.raises(EmptyInput):
-        E.encode_audio(params, np.zeros((0, 6)))
+        E.encode_audio_batch(params, [np.zeros((0, 6))])
 
 
 def test_too_long_inputs_rejected(params):
     with pytest.raises(SequenceTooLong):
-        E.encode_text(params, ["dog"] * 13)
+        E.encode_text_batch(params, [["dog"] * 13])
     with pytest.raises(SequenceTooLong):
-        E.encode_audio(params, np.zeros((13, 6)))
+        E.encode_audio_batch(params, [np.zeros((13, 6))])
 
 
 # -- order sensitivity ---------------------------------------------------------------
@@ -144,8 +144,8 @@ def test_too_long_inputs_rejected(params):
 def test_text_tower_order_sensitive_100_seeds(vocab):
     for seed in range(100):
         p = E.init_params(CFG, vocab, seed=seed)
-        fwd = E.encode_text(p, ["dog", "barking", "and", "thunder"]).data
-        rev = E.encode_text(p, ["thunder", "and", "barking", "dog"]).data
+        fwd = E.encode_text_batch(p, [["dog", "barking", "and", "thunder"]]).data
+        rev = E.encode_text_batch(p, [["thunder", "and", "barking", "dog"]]).data
         assert np.linalg.norm(fwd - rev) > 1e-6, f"text tower order-blind at seed {seed}"
 
 
@@ -157,8 +157,8 @@ def test_audio_tower_order_sensitive_100_seeds(vocab):
     rev_clip = np.concatenate([b, a])
     for seed in range(100):
         p = E.init_params(CFG, vocab, seed=seed)
-        fwd = E.encode_audio(p, fwd_clip).data
-        rev = E.encode_audio(p, rev_clip).data
+        fwd = E.encode_audio_batch(p, [fwd_clip]).data
+        rev = E.encode_audio_batch(p, [rev_clip]).data
         assert np.linalg.norm(fwd - rev) > 1e-6, f"audio tower order-blind at seed {seed}"
 
 
@@ -169,7 +169,7 @@ def test_batch_matches_single_encodes(params):
     seqs = [["dog", "barking"], ["thunder", "and", "then", "rain"], ["rain", "thunder"]]
     batch = E.encode_text_batch(params, seqs).data
     for i, toks in enumerate(seqs):
-        single = E.encode_text(params, toks).data[0]
+        single = E.encode_text_batch(params, [toks]).data[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_audio_batch_matches_single_encodes(params):
     clips = [rng.standard_normal((n, 6)) for n in (4, 9, 4, 2)]
     batch = E.encode_audio_batch(params, clips).data
     for i, clip in enumerate(clips):
-        single = E.encode_audio(params, clip).data[0]
+        single = E.encode_audio_batch(params, [clip]).data[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
@@ -189,7 +189,7 @@ def test_batch_gradients_match_single_gradients(params):
     grads_b = T.backward(loss_b, params.trainable())
     total = {name: np.zeros_like(t.data) for name, t in params.named().items()}
     for toks in seqs:
-        g = T.backward(T.sum_all(E.encode_text(params, toks)), params.trainable())
+        g = T.backward(T.sum_all(E.encode_text_batch(params, [toks])), params.trainable())
         for name in total:
             total[name] += g[name]
     for name in total:
@@ -228,7 +228,7 @@ def test_forward_batch_neg_rows_align(tiny_batch):
     params, records = tiny_batch
     emb = E.forward_batch(params, records, [False, True, False, False, True, False])
     for j, i in enumerate(emb.temporal_rows):
-        single = E.encode_text(params, records[i].caption_neg.tokens).data[0]
+        single = E.encode_text_batch(params, [records[i].caption_neg.tokens]).data[0]
         np.testing.assert_allclose(emb.text_neg.data[j], single, atol=1e-12)
 
 

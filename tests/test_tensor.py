@@ -44,12 +44,6 @@ def test_row_l2_normalize_unit_norm_rows():
     np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-9)
 
 
-def test_mean_rows_gradient_is_one_over_m():
-    x = leaf("x", rand(np.random.default_rng(2), 6, 3))
-    grads = T.backward(T.sum_all(T.mean_rows(x)), [x])
-    np.testing.assert_allclose(grads["x"], np.full((6, 3), 1.0 / 6.0), atol=1e-15)
-
-
 def test_sum_of_squares_gradient():
     x = leaf("x", [[1.0, 2.0, 3.0]])
     loss = T.sum_all(T.rowwise_dot(x, x))
@@ -154,12 +148,6 @@ def _(rng, p):
     # keep points away from the kink, finite differences are wrong exactly there
     x = p("x", np.where(np.abs(rand(rng, 8, 8)) < 0.05, 0.2, rand(rng, 8, 8)))
     return lambda: readout2d(rng, T.relu(x))
-
-
-@case("mean_rows")
-def _(rng, p):
-    x = p("x", rand(rng, 12, 5))
-    return lambda: readout1d(rng, T.mean_rows(x))
 
 
 @case("block_mean_rows")
@@ -331,7 +319,7 @@ def test_adjoint_shapes_match_primals():
         lambda: T.gather_rows(T.Tensor(np.ones((2, 2))), [0, 2]),
         lambda: T.mul_scalar(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones(2))),
         lambda: T.row_l2_normalize(T.Tensor(np.ones((2, 2))), eps=0.0),
-        lambda: T.mean_rows(T.Tensor(np.ones(3))),
+        lambda: T.block_mean_rows(T.Tensor(np.ones(3)), 1),
     ],
 )
 def test_shape_errors(build):
@@ -353,16 +341,3 @@ def test_non_finite_result_rejected():
     with pytest.raises(NumericError):
         T.exp(T.Tensor([[1000.0]]))
 
-
-def test_set_default_dtype_rejects_others():
-    with pytest.raises(ShapeError):
-        T.set_default_dtype(np.int32)
-
-
-def test_float32_mode_round_trips():
-    T.set_default_dtype(np.float32)
-    try:
-        x = T.Tensor([[1.0, 2.0]])
-        assert x.data.dtype == np.float32
-    finally:
-        T.set_default_dtype(np.float64)
