@@ -341,9 +341,6 @@ def main(argv=None) -> int:
         if args.command == "repro":
             return cmd_repro(cfg, out_dir)
         raise InvalidConfig(f"unknown command {args.command!r}")
-    except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

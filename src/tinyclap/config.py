@@ -112,20 +112,40 @@ _NESTED = {
 }
 
 
+# the JSON values each field type takes; bool is an int subclass, so booleans
+# are only taken by bool fields
+_JSON_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "tuple[int, ...]": ((list, tuple), "a list of integers"),
+}
+
+
+def _json_ok(ftype: str, val) -> bool:
+    if not isinstance(val, _JSON_TYPES[ftype][0]) or (ftype == "bool") != isinstance(val, bool):
+        return False
+    return ftype != "tuple[int, ...]" or all(_json_ok("int", v) for v in val)
+
+
 def _build(cls, data, path: str):
     if not isinstance(data, dict):
         raise InvalidConfig(f"config section {path or 'top level'} must be an object")
-    known = {f.name for f in fields(cls)}
+    types = {f.name: f.type for f in fields(cls)}
     for key in data:
-        if key not in known:
+        if key not in types:
             raise InvalidConfig(f"unknown config key {path + key!r}")
     kwargs = {}
     for key, val in data.items():
         sub = _NESTED.get((cls, key))
+        if not sub and not _json_ok(types[key], val):
+            what = _JSON_TYPES[types[key]][1]
+            raise InvalidConfig(f"config key {path + key!r} must be {what}, got {val!r}")
         kwargs[key] = _build(sub, val, f"{path}{key}.") if sub else val
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except TypeError as exc:  # e.g. an integer too large for a float check
         raise InvalidConfig(f"bad config section {path or 'top level'}: {exc}") from exc
 
 

@@ -6,8 +6,10 @@ positions, an output layer, and row L2 normalization. The hidden layer sits
 before the pool; with purely additive positions a plain mean is permutation
 invariant, so the nonlinearity must see positions to make order matter.
 
-Batched encoding groups same-length sequences so each group is a handful of
-matrix ops instead of per-sample graphs.
+A batch is encoded as one graph: every input's rows go back to back
+through the input embedding, and one fused `tensor.tower` op adds positions,
+applies the hidden layer, pools each sequence, applies the output layer and
+normalizes. Training and evaluation share this forward pass.
 """
 
 from __future__ import annotations
@@ -160,56 +162,28 @@ def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelPara
     return ModelParams(config=config, vocab=vocab, tensors=tensors)
 
 
-def _check_length(n: int, max_positions: int, what: str) -> None:
-    if n < 1:
-        raise EmptyInput(f"{what} is empty")
-    if n > max_positions:
-        raise SequenceTooLong(f"{what} has {n} positions, max is {max_positions}")
-
-
-def _tower_names(tower: str) -> tuple[str, str, str, str, str, str]:
-    return (
-        f"{tower}.pos", f"{tower}.w1", f"{tower}.b1", f"{tower}.w2", f"{tower}.b2",
-        "text.embed" if tower == "text" else "audio.proj",
-    )
-
-
 def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:
     """Shared batched tower: inputs are token-id lists (text) or T x F arrays (audio).
 
-    Same-length inputs are flattened into one per-position pass, pooled with a
-    block mean, and the pooled rows of all groups go through the output layer
-    together; a final row gather restores input order.
+    All inputs' rows go back to back through one input lookup (text) or
+    projection (audio), then one `tower` op does the rest; rows come out in
+    input order.
     """
-    pos_name, w1, b1, w2, b2, in_name = _tower_names(tower)
     cfg = params.config
-    by_len: dict[int, list[int]] = {}
+    if not inputs:
+        raise EmptyInput(f"{tower} batch is empty")
     for i, item in enumerate(inputs):
         if tower == "audio" and (item.ndim != 2 or item.shape[1] != cfg.frame_dim):
             raise InvalidConfig(f"clip must be T x {cfg.frame_dim}, got shape {item.shape}")
-        n = len(item)
-        _check_length(n, cfg.max_positions, f"{tower} input {i}")
-        by_len.setdefault(n, []).append(i)
-
-    pooled_parts: list[T.Tensor] = []
-    order: list[int] = []
-    for n, idxs in by_len.items():
-        order.extend(idxs)
-        if tower == "text":
-            flat_ids = [tid for i in idxs for tid in inputs[i]]
-            x = T.gather_rows(params[in_name], flat_ids)  # (k*n) x E
-        else:
-            stacked = np.concatenate([inputs[i] for i in idxs], axis=0)
-            x = T.matmul(T.Tensor(stacked), params[in_name])  # (k*n) x E
-        pos = T.gather_rows(params[pos_name], list(range(n)) * len(idxs))
-        hidden = T.relu(T.add_bias(T.matmul(T.add(x, pos), params[w1]), params[b1]))
-        pooled_parts.append(T.block_mean_rows(hidden, n))  # k x H
-    pooled = T.concat_rows(pooled_parts)
-    out = T.row_l2_normalize(T.add_bias(T.matmul(pooled, params[w2]), params[b2]))
-    if order == list(range(len(inputs))):
-        return out
-    inverse = np.argsort(np.asarray(order, dtype=np.int64))
-    return T.gather_rows(out, inverse)
+        if not 1 <= len(item) <= cfg.max_positions:
+            error = EmptyInput if len(item) < 1 else SequenceTooLong
+            raise error(f"{tower} input {i} has {len(item)} positions, max is {cfg.max_positions}")
+    if tower == "text":
+        x = T.gather_rows(params["text.embed"], [tid for ids in inputs for tid in ids])
+    else:
+        x = T.matmul(T.Tensor(np.concatenate(inputs, axis=0)), params["audio.proj"])
+    layers = (params[f"{tower}.{name}"] for name in ("pos", "w1", "b1", "w2", "b2"))
+    return T.tower(x, *layers, [len(item) for item in inputs])
 
 
 def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:

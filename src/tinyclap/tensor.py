@@ -1,9 +1,9 @@
 """Dense-array kernel with reverse-mode gradients.
 
-Exactly the operations the encoders and losses need, nothing more: no
-broadcasting beyond bias-add, no dynamic shapes inside a graph, CPU numpy
-storage only. Every kernel checks its output for NaN/Inf and raises
-NumericError on the spot, so a poisoned value can never travel.
+Exactly the operations the encoders and losses need: one fused `tower` op
+per encoder, small kernels for the losses, CPU numpy storage only. Every
+kernel checks its output for NaN/Inf and raises NumericError on the spot,
+so a poisoned value can never travel.
 
 Graph convention (micrograd style): each op returns a fresh Tensor holding
 references to its parents and a closure that pushes adjoints into an
@@ -24,6 +24,7 @@ from .errors import NumericError, ShapeError
 DEFAULT_DTYPE = np.float64
 
 _EPS_DENOM = 1e-8  # floor used in relative-error comparisons
+_NORM_EPS = 1e-8  # zero guard of the unit-row scaling
 
 
 _uid_counter = itertools.count()
@@ -139,41 +140,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data - b.data, (a, b), bw, "sub")
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    _need_2d(x, "add_bias")
-    if b.data.ndim != 1 or b.shape[0] != x.shape[1]:
-        raise ShapeError(f"add_bias shape mismatch: {x.shape} + bias {b.shape}")
-
-    def bw(g, adj):
-        _acc(adj, x, g)
-        _acc(adj, b, g.sum(axis=0))
-
-    return _result(x.data + b.data, (x, b), bw, "add_bias")
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def bw(g, adj):
-        _acc(adj, x, g * mask)
-
-    return _result(np.maximum(x.data, 0.0), (x,), bw, "relu")
-
-
-def block_mean_rows(x: Tensor, block: int) -> Tensor:
-    """Average each consecutive block of `block` rows: (b*block) x n -> b x n."""
-    _need_2d(x, "block_mean_rows")
-    rows, cols = x.shape
-    if block < 1 or rows % block != 0:
-        raise ShapeError(f"block_mean_rows: {rows} rows not divisible by block {block}")
-    b = rows // block
-
-    def bw(g, adj):
-        _acc(adj, x, np.repeat(g / block, block, axis=0))
-
-    return _result(x.data.reshape(b, block, cols).mean(axis=1), (x,), bw, "block_mean_rows")
-
-
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
 
@@ -231,19 +197,27 @@ def softplus(x: Tensor) -> Tensor:
     return _result(np.logaddexp(0.0, x.data), (x,), bw, "softplus")
 
 
-def row_l2_normalize(x: Tensor, eps: float = 1e-8) -> Tensor:
+def _unit_rows(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, and the denominators sqrt(|row|^2 + eps^2)."""
+    denom = np.sqrt((x * x).sum(axis=1) + eps * eps)
+    return x / denom[:, None], denom
+
+
+def _unit_rows_bw(x: np.ndarray, denom: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # d(x/d)/dx = I/d - x x^T / d^3, the projection term at unit norm
+    dot = (x * g).sum(axis=1)
+    return g / denom[:, None] - x * (dot / denom**3)[:, None]
+
+
+def row_l2_normalize(x: Tensor, eps: float = _NORM_EPS) -> Tensor:
     """Scale each row to unit length; denom = sqrt(|row|^2 + eps^2) guards zeros."""
     _need_2d(x, "row_l2_normalize")
     if eps <= 0:
         raise ShapeError("row_l2_normalize needs eps > 0")
-    sq = (x.data * x.data).sum(axis=1)
-    denom = np.sqrt(sq + eps * eps)
-    out_data = x.data / denom[:, None]
+    out_data, denom = _unit_rows(x.data, eps)
 
     def bw(g, adj):
-        # d(x/d)/dx = I/d - x x^T / d^3, the projection term at unit norm
-        dot = (x.data * g).sum(axis=1)
-        _acc(adj, x, g / denom[:, None] - x.data * (dot / denom**3)[:, None])
+        _acc(adj, x, _unit_rows_bw(x.data, denom, g))
 
     return _result(out_data, (x,), bw, "row_l2_normalize")
 
@@ -304,69 +278,90 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
     return _result((a.data * b.data).sum(axis=1), (a, b), bw, "rowwise_dot")
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_rows needs at least one tensor")
-    for p in parts:
-        _need_2d(p, "concat_rows")
-    cols = parts[0].shape[1]
-    if any(p.shape[1] != cols for p in parts):
-        raise ShapeError(
-            "concat_rows column mismatch: " + ", ".join(str(p.shape) for p in parts)
-        )
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+def tower(x: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+          lengths: Sequence[int] | np.ndarray) -> Tensor:
+    """One encoder tower over sequences packed back to back: sum(lengths) x E -> S x D.
+
+    Row r of `x` gets the positional row of its place in its sequence, then
+    relu(z @ w1 + b1) per row, the mean over each sequence's rows, the output
+    layer pooled @ w2 + b2, and row_l2_normalize's unit scaling. Sequences of
+    one length are pooled with one reshape-mean; the backward is closed-form.
+    """
+    _need_2d(x, "tower")
+    e, h, d = x.shape[1], b1.data.size, b2.data.size
+    shapes = [t.shape for t in (pos, w1, b1, w2, b2)]
+    if shapes != [pos.shape[:1] + (e,), (e, h), (h,), (h, d), (d,)]:
+        raise ShapeError(f"tower shapes do not chain: x {x.shape}, pos/w1/b1/w2/b2 {shapes}")
+    lens = np.asarray(lengths, dtype=np.int64)
+    if (lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != x.shape[0]
+            or lens.max() > pos.shape[0]):
+        raise ShapeError(f"tower lengths {lengths} do not split {x.shape[0]} rows into "
+                         f"sequences of 1 to {pos.shape[0]} positions")
+    starts = np.cumsum(lens) - lens
+    z = x.data + pos.data[np.arange(x.shape[0]) - np.repeat(starts, lens)]
+    hidden = z @ w1.data
+    hidden += b1.data
+    active = hidden > 0
+    np.maximum(hidden, 0.0, out=hidden)
+    groups = [(int(n), np.flatnonzero(lens == n)) for n in np.unique(lens)]
+
+    def blocks(a):  # each length's sequences as a k x n x cols block of a's rows
+        for n, seqs in groups:
+            rows = starts[seqs, None] + np.arange(n)
+            yield n, seqs, a.reshape(-1, n, a.shape[1]) if len(groups) == 1 else a[rows]
+
+    pooled = np.empty((lens.size, h))
+    for _, seqs, block in blocks(hidden):
+        pooled[seqs] = block.mean(axis=1)
+    o = pooled @ w2.data + b2.data
+    out_data, denom = _unit_rows(o, _NORM_EPS)
 
     def bw(g, adj):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _acc(adj, p, g[lo:hi])
+        go = _unit_rows_bw(o, denom, g)
+        _acc(adj, b2, go.sum(axis=0))
+        _acc(adj, w2, pooled.T @ go)
+        gpre = np.repeat((go @ w2.data.T) / lens[:, None], lens, axis=0) * active
+        _acc(adj, b1, gpre.sum(axis=0))
+        _acc(adj, w1, z.T @ gpre)
+        gz = gpre @ w1.data.T
+        _acc(adj, x, gz)
+        if pos.requires_grad:
+            gpos = np.zeros_like(pos.data)
+            for n, _, block in blocks(gz):
+                gpos[:n] += block.sum(axis=0)
+            _acc(adj, pos, gpos)
 
-    return _result(np.concatenate([p.data for p in parts], axis=0), tuple(parts), bw, "concat_rows")
+    return _result(out_data, (x, pos, w1, b1, w2, b2), bw, "tower")
 
 
 # -- backward pass ------------------------------------------------------------
 
-class GradTape:
-    """Reverse-creation-ordered replay of the ops reachable from a loss node.
-
-    `order` is a valid topological order (inputs are created before outputs);
-    `adjoints` maps node uid -> accumulated adjoint, matching primal shapes.
-    """
-
-    def __init__(self, loss: Tensor):
-        if loss.data.ndim != 0:
-            raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        reachable: dict[int, Tensor] = {}
-        stack = [loss]
-        while stack:
-            node = stack.pop()
-            if node._uid in reachable:
-                continue
-            reachable[node._uid] = node
-            stack.extend(node._parents)
-        self.order = sorted(reachable.values(), key=lambda n: n._uid, reverse=True)
-        self.adjoints: dict[int, np.ndarray] = {}
-
-    def run(self, loss: Tensor) -> None:
-        self.adjoints[loss._uid] = np.asarray(1.0, dtype=loss.data.dtype)
-        for node in self.order:
-            g = self.adjoints.get(node._uid)
-            if g is None or node._bw is None:
-                continue
-            node._bw(g, self.adjoints)
-
-
 def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss for every named parameter.
 
-    Parameters not reached by the graph get exact-zero gradients.
+    Replays the reachable nodes' closures in reverse creation order (inputs are
+    created before outputs); parameters the graph does not reach get zeros.
     """
-    tape = GradTape(loss)
-    tape.run(loss)
+    if loss.data.ndim != 0:
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    reachable: dict[int, Tensor] = {}
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if node._uid in reachable:
+            continue
+        reachable[node._uid] = node
+        stack.extend(node._parents)
+    adjoints: dict[int, np.ndarray] = {loss._uid: np.asarray(1.0, dtype=loss.data.dtype)}
+    for node in sorted(reachable.values(), key=lambda n: n._uid, reverse=True):
+        g = adjoints.get(node._uid)
+        if g is not None and node._bw is not None:
+            node._bw(g, adjoints)
     grads: dict[str, np.ndarray] = {}
     for p in params:
         if p.name is None:
             raise ShapeError("backward: parameters must be named")
-        g = tape.adjoints.get(p._uid)
+        g = adjoints.get(p._uid)
         grads[p.name] = np.zeros_like(p.data) if g is None else g
     return grads
 

@@ -328,6 +328,22 @@ def _metric_line(step, lr, breakdown) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
+def _metric_lines_before(path: Path, step: int) -> str:
+    """The complete lines of an existing metrics log for steps below `step`."""
+    if not path.is_file():
+        return ""
+    text = path.read_text(encoding="utf-8")
+    kept = []
+    for line in text[: text.rfind("\n") + 1].splitlines(keepends=True):  # drops a torn last line
+        try:
+            line_step = json.loads(line)["step"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: bad metrics line {line!r}: {exc}") from exc
+        if line_step < step:
+            kept.append(line)
+    return "".join(kept)
+
+
 def train(
     config: TrainConfig,
     primary_manifest,
@@ -337,8 +353,9 @@ def train(
 ) -> Checkpoint:
     """Run the loop; writes metrics.jsonl and final.tckp under out_dir.
 
-    With resume_from, picks up a saved checkpoint and appends to the metrics
-    log; the result is bit-identical to the uninterrupted run.
+    With resume_from, picks up a saved checkpoint, keeps the metrics log's
+    lines for the steps before it and appends the rest; the result is
+    bit-identical to the uninterrupted run.
     """
     primary = _as_manifest(primary_manifest)
     temporal = _as_manifest(temporal_manifest) if temporal_manifest is not None else None
@@ -361,25 +378,27 @@ def train(
         start_step = ckpt.step
         rng = np.random.default_rng()
         rng.bit_generator.state = ckpt.rng_state
-        mode = "a"
+        if config.encoder.vocab_size == 0:  # resolved as init_run does
+            enc = dc_replace(config.encoder, vocab_size=len(params.vocab))
+            config = dc_replace(config, encoder=enc)
+        earlier_lines = _metric_lines_before(metrics_path, start_step)
     else:
         config, params = init_run(config, primary, temporal)
         opt = init_optimizer(params)
         start_step = 0
         # batch stream seeded apart from the weight init stream
         rng = np.random.default_rng([config.seed, 1])
-        mode = "w"
+        earlier_lines = ""
 
     primary_pool = list(primary.records)
-    ckpt = Checkpoint(
-        params=params,
-        train_config=config,
-        optimizer=opt,
-        step=start_step,
-        rng_state=rng.bit_generator.state,
-    )
+
+    def checkpoint(step: int) -> Checkpoint:
+        return Checkpoint(params=params, train_config=config, optimizer=opt, step=step,
+                          rng_state=rng.bit_generator.state)
+
     warmup_loss = dc_replace(config.loss, lambda_l=0.0)
-    with open(metrics_path, mode, encoding="utf-8") as metrics:
+    with open(metrics_path, "w", encoding="utf-8") as metrics:
+        metrics.write(earlier_lines)
         for step in range(start_step, config.steps):
             lr = lr_schedule(step, config)
             records, mask = compose_batch(
@@ -391,15 +410,9 @@ def train(
             grads = T.backward(breakdown.l_train, params.trainable())
             adam_step(params, grads, opt, lr)
             metrics.write(_metric_line(step, lr, breakdown) + "\n")
-            ckpt = Checkpoint(
-                params=params,
-                train_config=config,
-                optimizer=opt,
-                step=step + 1,
-                rng_state=rng.bit_generator.state,
-            )
             if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
                 metrics.flush()
-                save_checkpoint(ckpt, out_dir / f"step{step + 1:06d}.tckp")
+                save_checkpoint(checkpoint(step + 1), out_dir / f"step{step + 1:06d}.tckp")
+    ckpt = checkpoint(max(start_step, config.steps))
     save_checkpoint(ckpt, out_dir / "final.tckp")
     return ckpt

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, flag precedence, artifact stability."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -299,6 +300,23 @@ def test_train_resume_flag(tiny_config, tmp_path):
     assert [json.loads(ln)["step"] for ln in lines] == [0, 1, 2, 3]
 
 
+def test_train_resume_with_default_vocab_size_is_byte_identical(tmp_path):
+    # TINY leaves encoder.vocab_size at 0, which train resolves from the corpus
+    config = json.loads(json.dumps(TINY))
+    config["train"]["checkpoint_every"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "runs"
+    common = ["--config", str(path), "--out", str(out)]
+    assert cli.main(["synth", *common]) == 0
+    assert cli.main(["train", *common]) == 0
+    run_dir = out / "train"
+    full = {name: (run_dir / name).read_bytes() for name in ("final.tckp", "metrics.jsonl")}
+    assert cli.main(["train", *common, "--resume", str(run_dir / "step000002.tckp")]) == 0
+    for name, blob in full.items():
+        assert (run_dir / name).read_bytes() == blob, name
+
+
 # -- eval / tclassify / gradcheck --------------------------------------------------
 
 
@@ -368,6 +386,31 @@ def test_run_config_cross_validation():
     long_clip["corpus"]["frames_per_event"] = 40
     with pytest.raises(InvalidConfig, match="max_positions"):
         run_config_from_dict(long_clip)
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"seed": "abc"}, "seed"),
+        ({"train": {"batch_size": 2.5}}, "train.batch_size"),
+        ({"corpus": {"test_records": 5.5}}, "corpus.test_records"),
+        ({"train": {"steps": True}}, "train.steps"),
+        ({"train": {"base_lr": "fast"}}, "train.base_lr"),
+        ({"train": {"encoder": {"hidden_dim": None}}}, "train.encoder.hidden_dim"),
+        ({"train": {"loss": {"use_temperature_in_lt": 1}}}, "train.loss.use_temperature_in_lt"),
+        ({"train": {"loss": {"lt_reduction": 0}}}, "train.loss.lt_reduction"),
+        ({"eval": {"recall_ks": [1, "5"]}}, "eval.recall_ks"),
+        ({"eval": {"recall_ks": 5}}, "eval.recall_ks"),
+    ],
+)
+def test_config_value_of_wrong_type_named_in_error(data, key):
+    with pytest.raises(InvalidConfig, match=f"config key '{re.escape(key)}' must be"):
+        run_config_from_dict(data)
+
+
+def test_float_config_fields_take_json_integers():
+    cfg = run_config_from_dict({"train": {"base_lr": 1}, "corpus": {"noise_sigma": 0}})
+    assert cfg.train.base_lr == 1 and cfg.corpus.noise_sigma == 0
 
 
 def test_split_seed_stable_and_purpose_dependent():

@@ -129,6 +129,9 @@ def test_empty_inputs_rejected(params):
         E.encode_text_batch(params, [[]])
     with pytest.raises(EmptyInput):
         E.encode_audio_batch(params, [np.zeros((0, 6))])
+    for encode in (E.encode_text_batch, E.encode_audio_batch):
+        with pytest.raises(EmptyInput):
+            encode(params, [])
 
 
 def test_too_long_inputs_rejected(params):
@@ -183,7 +186,7 @@ def test_audio_batch_matches_single_encodes(params):
 
 
 def test_batch_gradients_match_single_gradients(params):
-    # same-length grouping must not change what the graph computes
+    # packing ragged sequences into one tower op must not change what the graph computes
     seqs = [["dog", "barking"], ["rain", "thunder"], ["thunder", "and", "rain"]]
     loss_b = T.sum_all(E.encode_text_batch(params, seqs))
     grads_b = T.backward(loss_b, params.trainable())

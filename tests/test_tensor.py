@@ -59,12 +59,6 @@ def test_detached_parameter_gets_zero_gradient():
     np.testing.assert_array_equal(grads["x"], np.ones((1, 2)))
 
 
-def test_relu_idempotent():
-    rng = np.random.default_rng(3)
-    x = T.Tensor(rand(rng, 8, 8))
-    np.testing.assert_array_equal(T.relu(T.relu(x)).data, T.relu(x).data)
-
-
 def test_softplus_matches_reference():
     x = T.Tensor([[-700.0, -1.0, 0.0, 1.0, 700.0]])
     np.testing.assert_allclose(
@@ -136,26 +130,6 @@ def _(rng, p):
     return lambda: readout2d(rng, T.sub(a, b))
 
 
-@case("add_bias")
-def _(rng, p):
-    x = p("x", rand(rng, 9, 5))
-    b = p("b", rand(rng, 5))
-    return lambda: readout2d(rng, T.add_bias(x, b))
-
-
-@case("relu")
-def _(rng, p):
-    # keep points away from the kink, finite differences are wrong exactly there
-    x = p("x", np.where(np.abs(rand(rng, 8, 8)) < 0.05, 0.2, rand(rng, 8, 8)))
-    return lambda: readout2d(rng, T.relu(x))
-
-
-@case("block_mean_rows")
-def _(rng, p):
-    x = p("x", rand(rng, 12, 5))
-    return lambda: readout2d(rng, T.block_mean_rows(x, 3))
-
-
 @case("mean_all")
 def _(rng, p):
     x = p("x", rand(rng, 5, 5))
@@ -225,12 +199,25 @@ def _(rng, p):
     return lambda: readout1d(rng, T.rowwise_dot(a, b))
 
 
-@case("concat_rows")
+TOWER_LENGTHS = [3, 1, 4, 3]  # ragged, and one length twice but not side by side
+
+
+def tower_leaves(rng, p):
+    # redraw until every pre-activation is away from the relu kink, where
+    # finite differences are wrong
+    at = np.concatenate([np.arange(n) for n in TOWER_LENGTHS])
+    while True:
+        x, pos, w1, b1 = rand(rng, 11, 4), rand(rng, 5, 4), rand(rng, 4, 6), rand(rng, 6)
+        if np.abs((x + pos[at]) @ w1 + b1).min() > 0.05:
+            break
+    data = (x, pos, w1, b1, rand(rng, 6, 3), rand(rng, 3))
+    return [p(name, v) for name, v in zip(("x", "pos", "w1", "b1", "w2", "b2"), data)]
+
+
+@case("tower")
 def _(rng, p):
-    a = p("a", rand(rng, 3, 5))
-    b = p("b", rand(rng, 6, 5))
-    c = p("c", rand(rng, 1, 5))
-    return lambda: readout2d(rng, T.concat_rows([a, b, c]))
+    leaves = tower_leaves(rng, p)
+    return lambda: readout2d(rng, T.tower(*leaves, TOWER_LENGTHS))
 
 
 @pytest.mark.parametrize("kernel", sorted(CASES))
@@ -272,11 +259,9 @@ def test_backward_reuses_node_without_double_count():
 
 def test_backward_deterministic_bit_identical():
     def build():
-        rng = np.random.default_rng(7)
-        a = leaf("a", rand(rng, 8, 6))
-        b = leaf("b", rand(rng, 6, 4))
-        h = T.relu(T.matmul(a, b))
-        return T.backward(T.mean_all(T.row_l2_normalize(h)), [a, b])
+        leaves = tower_leaves(np.random.default_rng(7), leaf)
+        out = T.tower(*leaves, TOWER_LENGTHS)
+        return T.backward(T.mean_all(T.matmul(out, T.transpose(out))), leaves)
 
     g1, g2 = build(), build()
     assert all(np.array_equal(g1[k], g2[k]) for k in g1)
@@ -285,7 +270,7 @@ def test_backward_deterministic_bit_identical():
 def test_backward_requires_scalar_loss():
     x = leaf("x", [[1.0, 2.0]])
     with pytest.raises(ShapeError):
-        T.backward(T.relu(x), [x])
+        T.backward(T.exp(x), [x])
 
 
 def test_backward_requires_named_parameters():
@@ -294,12 +279,27 @@ def test_backward_requires_named_parameters():
         T.backward(T.sum_all(x), [x])
 
 
+def test_tower_matches_plain_numpy_per_sequence():
+    leaves = tower_leaves(np.random.default_rng(5), leaf)
+    x, pos, w1, b1, w2, b2 = (t.data for t in leaves)
+    out = T.tower(*leaves, TOWER_LENGTHS).data
+    starts = np.cumsum([0] + TOWER_LENGTHS)
+    for i, n in enumerate(TOWER_LENGTHS):
+        hidden = np.maximum((x[starts[i] : starts[i] + n] + pos[:n]) @ w1 + b1, 0.0)
+        o = hidden.mean(axis=0) @ w2 + b2
+        np.testing.assert_allclose(out[i], o / np.linalg.norm(o), atol=1e-12)
+
+
 def test_adjoint_shapes_match_primals():
-    rng = np.random.default_rng(9)
-    a = leaf("a", rand(rng, 5, 3))
-    b = leaf("b", rand(rng, 3))
-    grads = T.backward(T.sum_all(T.relu(T.add_bias(a, b))), [a, b])
-    assert grads["a"].shape == (5, 3) and grads["b"].shape == (3,)
+    leaves = tower_leaves(np.random.default_rng(9), leaf)
+    grads = T.backward(T.sum_all(T.tower(*leaves, TOWER_LENGTHS)), leaves)
+    assert [grads[t.name].shape for t in leaves] == [t.shape for t in leaves]
+
+
+def tower_args(rows=5, width=2):
+    """x with `rows` rows, a 3-row positional table, then w1, b1, w2, b2."""
+    shapes = [(rows, width), (3, 2), (2, 4), (4,), (4, 3), (3,)]
+    return [T.Tensor(np.ones(shape)) for shape in shapes]
 
 
 # -- error surface ----------------------------------------------------------------
@@ -310,16 +310,16 @@ def test_adjoint_shapes_match_primals():
     [
         lambda: T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3)))),
         lambda: T.add(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones((2, 3)))),
-        lambda: T.add_bias(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones(3))),
-        lambda: T.block_mean_rows(T.Tensor(np.ones((5, 2))), 2),
+        lambda: T.tower(*tower_args(), [2, 2]),  # lengths do not tile the 5 rows
+        lambda: T.tower(*tower_args(), [3, 0, 2]),  # a zero length
         lambda: T.diag_part(T.Tensor(np.ones((2, 3)))),
         lambda: T.rowwise_dot(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones((2, 3)))),
-        lambda: T.concat_rows([T.Tensor(np.ones((2, 2))), T.Tensor(np.ones((2, 3)))]),
-        lambda: T.concat_rows([]),
+        lambda: T.tower(*tower_args(), [4, 1]),  # longer than the positional table
+        lambda: T.tower(*tower_args(rows=0), []),
         lambda: T.gather_rows(T.Tensor(np.ones((2, 2))), [0, 2]),
         lambda: T.mul_scalar(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones(2))),
         lambda: T.row_l2_normalize(T.Tensor(np.ones((2, 2))), eps=0.0),
-        lambda: T.block_mean_rows(T.Tensor(np.ones(3)), 1),
+        lambda: T.tower(*tower_args(width=3), [3, 2]),  # x wider than w1
     ],
 )
 def test_shape_errors(build):

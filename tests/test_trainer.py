@@ -366,6 +366,32 @@ def test_resume_reproduces_uninterrupted_run(corpora, tiny_encoder, tmp_path):
     assert resumed_lines == full_lines[2:]
 
 
+def test_resume_into_same_dir_reproduces_uninterrupted_run(corpora, tiny_encoder, tmp_path):
+    # vocab_size left at 0 here, as the CLI default leaves it
+    primary, temporal = corpora
+    cfg = tiny_config(dc_replace(tiny_encoder, vocab_size=0), steps=6, checkpoint_every=3)
+    run_dir = tmp_path / "run"
+    tr.train(cfg, primary, temporal, out_dir=run_dir)
+    full = {name: (run_dir / name).read_bytes() for name in ("final.tckp", "metrics.jsonl")}
+    with open(run_dir / "metrics.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"step":6,"l_c":')  # a line torn by the interruption
+    tr.train(cfg, primary, temporal, out_dir=run_dir, resume_from=run_dir / "step000003.tckp")
+    for name, blob in full.items():
+        assert (run_dir / name).read_bytes() == blob, name
+    _, rows = read_metrics(run_dir)
+    assert [r["step"] for r in rows] == list(range(6))
+
+
+def test_resume_rejects_corrupt_metrics_line(corpora, tiny_encoder, tmp_path):
+    primary, temporal = corpora
+    cfg = tiny_config(tiny_encoder, steps=4, checkpoint_every=2)
+    tr.train(cfg, primary, temporal, out_dir=tmp_path)
+    (tmp_path / "metrics.jsonl").write_text("not json\n")
+    mid = tmp_path / "step000002.tckp"
+    with pytest.raises(FormatError, match="bad metrics line"):
+        tr.train(cfg, primary, temporal, out_dir=tmp_path, resume_from=mid)
+
+
 def test_order_loss_delay_matches_control_through_phase_one(corpora, tiny_encoder, tmp_path):
     primary, temporal = corpora
     control = tiny_config(tiny_encoder, steps=4, loss=LossConfig(lambda_l=0.0))
