@@ -19,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .config import (
-    RunConfig,
-    load_run_config,
-    run_config_to_dict,
-    split_seed,
-)
+from .config import RunConfig, load_run_config, run_config_to_dict, split_seed
 from .corpus import (
     build_catalog,
     build_labeled_clips,
@@ -34,19 +29,8 @@ from .corpus import (
     save_manifest,
 )
 from .encoders import forward_batch
-from .errors import (
-    DataError,
-    InvalidConfig,
-    NumericFailure,
-    TinyClapError,
-)
-from .evaluate import (
-    config_hash,
-    emit_report,
-    recall_at_k,
-    t_classify,
-    zero_shot_classify,
-)
+from .errors import DataError, InvalidConfig, NumericFailure, TinyClapError
+from .evaluate import config_hash, emit_report, recall_at_k, t_classify, zero_shot_classify
 from .losses import similarity_matrix, train_loss
 from .trainer import TrainConfig, init_run, load_checkpoint, train
 
@@ -341,10 +325,7 @@ def main(argv=None) -> int:
         if args.command == "repro":
             return cmd_repro(cfg, out_dir)
         raise InvalidConfig(f"unknown command {args.command!r}")
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:

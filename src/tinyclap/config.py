@@ -159,7 +159,7 @@ def load_run_config(path) -> RunConfig:
         raise InvalidConfig(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise InvalidConfig(f"config file {path} is not valid JSON: {exc}") from exc
     return run_config_from_dict(data)
 

@@ -543,7 +543,10 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"manifest {path} does not exist")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: manifest is not UTF-8: {exc}") from exc
     if not lines:
         raise FormatError(f"{path}: empty manifest file")
 

@@ -6,9 +6,10 @@ positions, an output layer, and row L2 normalization. The hidden layer sits
 before the pool; with purely additive positions a plain mean is permutation
 invariant, so the nonlinearity must see positions to make order matter.
 
-A batch is encoded as one graph: every input's rows go back to back
-through the input embedding, and one fused `tensor.tower` op adds positions,
-applies the hidden layer, pools each sequence, applies the output layer and
+A batch is encoded as one graph node per tower: every input's rows go back
+to back, as one-hot token rows or as frames, into one fused `tensor.tower` op
+that embeds them with `text.embed` or `audio.proj`, adds positions, applies
+the hidden layer, pools each sequence, applies the output layer and
 normalizes. Training and evaluation share this forward pass.
 """
 
@@ -20,12 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import (
-    EmptyInput,
-    InvalidConfig,
-    MissingNegative,
-    SequenceTooLong,
-)
+from .errors import EmptyInput, InvalidConfig, MissingNegative, SequenceTooLong, ShapeError
 
 UNK_TOKEN = "<unk>"
 INIT_STD = 0.02
@@ -165,9 +161,9 @@ def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelPara
 def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:
     """Shared batched tower: inputs are token-id lists (text) or T x F arrays (audio).
 
-    All inputs' rows go back to back through one input lookup (text) or
-    projection (audio), then one `tower` op does the rest; rows come out in
-    input order.
+    All inputs' rows go back to back into one `tower` op, as one-hot rows of
+    the token ids against `text.embed` or as frames against `audio.proj`;
+    rows come out in input order.
     """
     cfg = params.config
     if not inputs:
@@ -179,11 +175,18 @@ def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:
             error = EmptyInput if len(item) < 1 else SequenceTooLong
             raise error(f"{tower} input {i} has {len(item)} positions, max is {cfg.max_positions}")
     if tower == "text":
-        x = T.gather_rows(params["text.embed"], [tid for ids in inputs for tid in ids])
+        table = params["text.embed"]
+        ids = np.concatenate([np.asarray(item, dtype=np.int64) for item in inputs])
+        if ids.min() < 0 or ids.max() >= table.shape[0]:
+            raise ShapeError(f"text token ids must be in [0, {table.shape[0]}), "
+                             f"got {ids.min()} to {ids.max()}")
+        rows = np.zeros((ids.size, table.shape[0]))
+        rows[np.arange(ids.size), ids] = 1.0
     else:
-        x = T.matmul(T.Tensor(np.concatenate(inputs, axis=0)), params["audio.proj"])
+        table = params["audio.proj"]
+        rows = np.concatenate(inputs, axis=0)
     layers = (params[f"{tower}.{name}"] for name in ("pos", "w1", "b1", "w2", "b2"))
-    return T.tower(x, *layers, [len(item) for item in inputs])
+    return T.tower(rows, table, *layers, [len(item) for item in inputs])
 
 
 def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:

@@ -1,9 +1,10 @@
 """Dense-array kernel with reverse-mode gradients.
 
 Exactly the operations the encoders and losses need: one fused `tower` op
-per encoder, small kernels for the losses, CPU numpy storage only. Every
-kernel checks its output for NaN/Inf and raises NumericError on the spot,
-so a poisoned value can never travel.
+per encoder, which takes its inputs as a constant array and folds the input
+table into the first layer, small kernels for the losses, CPU numpy storage
+only. Every kernel checks its output for NaN/Inf and raises NumericError on
+the spot, so a poisoned value can never travel.
 
 Graph convention (micrograd style): each op returns a fresh Tensor holding
 references to its parents and a closure that pushes adjoints into an
@@ -278,31 +279,34 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
     return _result((a.data * b.data).sum(axis=1), (a, b), bw, "rowwise_dot")
 
 
-def tower(x: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-          lengths: Sequence[int] | np.ndarray) -> Tensor:
-    """One encoder tower over sequences packed back to back: sum(lengths) x E -> S x D.
+def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+          b2: Tensor, lengths: Sequence[int] | np.ndarray) -> Tensor:
+    """One encoder tower over sequences packed back to back: sum(lengths) x V -> S x D.
 
-    Row r of `x` gets the positional row of its place in its sequence, then
-    relu(z @ w1 + b1) per row, the mean over each sequence's rows, the output
-    layer pooled @ w2 + b2, and row_l2_normalize's unit scaling. Sequences of
-    one length are pooled with one reshape-mean; the backward is closed-form.
+    Row r of the constant `inputs` is embedded as inputs[r] @ table plus the
+    positional row of its place in its sequence, then relu(z @ w1 + b1) per
+    row, the mean over each sequence's rows, the output layer
+    pooled @ w2 + b2, and row_l2_normalize's unit scaling. The first layer is
+    linear, so it runs folded: inputs @ (table @ w1) + (pos[:L] @ w1)[place].
+    Sequences of one length are pooled with one reshape-mean; the backward is
+    closed-form and reaches the six parameters.
     """
-    _need_2d(x, "tower")
-    e, h, d = x.shape[1], b1.data.size, b2.data.size
-    shapes = [t.shape for t in (pos, w1, b1, w2, b2)]
-    if shapes != [pos.shape[:1] + (e,), (e, h), (h,), (h, d), (d,)]:
-        raise ShapeError(f"tower shapes do not chain: x {x.shape}, pos/w1/b1/w2/b2 {shapes}")
+    x = np.asarray(inputs, dtype=DEFAULT_DTYPE)
+    if x.ndim != 2:
+        raise ShapeError(f"tower needs 2-d inputs, got shape {x.shape}")
+    _need_2d(table, "tower")
+    e, h, d = table.shape[1], b1.data.size, b2.data.size
+    shapes = [t.shape for t in (table, pos, w1, b1, w2, b2)]
+    if shapes != [(x.shape[1], e), pos.shape[:1] + (e,), (e, h), (h,), (h, d), (d,)]:
+        raise ShapeError(f"tower shapes do not chain: inputs {x.shape}, "
+                         f"table/pos/w1/b1/w2/b2 {shapes}")
     lens = np.asarray(lengths, dtype=np.int64)
     if (lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != x.shape[0]
             or lens.max() > pos.shape[0]):
         raise ShapeError(f"tower lengths {lengths} do not split {x.shape[0]} rows into "
                          f"sequences of 1 to {pos.shape[0]} positions")
     starts = np.cumsum(lens) - lens
-    z = x.data + pos.data[np.arange(x.shape[0]) - np.repeat(starts, lens)]
-    hidden = z @ w1.data
-    hidden += b1.data
-    active = hidden > 0
-    np.maximum(hidden, 0.0, out=hidden)
+    top = int(lens.max())
     groups = [(int(n), np.flatnonzero(lens == n)) for n in np.unique(lens)]
 
     def blocks(a):  # each length's sequences as a k x n x cols block of a's rows
@@ -310,6 +314,16 @@ def tower(x: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
             rows = starts[seqs, None] + np.arange(n)
             yield n, seqs, a.reshape(-1, n, a.shape[1]) if len(groups) == 1 else a[rows]
 
+    hidden = x @ (table.data @ w1.data)
+    pos_folded = pos.data[:top] @ w1.data
+    if len(groups) == 1:  # add through a view, without a rows-sized copy of pos_folded
+        seq_view = hidden.reshape(-1, top, h)
+        seq_view += pos_folded
+    else:
+        hidden += pos_folded[np.arange(x.shape[0]) - np.repeat(starts, lens)]
+    hidden += b1.data
+    active = hidden > 0
+    np.maximum(hidden, 0.0, out=hidden)
     pooled = np.empty((lens.size, h))
     for _, seqs, block in blocks(hidden):
         pooled[seqs] = block.mean(axis=1)
@@ -322,16 +336,18 @@ def tower(x: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor
         _acc(adj, w2, pooled.T @ go)
         gpre = np.repeat((go @ w2.data.T) / lens[:, None], lens, axis=0) * active
         _acc(adj, b1, gpre.sum(axis=0))
-        _acc(adj, w1, z.T @ gpre)
-        gz = gpre @ w1.data.T
-        _acc(adj, x, gz)
+        g_folded = x.T @ gpre  # adjoint of table @ w1
+        g_pos_folded = np.zeros((top, h))  # adjoint of pos[:top] @ w1
+        for n, _, block in blocks(gpre):
+            g_pos_folded[:n] += block.sum(axis=0)
+        _acc(adj, w1, table.data.T @ g_folded + pos.data[:top].T @ g_pos_folded)
+        _acc(adj, table, g_folded @ w1.data.T)
         if pos.requires_grad:
             gpos = np.zeros_like(pos.data)
-            for n, _, block in blocks(gz):
-                gpos[:n] += block.sum(axis=0)
+            gpos[:top] = g_pos_folded @ w1.data.T
             _acc(adj, pos, gpos)
 
-    return _result(out_data, (x, pos, w1, b1, w2, b2), bw, "tower")
+    return _result(out_data, (table, pos, w1, b1, w2, b2), bw, "tower")
 
 
 # -- backward pass ------------------------------------------------------------

@@ -237,7 +237,10 @@ def load_checkpoint(path) -> Checkpoint:
         off += 4
         if off + nlen + 8 > len(raw):
             raise FormatError(f"{path}: truncated section header")
-        name = raw[off : off + nlen].decode("utf-8")
+        try:
+            name = raw[off : off + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: section name is not UTF-8: {exc}") from exc
         off += nlen
         (plen,) = struct.unpack_from("<Q", raw, off)
         off += 8
@@ -250,7 +253,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         meta = json.loads(sections["meta"])
         rng_state = json.loads(sections["rng"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise FormatError(f"{path}: bad JSON section: {exc}") from exc
     try:
         tc = dict(meta["train_config"])
@@ -259,9 +262,13 @@ def load_checkpoint(path) -> Checkpoint:
         train_config = TrainConfig(**tc)
         vocab = TextVocab(tokens=tuple(meta["vocab"]))
         param_names = list(meta["param_names"])
+        step = int(meta["step"])
         opt_meta = meta["optimizer"]
+        opt_step = int(opt_meta["step"])
+        beta1, beta2, eps = (float(opt_meta[key]) for key in ("beta1", "beta2", "eps"))
+        np.random.default_rng().bit_generator.state = rng_state  # a state resume can set
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad meta section: {exc}") from exc
+        raise FormatError(f"{path}: bad meta or rng section: {exc!r}") from exc
     tensors: dict[str, T.Tensor] = {}
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
@@ -276,21 +283,9 @@ def load_checkpoint(path) -> Checkpoint:
             else:
                 store[name] = arr
     params = ModelParams(config=train_config.encoder, vocab=vocab, tensors=tensors)
-    optimizer = OptimizerState(
-        m=m,
-        v=v,
-        step=int(opt_meta["step"]),
-        beta1=float(opt_meta["beta1"]),
-        beta2=float(opt_meta["beta2"]),
-        eps=float(opt_meta["eps"]),
-    )
-    return Checkpoint(
-        params=params,
-        train_config=train_config,
-        optimizer=optimizer,
-        step=int(meta["step"]),
-        rng_state=rng_state,
-    )
+    optimizer = OptimizerState(m=m, v=v, step=opt_step, beta1=beta1, beta2=beta2, eps=eps)
+    return Checkpoint(params=params, train_config=train_config, optimizer=optimizer, step=step,
+                      rng_state=rng_state)
 
 
 # -- training loop ---------------------------------------------------------------
@@ -332,7 +327,10 @@ def _metric_lines_before(path: Path, step: int) -> str:
     """The complete lines of an existing metrics log for steps below `step`."""
     if not path.is_file():
         return ""
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: metrics log is not UTF-8: {exc}") from exc
     kept = []
     for line in text[: text.rfind("\n") + 1].splitlines(keepends=True):  # drops a torn last line
         try:

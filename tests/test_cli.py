@@ -2,14 +2,17 @@
 
 import json
 import re
+import struct
 import subprocess
 import sys
 
 import pytest
 
 from tinyclap import cli
+from tinyclap import trainer as tr
 from tinyclap.config import run_config_from_dict, run_config_to_dict, split_seed
-from tinyclap.errors import InvalidConfig
+from tinyclap.corpus import load_manifest
+from tinyclap.errors import FormatError, InvalidConfig
 
 TINY = {
     "seed": 0,
@@ -153,6 +156,100 @@ def test_corrupt_manifest_exits_two(tiny_config, trained_dir, capsys):
     )
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def checkpoint_sections(raw):
+    """The (name bytes, payload) sections of a checkpoint, in file order."""
+    sections, off = [], 8
+    while off < len(raw):
+        (nlen,) = struct.unpack_from("<I", raw, off)
+        name = raw[off + 4 : off + 4 + nlen]
+        (plen,) = struct.unpack_from("<Q", raw, off + 4 + nlen)
+        start = off + 12 + nlen
+        sections.append((name, raw[start : start + plen]))
+        off = start + plen
+    return sections
+
+
+def checkpoint_bytes(raw, sections):
+    out = [raw[:8]]
+    for name, payload in sections:
+        out += [struct.pack("<I", len(name)), name, struct.pack("<Q", len(payload)), payload]
+    return b"".join(out)
+
+
+def _edit_meta(change):
+    def edit(name, payload):
+        if name != b"meta":
+            return name, payload
+        meta = json.loads(payload)
+        change(meta)
+        return name, json.dumps(meta).encode()
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda name, payload: (b"\xff" + name if name == b"rng" else name, payload),
+        lambda name, payload: (name, b"\xff" + payload if name == b"meta" else payload),
+        _edit_meta(lambda meta: meta.pop("step")),
+        _edit_meta(lambda meta: meta["optimizer"].pop("step")),
+        _edit_meta(lambda meta: meta["optimizer"].update(beta1="fast")),
+        lambda name, payload: (name, b"{}" if name == b"rng" else payload),
+    ],
+    ids=["name-not-utf8", "meta-not-utf8", "no-step", "no-optimizer-step", "beta1-not-a-number",
+         "rng-not-a-state"],
+)
+def test_corrupt_checkpoint_is_format_error_and_exits_two(edit, tiny_config, trained_dir, capsys):
+    good = trained_dir / "train" / "final.tckp"
+    raw = good.read_bytes()
+    bad = trained_dir / "bad.tckp"
+    bad.write_bytes(checkpoint_bytes(raw, [edit(*sec) for sec in checkpoint_sections(raw)]))
+    with pytest.raises(FormatError, match=re.escape(str(bad))):
+        tr.load_checkpoint(bad)
+    argv = ["eval", "--config", str(tiny_config), "--checkpoint", str(bad), "--out", str(trained_dir)]
+    assert cli.main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line_no", [0, 3], ids=["header", "record"])
+def test_non_utf8_manifest_is_format_error_and_exits_two(line_no, tiny_config, trained_dir, capsys):
+    path = trained_dir / "data" / "test.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_no] = lines[line_no].replace(b'"', b'"\xe9', 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_manifest(path)
+    checkpoint = str(trained_dir / "train" / "final.tckp")
+    argv = ["eval", "--config", str(tiny_config), "--checkpoint", checkpoint, "--out", str(trained_dir)]
+    assert cli.main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line_no", [0, 3], ids=["first-line", "last-line"])
+def test_non_utf8_metrics_log_on_resume_is_format_error_and_exits_two(
+    line_no, tiny_config, trained_dir, capsys
+):
+    run_dir = trained_dir / "train"
+    path = run_dir / "metrics.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line_no] = lines[line_no].replace(b"{", b"{\xff", 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        tr._metric_lines_before(path, 4)
+    argv = ["train", "--config", str(tiny_config), "--out", str(trained_dir),
+            "--resume", str(run_dir / "final.tckp")]
+    assert cli.main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"seed": 0, "caf\xe9": 1}')
+    assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_exits_two(tiny_config, synth_dir, capsys):

@@ -15,6 +15,7 @@ from tinyclap.errors import (
     InvalidConfig,
     MissingNegative,
     SequenceTooLong,
+    ShapeError,
 )
 
 
@@ -139,6 +140,13 @@ def test_too_long_inputs_rejected(params):
         E.encode_text_batch(params, [["dog"] * 13])
     with pytest.raises(SequenceTooLong):
         E.encode_audio_batch(params, [np.zeros((13, 6))])
+
+
+@pytest.mark.parametrize("bad_id", [-1, 7])
+def test_token_id_outside_vocab_rejected(params, bad_id):
+    # a negative id would silently pick the last one-hot column
+    with pytest.raises(ShapeError, match="token ids"):
+        E._encode_groups(params, "text", [[1, 2], [3, bad_id]])
 
 
 # -- order sensitivity ---------------------------------------------------------------

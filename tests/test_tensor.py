@@ -200,24 +200,39 @@ def _(rng, p):
 
 
 TOWER_LENGTHS = [3, 1, 4, 3]  # ragged, and one length twice but not side by side
+TOWER_NAMES = ("table", "pos", "w1", "b1", "w2", "b2")
 
 
-def tower_leaves(rng, p):
+def onehot(ids, width):
+    rows = np.zeros((len(ids), width))
+    rows[np.arange(len(ids)), ids] = 1.0
+    return rows
+
+
+def tower_leaves(rng, p, one_hot=False):
+    """Constant inputs (dense rows, or one-hot rows of 6 ids) and the six leaves."""
     # redraw until every pre-activation is away from the relu kink, where
     # finite differences are wrong
     at = np.concatenate([np.arange(n) for n in TOWER_LENGTHS])
     while True:
-        x, pos, w1, b1 = rand(rng, 11, 4), rand(rng, 5, 4), rand(rng, 4, 6), rand(rng, 6)
-        if np.abs((x + pos[at]) @ w1 + b1).min() > 0.05:
+        inputs = onehot(rng.integers(0, 6, size=11), 6) if one_hot else rand(rng, 11, 6)
+        table, pos, w1, b1 = rand(rng, 6, 4), rand(rng, 5, 4), rand(rng, 4, 6), rand(rng, 6)
+        if np.abs((inputs @ table + pos[at]) @ w1 + b1).min() > 0.05:
             break
-    data = (x, pos, w1, b1, rand(rng, 6, 3), rand(rng, 3))
-    return [p(name, v) for name, v in zip(("x", "pos", "w1", "b1", "w2", "b2"), data)]
+    data = (table, pos, w1, b1, rand(rng, 6, 3), rand(rng, 3))
+    return inputs, [p(name, v) for name, v in zip(TOWER_NAMES, data)]
 
 
 @case("tower")
 def _(rng, p):
-    leaves = tower_leaves(rng, p)
-    return lambda: readout2d(rng, T.tower(*leaves, TOWER_LENGTHS))
+    inputs, leaves = tower_leaves(rng, p)
+    return lambda: readout2d(rng, T.tower(inputs, *leaves, TOWER_LENGTHS))
+
+
+@case("tower_onehot")
+def _(rng, p):
+    inputs, leaves = tower_leaves(rng, p, one_hot=True)
+    return lambda: readout2d(rng, T.tower(inputs, *leaves, TOWER_LENGTHS))
 
 
 @pytest.mark.parametrize("kernel", sorted(CASES))
@@ -259,8 +274,8 @@ def test_backward_reuses_node_without_double_count():
 
 def test_backward_deterministic_bit_identical():
     def build():
-        leaves = tower_leaves(np.random.default_rng(7), leaf)
-        out = T.tower(*leaves, TOWER_LENGTHS)
+        inputs, leaves = tower_leaves(np.random.default_rng(7), leaf)
+        out = T.tower(inputs, *leaves, TOWER_LENGTHS)
         return T.backward(T.mean_all(T.matmul(out, T.transpose(out))), leaves)
 
     g1, g2 = build(), build()
@@ -280,26 +295,48 @@ def test_backward_requires_named_parameters():
 
 
 def test_tower_matches_plain_numpy_per_sequence():
-    leaves = tower_leaves(np.random.default_rng(5), leaf)
-    x, pos, w1, b1, w2, b2 = (t.data for t in leaves)
-    out = T.tower(*leaves, TOWER_LENGTHS).data
-    starts = np.cumsum([0] + TOWER_LENGTHS)
-    for i, n in enumerate(TOWER_LENGTHS):
-        hidden = np.maximum((x[starts[i] : starts[i] + n] + pos[:n]) @ w1 + b1, 0.0)
-        o = hidden.mean(axis=0) @ w2 + b2
-        np.testing.assert_allclose(out[i], o / np.linalg.norm(o), atol=1e-12)
+    # against the unfolded first layer: embed, add positions, then multiply by w1
+    for one_hot in (False, True):
+        inputs, leaves = tower_leaves(np.random.default_rng(5), leaf, one_hot)
+        table, pos, w1, b1, w2, b2 = (t.data for t in leaves)
+        out = T.tower(inputs, *leaves, TOWER_LENGTHS).data
+        starts = np.cumsum([0] + TOWER_LENGTHS)
+        for i, n in enumerate(TOWER_LENGTHS):
+            z = inputs[starts[i] : starts[i] + n] @ table + pos[:n]
+            hidden = np.maximum(z @ w1 + b1, 0.0)
+            o = hidden.mean(axis=0) @ w2 + b2
+            np.testing.assert_allclose(out[i], o / np.linalg.norm(o), atol=1e-12)
+
+
+def test_tower_fold_is_invariant_to_where_the_lookup_happens():
+    # one-hot rows against the table, or the looked-up rows against the identity
+    rng = np.random.default_rng(11)
+    ids = rng.integers(0, 6, size=sum(TOWER_LENGTHS))
+    _, leaves = tower_leaves(rng, leaf, one_hot=True)
+    table, rest = leaves[0], leaves[1:]
+    eye = leaf("table", np.eye(table.shape[1]))
+    results = []
+    for inputs, first in ((onehot(ids, 6), table), (table.data[ids], eye)):
+        out = T.tower(inputs, first, *rest, TOWER_LENGTHS)
+        loss = readout2d(rng, out)
+        results.append((out.data, T.backward(loss, rest)))
+    (out_a, grads_a), (out_b, grads_b) = results
+    np.testing.assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-12)
+    for name in TOWER_NAMES[1:]:
+        np.testing.assert_allclose(grads_a[name], grads_b[name], rtol=1e-12, atol=1e-12)
 
 
 def test_adjoint_shapes_match_primals():
-    leaves = tower_leaves(np.random.default_rng(9), leaf)
-    grads = T.backward(T.sum_all(T.tower(*leaves, TOWER_LENGTHS)), leaves)
+    inputs, leaves = tower_leaves(np.random.default_rng(9), leaf)
+    grads = T.backward(T.sum_all(T.tower(inputs, *leaves, TOWER_LENGTHS)), leaves)
     assert [grads[t.name].shape for t in leaves] == [t.shape for t in leaves]
 
 
-def tower_args(rows=5, width=2):
-    """x with `rows` rows, a 3-row positional table, then w1, b1, w2, b2."""
-    shapes = [(rows, width), (3, 2), (2, 4), (4,), (4, 3), (3,)]
-    return [T.Tensor(np.ones(shape)) for shape in shapes]
+def tower_args(rows=5, cols=2, width=2):
+    """Constant rows x cols inputs, a cols x width table, a 3-row positional
+    table, then w1, b1, w2, b2."""
+    shapes = [(cols, width), (3, 2), (2, 4), (4,), (4, 3), (3,)]
+    return [np.ones((rows, cols))] + [T.Tensor(np.ones(shape)) for shape in shapes]
 
 
 # -- error surface ----------------------------------------------------------------
@@ -319,7 +356,10 @@ def tower_args(rows=5, width=2):
         lambda: T.gather_rows(T.Tensor(np.ones((2, 2))), [0, 2]),
         lambda: T.mul_scalar(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones(2))),
         lambda: T.row_l2_normalize(T.Tensor(np.ones((2, 2))), eps=0.0),
-        lambda: T.tower(*tower_args(width=3), [3, 2]),  # x wider than w1
+        lambda: T.tower(*tower_args(width=3), [3, 2]),  # table wider than w1
+        lambda: T.tower(np.ones(5), *tower_args()[1:], [3, 2]),  # 1-d inputs
+        lambda: T.tower(*tower_args(cols=3)[:1], *tower_args()[1:], [3, 2]),  # 3 columns, 2 table rows
+        lambda: T.tower(*tower_args(rows=6), [3, 2]),  # 6 input rows, lengths sum to 5
     ],
 )
 def test_shape_errors(build):
