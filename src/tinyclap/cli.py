@@ -30,9 +30,10 @@ from .corpus import (
 )
 from .encoders import forward_batch
 from .errors import DataError, InvalidConfig, NumericFailure, TinyClapError
-from .evaluate import config_hash, emit_report, recall_at_k, t_classify, zero_shot_classify
+from .evaluate import (embed_test_set, emit_report, order_scores, recall_at_k, t_classify,
+                       zero_shot_classify)
 from .losses import similarity_matrix, train_loss
-from .trainer import TrainConfig, init_run, load_checkpoint, train
+from .trainer import TrainConfig, init_run, load_checkpoint, train, train_fork
 
 GRADCHECK_THRESHOLD = 1e-3
 
@@ -218,15 +219,20 @@ def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
     # runs are bit-identical until the switch and the comparison isolates the
     # new loss. Running the margin objective from step 0 also works but leaves
     # less headroom: it keeps reshaping embeddings long after the order task
-    # is solved, which erodes zero-shot transfer.
+    # is solved, which erodes zero-shot transfer. The shared steps before the
+    # switch run once: the two runs fork there, and each run's metrics.jsonl
+    # and checkpoints still hold the shared steps, as a standalone run's do.
     order_start = base_train.order_loss_start_step or base_train.steps // 2
     order_cfg = replace(base_train, order_loss_start_step=order_start)
     control_cfg = replace(base_train, loss=replace(base_train.loss, lambda_l=0.0))
+    fork_step = min(order_start, base_train.steps)
     _, untrained = init_run(base_train, primary, temporal)
-    print(f"training with order loss (lambda_l={base_train.loss.lambda_l}) ...")
-    with_loss = train(order_cfg, primary, temporal, out_dir / "run_order")
-    print("training control (lambda_l=0) ...")
-    control = train(control_cfg, primary, temporal, out_dir / "run_control")
+    print(f"training with order loss (lambda_l={base_train.loss.lambda_l}) and control "
+          f"(lambda_l=0), forked at step {fork_step} ...")
+    with_loss, control = train_fork(
+        [(order_cfg, out_dir / "run_order"), (control_cfg, out_dir / "run_control")],
+        primary, temporal, fork_step,
+    )
 
     variants = (
         ("untrained", untrained),
@@ -236,8 +242,10 @@ def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
     metrics: dict = {"t_classify": {}, "retrieval": {}, "zero_shot": {}}
     rows = []
     for name, params in variants:
-        tc = t_classify(params, test_records)
-        t2a, a2t = recall_at_k(_paired_similarity(params, test_records), cfg.eval.recall_ks)
+        emb = embed_test_set(params, test_records)  # one pass serves both tasks
+        tc = order_scores(emb)
+        t2a, a2t = recall_at_k(similarity_matrix(emb.audio, emb.text).data, cfg.eval.recall_ks)
+        del emb  # kept alive into the next pass, its rows raise peak RSS by ~5 MB
         zs = zero_shot_classify(params, labeled_records, label_names)
         metrics["t_classify"][name] = tc
         metrics["retrieval"][name] = {"T2A": t2a, "A2T": a2t}

@@ -4,6 +4,11 @@ All three tasks reduce to cosine comparisons between unit embeddings, so
 every decision is invariant to positive rescaling of the embeddings. Ranking
 and argmax ties break toward the lower index; the pairwise order task counts
 ties as failures (strict inequality both directions).
+
+Order discrimination embeds a test set once per model (`embed_test_set`):
+one forward pass over the captions, their reversals and the clips, then one
+over the reversed clips. Both directions score from those arrays, and
+`tinyclap repro` scores retrieval from the same pass.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import ModelParams, encode_audio_batch, encode_text_batch, forward_batch
-from .errors import InvalidConfig, IoError, MissingNegative
+from .errors import InvalidConfig, IoError
 
 REPORT_SCHEMA_VERSION = 1
 DEFAULT_KS = (1, 5, 10)
@@ -98,39 +103,52 @@ def t_classify_from_embeddings(audio, text_pos, text_neg) -> float:
     return t_classify_margins((ea * ep).sum(axis=1), (ea * en).sum(axis=1))
 
 
-def t_classify_t2a(params: ModelParams, records) -> float:
-    """Does the clip score its true-order caption above the reversed one?"""
+@dataclass(frozen=True)
+class EvalEmbeddings:
+    """One embedding pass over a test set, kept as plain arrays: a live tower
+    node would keep its closure, and with it the hidden layer, alive."""
+
+    audio: np.ndarray  # N x D, each record's clip
+    text: np.ndarray  # N x D, each record's caption
+    text_neg: np.ndarray  # N x D, each record's reversed caption
+    neg_rows: np.ndarray  # indices of the records that carry a reversed clip
+    audio_neg: np.ndarray | None  # len(neg_rows) x D, those reversed clips; None if none
+
+
+def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
+    """Every test input through its tower once: captions, their reversals and
+    the clips in one forward pass, then the reversed clips."""
     records = list(records)
     if not records:
         raise InvalidConfig("cannot score an empty record set")
     emb = forward_batch(params, records, [True] * len(records))
-    return t_classify_from_embeddings(emb.audio.data, emb.text.data, emb.text_neg.data)
+    audio, text, text_neg = emb.audio.data, emb.text.data, emb.text_neg.data
+    del emb  # frees the tower nodes, and their hidden layers, before the next encode
+    neg_rows = [i for i, r in enumerate(records) if r.clip_neg is not None]
+    audio_neg = None
+    if neg_rows:
+        audio_neg = encode_audio_batch(params, [records[i].clip_neg.frames for i in neg_rows]).data
+    return EvalEmbeddings(audio, text, text_neg, np.asarray(neg_rows, dtype=np.int64), audio_neg)
 
 
-def t_classify_a2t(params: ModelParams, records) -> float:
-    """Does the caption score its true clip above the reversed-order clip?"""
-    records = list(records)
-    if not records:
-        raise InvalidConfig("cannot score an empty record set")
-    for rec in records:
-        if rec.clip_neg is None:
-            raise MissingNegative(f"record {rec.record_id} has no reversed clip")
-    text = encode_text_batch(params, [r.caption_pos.tokens for r in records]).data
-    audio = encode_audio_batch(params, [r.clip.frames for r in records]).data
-    audio_neg = encode_audio_batch(params, [r.clip_neg.frames for r in records]).data
-    return t_classify_margins((audio * text).sum(axis=1), (audio_neg * text).sum(axis=1))
+def order_scores(emb: EvalEmbeddings) -> TClassifyResult:
+    """T2A: does each clip score its true-order caption above the reversed
+    one? A2T: does each caption score its true clip above the reversed-order
+    clip? A2T covers the records carrying a reversed clip, and is absent when
+    none do."""
+    t2a = t_classify_from_embeddings(emb.audio, emb.text, emb.text_neg)
+    a2t = None
+    if emb.audio_neg is not None:
+        audio, text = emb.audio[emb.neg_rows], emb.text[emb.neg_rows]
+        a2t = t_classify_margins((audio * text).sum(axis=1), (emb.audio_neg * text).sum(axis=1))
+    return TClassifyResult(
+        t2a_accuracy=t2a, a2t_accuracy=a2t, n_t2a=len(emb.audio), n_a2t=len(emb.neg_rows)
+    )
 
 
 def t_classify(params: ModelParams, records) -> TClassifyResult:
-    """Both directions; the audio direction covers records carrying a
-    reversed clip and is absent when none do."""
-    records = list(records)
-    t2a = t_classify_t2a(params, records)
-    with_neg = [r for r in records if r.clip_neg is not None]
-    a2t = t_classify_a2t(params, with_neg) if with_neg else None
-    return TClassifyResult(
-        t2a_accuracy=t2a, a2t_accuracy=a2t, n_t2a=len(records), n_a2t=len(with_neg)
-    )
+    """Order discrimination in both directions, from one embedding pass."""
+    return order_scores(embed_test_set(params, records))
 
 
 def prompt_tokens(label_name: str) -> tuple[str, ...]:
@@ -205,9 +223,3 @@ def emit_report(metrics: dict, path, config: dict | None = None, checkpoint_id: 
         raise IoError(f"cannot write report to {path}: {exc}") from exc
     return report
 
-
-def load_report(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read report {path}: {exc}") from exc

@@ -10,9 +10,11 @@ at a checkpoint boundary reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import struct
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -294,6 +296,13 @@ def _as_manifest(m) -> DatasetManifest:
     return m if isinstance(m, DatasetManifest) else load_manifest(m)
 
 
+def _with_vocab(config: TrainConfig, vocab: TextVocab) -> TrainConfig:
+    """Resolves `encoder.vocab_size: 0` to the vocab's size."""
+    if config.encoder.vocab_size:
+        return config
+    return dc_replace(config, encoder=dc_replace(config.encoder, vocab_size=len(vocab)))
+
+
 def init_run(config: TrainConfig, primary, temporal=None) -> tuple[TrainConfig, ModelParams]:
     """Vocab from both corpora (negatives included), fresh parameters.
 
@@ -304,11 +313,8 @@ def init_run(config: TrainConfig, primary, temporal=None) -> tuple[TrainConfig, 
     temporal = _as_manifest(temporal) if temporal is not None else None
     manifests = [primary] + ([temporal] if temporal is not None else [])
     vocab = build_vocab(manifests)
-    enc = config.encoder
-    if enc.vocab_size == 0:
-        enc = dc_replace(enc, vocab_size=len(vocab))
-        config = dc_replace(config, encoder=enc)
-    return config, init_params(enc, vocab, config.seed)
+    config = _with_vocab(config, vocab)
+    return config, init_params(config.encoder, vocab, config.seed)
 
 
 def _metric_line(step, lr, breakdown) -> str:
@@ -342,19 +348,8 @@ def _metric_lines_before(path: Path, step: int) -> str:
     return "".join(kept)
 
 
-def train(
-    config: TrainConfig,
-    primary_manifest,
-    temporal_manifest=None,
-    out_dir=".",
-    resume_from=None,
-) -> Checkpoint:
-    """Run the loop; writes metrics.jsonl and final.tckp under out_dir.
-
-    With resume_from, picks up a saved checkpoint, keeps the metrics log's
-    lines for the steps before it and appends the rest; the result is
-    bit-identical to the uninterrupted run.
-    """
+def _pools(config: TrainConfig, primary_manifest, temporal_manifest):
+    """Both manifests and their record pools, checked against the batch mix."""
     primary = _as_manifest(primary_manifest)
     temporal = _as_manifest(temporal_manifest) if temporal_manifest is not None else None
     if temporal is not None and temporal.catalog_ref != primary.catalog_ref:
@@ -365,39 +360,40 @@ def train(
     for rec in temporal_pool:
         if rec.caption_neg is None:
             raise InvalidConfig(f"temporal record {rec.record_id} lacks a negative caption")
+    return primary, temporal, (list(primary.records), temporal_pool)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.jsonl"
 
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        params, opt = ckpt.params, ckpt.optimizer
-        start_step = ckpt.step
-        rng = np.random.default_rng()
-        rng.bit_generator.state = ckpt.rng_state
-        if config.encoder.vocab_size == 0:  # resolved as init_run does
-            enc = dc_replace(config.encoder, vocab_size=len(params.vocab))
-            config = dc_replace(config, encoder=enc)
-        earlier_lines = _metric_lines_before(metrics_path, start_step)
-    else:
-        config, params = init_run(config, primary, temporal)
-        opt = init_optimizer(params)
-        start_step = 0
-        # batch stream seeded apart from the weight init stream
-        rng = np.random.default_rng([config.seed, 1])
-        earlier_lines = ""
+def _start(config: TrainConfig, primary, temporal) -> Checkpoint:
+    """The step-0 state; the batch stream is seeded apart from the weight init stream."""
+    config, params = init_run(config, primary, temporal)
+    rng_state = np.random.default_rng([config.seed, 1]).bit_generator.state
+    return Checkpoint(params, config, init_optimizer(params), 0, rng_state)
 
-    primary_pool = list(primary.records)
 
-    def checkpoint(step: int) -> Checkpoint:
-        return Checkpoint(params=params, train_config=config, optimizer=opt, step=step,
-                          rng_state=rng.bit_generator.state)
+def _copy(ckpt: Checkpoint) -> Checkpoint:
+    """Copies of the parameters and Adam moments, which adam_step rebinds."""
+    tensors = {name: T.parameter(name, p.data.copy()) for name, p in ckpt.params.named().items()}
+    return dc_replace(ckpt, params=dc_replace(ckpt.params, tensors=tensors),
+                      optimizer=copy.deepcopy(ckpt.optimizer))
 
+
+def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
+    """Advances `state` to step `stop` under config. Each of `runs`, an
+    (out_dir, config, earlier metrics lines) triple, gets a metrics log of
+    its earlier lines and every step's line, and checkpoints at its own
+    config's cadence, stamped with that config."""
+    primary_pool, temporal_pool = pools
+    params, opt = state.params, state.optimizer
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state.rng_state
     warmup_loss = dc_replace(config.loss, lambda_l=0.0)
-    with open(metrics_path, "w", encoding="utf-8") as metrics:
-        metrics.write(earlier_lines)
-        for step in range(start_step, config.steps):
+    with ExitStack() as stack:
+        logs = []
+        for out_dir, _, earlier_lines in runs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            logs.append(stack.enter_context(open(out_dir / "metrics.jsonl", "w", encoding="utf-8")))
+            logs[-1].write(earlier_lines)
+        for step in range(state.step, stop):
             lr = lr_schedule(step, config)
             records, mask = compose_batch(
                 primary_pool, temporal_pool, config.batch_size, config.temporal_fraction, rng
@@ -407,10 +403,69 @@ def train(
             breakdown = train_loss(emb, loss_cfg, params["log_temperature"])
             grads = T.backward(breakdown.l_train, params.trainable())
             adam_step(params, grads, opt, lr)
-            metrics.write(_metric_line(step, lr, breakdown) + "\n")
-            if config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
-                metrics.flush()
-                save_checkpoint(checkpoint(step + 1), out_dir / f"step{step + 1:06d}.tckp")
-    ckpt = checkpoint(max(start_step, config.steps))
-    save_checkpoint(ckpt, out_dir / "final.tckp")
-    return ckpt
+            line = _metric_line(step, lr, breakdown) + "\n"
+            for (out_dir, run_config, _), log in zip(runs, logs):
+                log.write(line)
+                every = run_config.checkpoint_every
+                if every and (step + 1) % every == 0:
+                    log.flush()
+                    save_checkpoint(dc_replace(state, train_config=run_config, step=step + 1,
+                                               rng_state=rng.bit_generator.state),
+                                    out_dir / f"step{step + 1:06d}.tckp")
+    state.step, state.rng_state = max(state.step, stop), rng.bit_generator.state
+
+
+def train(
+    config: TrainConfig,
+    primary_manifest,
+    temporal_manifest=None,
+    out_dir=".",
+    resume_from=None,
+) -> Checkpoint:
+    """Run the loop; writes metrics.jsonl and final.tckp under out_dir.
+
+    resume_from is a checkpoint file or a `Checkpoint` value; a value is left
+    as it was, and its train_config may differ from `config`, which governs
+    the steps that follow. The run keeps the metrics log's lines for the
+    steps before the checkpoint and appends the rest; the result is
+    bit-identical to the uninterrupted run.
+    """
+    primary, temporal, pools = _pools(config, primary_manifest, temporal_manifest)
+    out_dir = Path(out_dir)
+    if resume_from is None:
+        state, earlier_lines = _start(config, primary, temporal), ""
+    else:
+        is_value = isinstance(resume_from, Checkpoint)
+        state = _copy(resume_from) if is_value else load_checkpoint(resume_from)
+        earlier_lines = _metric_lines_before(out_dir / "metrics.jsonl", state.step)
+    config = _with_vocab(config, state.params.vocab)  # resolved as init_run does
+    _run_steps(config, pools, state, config.steps, [(out_dir, config, earlier_lines)])
+    state.train_config = config
+    save_checkpoint(state, out_dir / "final.tckp")
+    return state
+
+
+def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int) -> list[Checkpoint]:
+    """Trains runs that share their first fork_step steps, doing those steps once.
+
+    `branches` holds (config, out_dir) pairs whose configs differ at most in
+    `order_loss_start_step` and `loss.lambda_l`, and train with lambda_l = 0
+    before fork_step. The shared steps write their metrics lines, and their
+    checkpoints stamped with each branch's config, into every out_dir; then
+    each branch resumes from the shared state. Each out_dir ends up
+    byte-identical to a standalone train() with its config.
+    """
+    primary, temporal, pools = _pools(branches[0][0], primary_manifest, temporal_manifest)
+    state = _start(branches[0][0], primary, temporal)
+    lead = state.train_config
+    runs = [(Path(out_dir), _with_vocab(config, state.params.vocab), "")
+            for config, out_dir in branches]
+    for _, config, _ in runs:
+        same = dc_replace(config, loss=dc_replace(config.loss, lambda_l=lead.lambda_l),
+                          order_loss_start_step=lead.order_loss_start_step)
+        if same != lead or not 0 <= fork_step <= config.steps or (
+                config.lambda_l and config.order_loss_start_step < fork_step):
+            raise InvalidConfig(f"branch configs do not share their first {fork_step} steps")
+    _run_steps(lead, pools, state, fork_step, runs)
+    return [train(config, primary, temporal, out_dir, resume_from=state)
+            for out_dir, config, _ in runs]

@@ -1,18 +1,23 @@
 """Command-line behavior: exit codes, flag precedence, artifact stability."""
 
+import hashlib
 import json
 import re
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from tinyclap import cli
+from tinyclap import evaluate as ev
 from tinyclap import trainer as tr
 from tinyclap.config import run_config_from_dict, run_config_to_dict, split_seed
-from tinyclap.corpus import load_manifest
+from tinyclap.corpus import catalog_for, load_manifest
+from tinyclap.encoders import encode_audio_batch, encode_text_batch, forward_batch
 from tinyclap.errors import FormatError, InvalidConfig
+from tinyclap.losses import similarity_matrix
 
 TINY = {
     "seed": 0,
@@ -414,6 +419,49 @@ def test_train_resume_with_default_vocab_size_is_byte_identical(tmp_path):
         assert (run_dir / name).read_bytes() == blob, name
 
 
+# -- repro ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "train_over",
+    [
+        {"steps": 7, "warmup_steps": 2, "checkpoint_every": 2},  # switch at 3: off the grid
+        {"steps": 6, "warmup_steps": 5, "checkpoint_every": 3},  # warmup runs past the switch
+    ],
+    ids=["switch-between-checkpoints", "warmup-past-switch"],
+)
+def test_repro_fork_matches_standalone_runs(train_over, tmp_path, monkeypatch):
+    doc = json.loads(json.dumps(TINY))
+    doc["train"].update(train_over)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    adam_steps = []
+    adam_step = tr.adam_step
+    monkeypatch.setattr(tr, "adam_step", lambda *a: adam_steps.append(1) or adam_step(*a))
+    out = tmp_path / "repro"
+    assert cli.main(["repro", "--config", str(config_path), "--out", str(out)]) == 0
+    steps, switch = doc["train"]["steps"], doc["train"]["steps"] // 2
+    assert len(adam_steps) == switch + 2 * (steps - switch)  # the shared steps ran once
+    monkeypatch.setattr(tr, "adam_step", adam_step)
+
+    cfg = run_config_from_dict(doc)
+    base = replace(cfg.train, seed=split_seed(cfg.seed, "train"))
+    standalone = {
+        "run_order": replace(base, order_loss_start_step=switch),
+        "run_control": replace(base, loss=replace(base.loss, lambda_l=0.0)),
+    }
+    data = out / "data"
+    for run, train_cfg in standalone.items():
+        alone = tmp_path / "standalone" / run
+        tr.train(train_cfg, data / "train_primary.jsonl", data / "train_temporal.jsonl", alone)
+        names = sorted(p.name for p in (out / run).iterdir())
+        assert names == sorted(p.name for p in alone.iterdir())
+        assert len(names) == 2 + steps // doc["train"]["checkpoint_every"]
+        for name in names:
+            assert (out / run / name).read_bytes() == (alone / name).read_bytes(), f"{run}/{name}"
+
+
 # -- eval / tclassify / gradcheck --------------------------------------------------
 
 
@@ -455,6 +503,44 @@ def test_tclassify_writes_report(tiny_config, trained_dir, capsys):
     report = json.loads((trained_dir / "tclassify_report.json").read_text())
     assert "t_classify" in report["metrics"]
     assert "order discrimination" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_eval_and_tclassify_reports_match_one_encode_per_direction(
+    tiny_config, trained_dir, tmp_path
+):
+    ckpt_path = trained_dir / "train" / "final.tckp"
+    for command in ("eval", "tclassify"):
+        argv = [command, "--config", str(tiny_config), "--checkpoint", str(ckpt_path),
+                "--out", str(trained_dir)]
+        assert cli.main(argv) == 0
+
+    # the scores computed the old way: a forward pass per task and an encode per direction
+    cfg = run_config_from_dict(TINY)
+    params = tr.load_checkpoint(ckpt_path).params
+    test = list(load_manifest(trained_dir / "data" / "test.jsonl").records)
+    labeled = load_manifest(trained_dir / "data" / "labeled.jsonl")
+    paired = forward_batch(params, test, [False] * len(test))
+    t2a, a2t = ev.recall_at_k(similarity_matrix(paired.audio, paired.text).data,
+                              cfg.eval.recall_ks)
+    names = tuple(event.name for event in catalog_for(labeled).classes)
+    zero_shot = ev.zero_shot_classify(params, list(labeled.records), names)
+    order = forward_batch(params, test, [True] * len(test))
+    order_t2a = ev.t_classify_from_embeddings(order.audio.data, order.text.data,
+                                              order.text_neg.data)
+    with_neg = [r for r in test if r.clip_neg is not None]
+    text = encode_text_batch(params, [r.caption_pos.tokens for r in with_neg]).data
+    audio = encode_audio_batch(params, [r.clip.frames for r in with_neg]).data
+    audio_neg = encode_audio_batch(params, [r.clip_neg.frames for r in with_neg]).data
+    order_a2t = ev.t_classify_margins((audio * text).sum(axis=1), (audio_neg * text).sum(axis=1))
+    tc = ev.TClassifyResult(order_t2a, order_a2t, len(test), len(with_neg))
+    meta = {"config": run_config_to_dict(cfg),
+            "checkpoint_id": hashlib.sha256(ckpt_path.read_bytes()).hexdigest()[:16]}
+    ev.emit_report({"retrieval": {"T2A": t2a, "A2T": a2t}, "zero_shot": zero_shot},
+                   tmp_path / "eval_report.json", **meta)
+    ev.emit_report({"t_classify": tc}, tmp_path / "tclassify_report.json", **meta)
+    for name in ("eval_report.json", "tclassify_report.json"):
+        assert (trained_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_gradcheck_passes_on_default_config(capsys):

@@ -10,7 +10,7 @@ import pytest
 from tinyclap import evaluate as ev
 from tinyclap import trainer as tr
 from tinyclap.corpus import build_catalog, build_labeled_clips, build_mixed_dataset
-from tinyclap.encoders import EncoderConfig
+from tinyclap.encoders import EncoderConfig, encode_audio_batch, encode_text_batch
 from tinyclap.errors import InvalidConfig, IoError, MissingNegative
 from tinyclap.losses import similarity_matrix
 
@@ -171,8 +171,53 @@ def test_t_classify_without_reversed_clips(setup):
     plain = build_mixed_dataset(catalog, 10, 2, 3, 0.1, False, seed=40)
     res = ev.t_classify(params, plain.records)
     assert res.a2t_accuracy is None and res.n_a2t == 0
+    emb = ev.embed_test_set(params, plain.records)
+    assert emb.audio_neg is None and emb.neg_rows.size == 0
+
+
+def test_t_classify_requires_reversed_captions(setup):
+    catalog, _, params, _ = setup
+    records = build_mixed_dataset(catalog, 6, 2, 3, 0.1, True, seed=41).records
+    records = [records[0], dc_replace(records[1], caption_neg=None), *records[2:]]
     with pytest.raises(MissingNegative):
-        ev.t_classify_a2t(params, plain.records)
+        ev.t_classify(params, records)
+
+
+def test_t_classify_matches_per_direction_encodes(setup):
+    """One shared pass against the separate encodes of each direction: every
+    embedding row bit for bit, and both accuracies, on records of which only
+    some carry a reversed clip."""
+    _, primary, params, _ = setup
+    records = [dc_replace(r, clip_neg=None) if i % 3 == 1 else r
+               for i, r in enumerate(primary.records)]
+    with_neg = [r for r in records if r.clip_neg is not None]
+    assert 0 < len(with_neg) < len(records)
+
+    def text(recs, neg=False):
+        return encode_text_batch(params, [(r.caption_neg if neg else r.caption_pos).tokens
+                                          for r in recs]).data
+
+    def audio(recs, neg=False):
+        return encode_audio_batch(params, [(r.clip_neg if neg else r.clip).frames
+                                           for r in recs]).data
+
+    emb = ev.embed_test_set(params, records)
+    rows = np.array([i for i, r in enumerate(records) if r.clip_neg is not None])
+    assert np.array_equal(emb.neg_rows, rows)
+    for got, want in ((emb.audio, audio(records)), (emb.text, text(records)),
+                      (emb.text_neg, text(records, neg=True)),
+                      (emb.audio_neg, audio(with_neg, neg=True)),
+                      (emb.audio[rows], audio(with_neg)), (emb.text[rows], text(with_neg))):
+        assert np.array_equal(got, want)
+
+    def hits(a, pos, neg):
+        return float(100.0 * ((a * pos).sum(axis=1) > (a * neg).sum(axis=1)).mean())
+
+    t2a = hits(audio(records), text(records), text(records, neg=True))
+    a2t = hits(text(with_neg), audio(with_neg), audio(with_neg, neg=True))
+    assert ev.t_classify(params, records) == ev.TClassifyResult(
+        t2a_accuracy=t2a, a2t_accuracy=a2t, n_t2a=len(records), n_a2t=len(with_neg)
+    )
 
 
 def test_t_classify_empty_records(setup):
@@ -237,7 +282,7 @@ def test_report_round_trip(tmp_path):
     metrics = {"retrieval": {"T2A": t2a, "A2T": a2t}, "note": [1, 2.5, "x"]}
     path = tmp_path / "report.json"
     written = ev.emit_report(metrics, path, config={"seed": 1}, checkpoint_id="run/final")
-    loaded = ev.load_report(path)
+    loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded == written
     assert loaded["schema_version"] == ev.REPORT_SCHEMA_VERSION
     assert loaded["checkpoint"] == "run/final"
@@ -271,5 +316,3 @@ def test_report_io_errors(tmp_path):
     blocker.write_text("not a directory")
     with pytest.raises(IoError, match="cannot write"):
         ev.emit_report({}, blocker / "sub" / "r.json")
-    with pytest.raises(IoError, match="cannot read"):
-        ev.load_report(tmp_path / "missing.json")

@@ -392,6 +392,45 @@ def test_resume_rejects_corrupt_metrics_line(corpora, tiny_encoder, tmp_path):
         tr.train(cfg, primary, temporal, out_dir=tmp_path, resume_from=mid)
 
 
+def test_resume_from_checkpoint_value_leaves_it_unchanged(corpora, tiny_encoder, tmp_path):
+    # the value comes from a 3-step run, so its train_config differs from the 6-step one
+    primary, temporal = corpora
+    cfg = tiny_config(tiny_encoder, steps=6)
+    tr.train(cfg, primary, temporal, out_dir=tmp_path / "full")
+    value = tr.train(dc_replace(cfg, steps=3), primary, temporal, out_dir=tmp_path / "half")
+    before = {name: t.data.copy() for name, t in value.params.named().items()}
+    moments = {name: m.copy() for name, m in value.optimizer.m.items()}
+    for run in ("a", "b"):
+        tr.train(cfg, primary, temporal, out_dir=tmp_path / run, resume_from=value)
+        assert (tmp_path / run / "final.tckp").read_bytes() == (
+            tmp_path / "full" / "final.tckp"
+        ).read_bytes()
+    assert value.step == 3 and value.train_config.steps == 3
+    for name, data in before.items():
+        np.testing.assert_array_equal(value.params[name].data, data)
+        np.testing.assert_array_equal(value.optimizer.m[name], moments[name])
+
+
+@pytest.mark.parametrize(
+    "control_kw, order_kw, fork_step",
+    [
+        ({"batch_size": 6}, {}, 2),  # differ in more than the loss
+        ({}, {"order_loss_start_step": 1}, 2),  # order loss on before the fork
+        ({}, {}, 7),  # fork past the last step
+    ],
+    ids=["batch-size", "order-loss-before-fork", "past-end"],
+)
+def test_train_fork_rejects_branches_that_differ_before_the_fork(
+    corpora, tiny_encoder, tmp_path, control_kw, order_kw, fork_step
+):
+    primary, temporal = corpora
+    control = tiny_config(tiny_encoder, loss=LossConfig(lambda_l=0.0), **control_kw)
+    order = tiny_config(tiny_encoder, **{"order_loss_start_step": 3, **order_kw})
+    branches = [(order, tmp_path / "order"), (control, tmp_path / "control")]
+    with pytest.raises(InvalidConfig, match="do not share"):
+        tr.train_fork(branches, primary, temporal, fork_step)
+
+
 def test_order_loss_delay_matches_control_through_phase_one(corpora, tiny_encoder, tmp_path):
     primary, temporal = corpora
     control = tiny_config(tiny_encoder, steps=4, loss=LossConfig(lambda_l=0.0))
