@@ -10,7 +10,8 @@ A batch is encoded as one graph node per tower: every input's rows go back
 to back, as one-hot token rows or as frames, into one fused `tensor.tower` op
 that embeds them with `text.embed` or `audio.proj`, adds positions, applies
 the hidden layer, pools each sequence, applies the output layer and
-normalizes. Training and evaluation share this forward pass.
+normalizes. Training and evaluation share this forward pass. Every
+parameter's data is a view of one float64 vector, `ModelParams.flat`.
 """
 
 from __future__ import annotations
@@ -103,11 +104,25 @@ def build_vocab(manifests) -> TextVocab:
     return TextVocab(tokens=(UNK_TOKEN, *seen.keys()))
 
 
+def flat_views(arrays: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Copies of the arrays end to end in one float64 vector, and a view of it per name."""
+    flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays.values()])
+    parts = np.split(flat, np.cumsum([np.size(a) for a in arrays.values()])[:-1])
+    return flat, {name: part.reshape(np.shape(a)) for (name, a), part in zip(arrays.items(), parts)}
+
+
 @dataclass
 class ModelParams:
+    """Named parameters whose data are views into `flat`, packed anew from the given tensors."""
+
     config: EncoderConfig
     vocab: TextVocab
     tensors: dict[str, T.Tensor]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, views = flat_views({name: t.data for name, t in self.tensors.items()})
+        self.tensors = {name: T.parameter(name, view) for name, view in views.items()}
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self.tensors[name]
@@ -129,21 +144,10 @@ def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelPara
     if v != len(vocab):
         raise InvalidConfig(f"config.vocab_size {config.vocab_size} != vocab size {len(vocab)}")
     e, h, d = config.token_embed_dim, config.hidden_dim, config.shared_dim
-    shapes = {
-        "text.embed": (v, e),
-        "text.pos": (config.max_positions, e),
-        "text.w1": (e, h),
-        "text.b1": (h,),
-        "text.w2": (h, d),
-        "text.b2": (d,),
-        "audio.proj": (config.frame_dim, e),
-        "audio.pos": (config.max_positions, e),
-        "audio.w1": (e, h),
-        "audio.b1": (h,),
-        "audio.w2": (h, d),
-        "audio.b2": (d,),
-        "log_temperature": (),
-    }
+    shapes = {"text.embed": (v, e), "audio.proj": (config.frame_dim, e), "log_temperature": ()}
+    for tower in ("text", "audio"):  # the towers' layers past the input table share their shapes
+        shapes.update({f"{tower}.pos": (config.max_positions, e), f"{tower}.w1": (e, h),
+                       f"{tower}.b1": (h,), f"{tower}.w2": (h, d), f"{tower}.b2": (d,)})
     rng = np.random.default_rng(seed)
     tensors: dict[str, T.Tensor] = {}
     for name in PARAM_ORDER:

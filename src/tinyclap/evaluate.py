@@ -6,9 +6,9 @@ and argmax ties break toward the lower index; the pairwise order task counts
 ties as failures (strict inequality both directions).
 
 Order discrimination embeds a test set once per model (`embed_test_set`):
-one forward pass over the captions, their reversals and the clips, then one
-over the reversed clips. Both directions score from those arrays, and
-`tinyclap repro` scores retrieval from the same pass.
+one text pass over the captions and their reversals, one audio pass over
+the clips, then one over the reversed clips. Both directions score from
+those arrays, and `tinyclap repro` scores retrieval from the same pass.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import ModelParams, encode_audio_batch, encode_text_batch, forward_batch
-from .errors import InvalidConfig, IoError
+from .encoders import ModelParams, encode_audio_batch, encode_text_batch
+from .errors import InvalidConfig, IoError, MissingNegative
 
 REPORT_SCHEMA_VERSION = 1
 DEFAULT_KS = (1, 5, 10)
@@ -116,14 +116,20 @@ class EvalEmbeddings:
 
 
 def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
-    """Every test input through its tower once: captions, their reversals and
-    the clips in one forward pass, then the reversed clips."""
+    """Every test input through its tower once: the captions and their
+    reversals in one text pass, the clips in one audio pass, then the
+    reversed clips. Each pass keeps only its rows, so one tower node, with
+    the arrays its backward would use, is alive at a time."""
     records = list(records)
     if not records:
         raise InvalidConfig("cannot score an empty record set")
-    emb = forward_batch(params, records, [True] * len(records))
-    audio, text, text_neg = emb.audio.data, emb.text.data, emb.text_neg.data
-    del emb  # frees the tower nodes, and their hidden layers, before the next encode
+    missing = [i for i, r in enumerate(records) if r.caption_neg is None]
+    if missing:
+        raise MissingNegative(f"records {missing} have no reversed caption")
+    captions = [r.caption_pos.tokens for r in records] + [r.caption_neg.tokens for r in records]
+    text = encode_text_batch(params, captions).data
+    text, text_neg = text[: len(records)], text[len(records) :]
+    audio = encode_audio_batch(params, [r.clip.frames for r in records]).data
     neg_rows = [i for i, r in enumerate(records) if r.clip_neg is not None]
     audio_neg = None
     if neg_rows:

@@ -26,6 +26,7 @@ DEFAULT_DTYPE = np.float64
 
 _EPS_DENOM = 1e-8  # floor used in relative-error comparisons
 _NORM_EPS = 1e-8  # zero guard of the unit-row scaling
+_CHUNK_ROWS = 4096  # most hidden-layer rows `tower` holds at once in its forward
 
 
 _uid_counter = itertools.count()
@@ -287,8 +288,14 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     positional row of its place in its sequence, then relu(z @ w1 + b1) per
     row, the mean over each sequence's rows, the output layer
     pooled @ w2 + b2, and row_l2_normalize's unit scaling. The first layer is
-    linear, so it runs folded: inputs @ (table @ w1) + (pos[:L] @ w1)[place].
-    Sequences of one length are pooled with one reshape-mean; the backward is
+    linear, so it runs folded: inputs @ (table @ w1) plus the row's position
+    in pos[:L] @ w1 + b1. The rows are laid out by sequence length (a stable
+    sort; no rows move when the lengths never fall), so each length's
+    sequences form one k x n x h slab of the hidden layer; the positional
+    add, the pool and the backward's per-position sums run on those slabs.
+    The forward fills one buffer with pieces of at most _CHUNK_ROWS slab rows
+    and keeps only their relu mask, so the hidden layer it holds does not
+    grow with the batch. Rows come out in input order; the backward is
     closed-form and reaches the six parameters.
     """
     x = np.asarray(inputs, dtype=DEFAULT_DTYPE)
@@ -305,28 +312,30 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
             or lens.max() > pos.shape[0]):
         raise ShapeError(f"tower lengths {lengths} do not split {x.shape[0]} rows into "
                          f"sequences of 1 to {pos.shape[0]} positions")
-    starts = np.cumsum(lens) - lens
-    top = int(lens.max())
-    groups = [(int(n), np.flatnonzero(lens == n)) for n in np.unique(lens)]
+    order = np.argsort(lens, kind="stable")
+    if (np.diff(lens) < 0).any():  # each row moves as far as its sequence's start does
+        shift = np.cumsum(lens)[order] - np.cumsum(lens[order])
+        x = x[np.arange(x.shape[0]) + np.repeat(shift, lens[order])]
+    sizes, counts = np.unique(lens, return_counts=True)
+    slabs = [(int(n), order[s - k : s], slice(r - k * n, r))  # (n, its sequences, its rows)
+             for n, k, s, r in zip(sizes, counts, np.cumsum(counts), np.cumsum(sizes * counts))]
+    top = int(sizes[-1])
 
-    def blocks(a):  # each length's sequences as a k x n x cols block of a's rows
-        for n, seqs in groups:
-            rows = starts[seqs, None] + np.arange(n)
-            yield n, seqs, a.reshape(-1, n, a.shape[1]) if len(groups) == 1 else a[rows]
-
-    hidden = x @ (table.data @ w1.data)
-    pos_folded = pos.data[:top] @ w1.data
-    if len(groups) == 1:  # add through a view, without a rows-sized copy of pos_folded
-        seq_view = hidden.reshape(-1, top, h)
-        seq_view += pos_folded
-    else:
-        hidden += pos_folded[np.arange(x.shape[0]) - np.repeat(starts, lens)]
-    hidden += b1.data
-    active = hidden > 0
-    np.maximum(hidden, 0.0, out=hidden)
+    w1_folded = table.data @ w1.data
+    pos_b1 = pos.data[:top] @ w1.data + b1.data
     pooled = np.empty((lens.size, h))
-    for _, seqs, block in blocks(hidden):
-        pooled[seqs] = block.mean(axis=1)
+    active = np.empty((x.shape[0], h), dtype=bool)
+    piece = np.empty((min(x.shape[0], max(_CHUNK_ROWS, top)), h))  # holds every piece in turn
+    for n, seqs, rows in slabs:
+        step = max(1, _CHUNK_ROWS // n)  # sequences per piece
+        for i in range(0, seqs.size, step):
+            part = slice(rows.start + i * n, rows.start + min(i + step, seqs.size) * n)
+            z = np.matmul(x[part], w1_folded, out=piece[: part.stop - part.start])
+            slab = z.reshape(-1, n, h)
+            slab += pos_b1[:n]
+            np.maximum(slab, 0.0, out=slab)
+            pooled[seqs[i : i + step]] = slab.mean(axis=1)
+            np.greater(z, 0.0, out=active[part])  # relu(z) > 0 exactly where z > 0
     o = pooled @ w2.data + b2.data
     out_data, denom = _unit_rows(o, _NORM_EPS)
 
@@ -334,18 +343,16 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
         go = _unit_rows_bw(o, denom, g)
         _acc(adj, b2, go.sum(axis=0))
         _acc(adj, w2, pooled.T @ go)
-        gpre = np.repeat((go @ w2.data.T) / lens[:, None], lens, axis=0) * active
-        _acc(adj, b1, gpre.sum(axis=0))
+        gpre = np.repeat(((go @ w2.data.T) / lens[:, None])[order], lens[order], axis=0)
+        gpre *= active
+        g_pos_b1 = np.zeros((top, h))  # adjoint of pos[:top] @ w1 + b1
+        for n, _, rows in slabs:
+            g_pos_b1[:n] += gpre[rows].reshape(-1, n, h).sum(axis=0)
+        _acc(adj, b1, g_pos_b1.sum(axis=0))
         g_folded = x.T @ gpre  # adjoint of table @ w1
-        g_pos_folded = np.zeros((top, h))  # adjoint of pos[:top] @ w1
-        for n, _, block in blocks(gpre):
-            g_pos_folded[:n] += block.sum(axis=0)
-        _acc(adj, w1, table.data.T @ g_folded + pos.data[:top].T @ g_pos_folded)
+        _acc(adj, w1, table.data.T @ g_folded + pos.data[:top].T @ g_pos_b1)
         _acc(adj, table, g_folded @ w1.data.T)
-        if pos.requires_grad:
-            gpos = np.zeros_like(pos.data)
-            gpos[:top] = g_pos_folded @ w1.data.T
-            _acc(adj, pos, gpos)
+        _acc(adj, pos, np.pad(g_pos_b1 @ w1.data.T, ((0, pos.shape[0] - top), (0, 0))))
 
     return _result(out_data, (table, pos, w1, b1, w2, b2), bw, "tower")
 
@@ -401,18 +408,11 @@ def finite_diff_check(
         raise ShapeError(f"finite_diff_check eps {eps} outside [1e-7, 1e-2]")
     analytic = backward(f(params), params.values())
 
-    names = sorted(params)
-    sizes = [params[n].data.size for n in names]
-    total = int(np.sum(sizes))
-    rng = np.random.default_rng(seed)
-    picks = rng.permutation(total)[: min(n_coords, total)]
-    starts = np.cumsum([0] + sizes)
+    coords = [(name, i) for name in sorted(params) for i in range(params[name].data.size)]
+    picks = np.random.default_rng(seed).permutation(len(coords))[: min(n_coords, len(coords))]
 
     worst = 0.0
-    for flat_ix in picks:
-        slot = int(np.searchsorted(starts, flat_ix, side="right") - 1)
-        name = names[slot]
-        offset = int(flat_ix - starts[slot])
+    for name, offset in (coords[i] for i in picks):
         leaf = params[name].data.reshape(-1)
         saved = leaf[offset]
         leaf[offset] = saved + eps

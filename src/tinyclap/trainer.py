@@ -1,4 +1,4 @@
-"""Training loop: mixed batches, linear warmup, Adam, binary checkpoints.
+"""Training loop: mixed batches, linear warmup, one flat Adam pass, binary checkpoints.
 
 Each batch draws floor(batch_size * temporal_fraction) records from the
 order-negative pool (mask true) and the rest from the primary pool, without
@@ -10,7 +10,6 @@ at a checkpoint boundary reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import struct
@@ -28,6 +27,7 @@ from .encoders import (
     ModelParams,
     TextVocab,
     build_vocab,
+    flat_views,
     forward_batch,
     init_params,
 )
@@ -115,37 +115,51 @@ def lr_schedule(step: int, config: TrainConfig) -> float:
 
 @dataclass
 class OptimizerState:
+    """Adam moments; m and v are views into m_flat and v_flat, packed anew from the arrays given."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     eps: float = ADAM_EPS
+    m_flat: np.ndarray = field(init=False, repr=False, compare=False)
+    v_flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        (self.m_flat, self.m), (self.v_flat, self.v) = flat_views(self.m), flat_views(self.v)
 
 
 def init_optimizer(params: ModelParams) -> OptimizerState:
-    return OptimizerState(
-        m={name: np.zeros_like(t.data) for name, t in params.named().items()},
-        v={name: np.zeros_like(t.data) for name, t in params.named().items()},
-    )
+    zeros = {name: np.zeros_like(t.data) for name, t in params.named().items()}
+    return OptimizerState(m=zeros, v=zeros)
 
 
 def adam_step(params: ModelParams, grads, state: OptimizerState, lr: float) -> None:
-    """In-place Adam with bias correction; log_temperature clamped afterwards."""
+    """In-place Adam with bias correction over the flat vectors, in the
+    textbook formula's operation order; log_temperature clamped afterwards."""
     t = state.step + 1
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, p in params.named().items():
-        g = np.asarray(grads[name], dtype=p.data.dtype)
-        if g.shape != p.data.shape:
-            raise InvalidConfig(f"gradient shape {g.shape} != {p.data.shape} for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter {name!r} at step {t}")
-        m = state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    lt = params["log_temperature"]
-    lt.data = np.clip(lt.data, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX)
+    named = params.named()
+    for name, p in named.items():
+        if np.shape(grads[name]) != p.data.shape:
+            raise InvalidConfig(f"gradient shape {np.shape(grads[name])} != {p.data.shape} "
+                                f"for {name!r}")
+    g = np.concatenate([np.asarray(grads[name], dtype=np.float64).ravel() for name in named])
+    if not np.isfinite(g).all():
+        bad = next(name for name in named if not np.isfinite(grads[name]).all())
+        raise NumericError(f"non-finite gradient for parameter {bad!r} at step {t}")
+    m, v, buf = state.m_flat, state.v_flat, np.empty_like(g)
+    m *= state.beta1
+    m += np.multiply(1.0 - state.beta1, g, out=buf)
+    v *= state.beta2
+    v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=g), out=g)
+    np.multiply(lr, np.divide(m, bc1, out=buf), out=buf)
+    buf /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), state.eps, out=g)
+    params.flat -= buf
+    lt = params["log_temperature"].data
+    np.clip(lt, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX, out=lt)
     state.step = t
 
 
@@ -185,7 +199,7 @@ def _tensor_from_payload(raw: bytes, where: str) -> np.ndarray:
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
     if len(body) != 8 * count:
         raise FormatError(f"{where}: tensor payload is {len(body)} bytes, expected {8 * count}")
-    return np.frombuffer(body, dtype="<f8").reshape(shape).astype(np.float64).copy()
+    return np.frombuffer(body, dtype="<f8").reshape(shape)  # the loader packs copies
 
 
 def _write_section(out: list[bytes], name: str, payload: bytes) -> None:
@@ -271,21 +285,17 @@ def load_checkpoint(path) -> Checkpoint:
         np.random.default_rng().bit_generator.state = rng_state  # a state resume can set
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad meta or rng section: {exc!r}") from exc
-    tensors: dict[str, T.Tensor] = {}
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
+    arrays: dict[str, dict[str, np.ndarray]] = {"tensor": {}, "adam.m": {}, "adam.v": {}}
     for name in param_names:
-        for kind, store in (("tensor", None), ("adam.m", m), ("adam.v", v)):
+        for kind, store in arrays.items():
             key = f"{kind}:{name}"
             if key not in sections:
                 raise FormatError(f"{path}: missing section {key!r}")
-            arr = _tensor_from_payload(sections[key], f"{path} [{key}]")
-            if store is None:
-                tensors[name] = T.parameter(name, arr)
-            else:
-                store[name] = arr
+            store[name] = _tensor_from_payload(sections[key], f"{path} [{key}]")
+    tensors = {name: T.parameter(name, arr) for name, arr in arrays["tensor"].items()}
     params = ModelParams(config=train_config.encoder, vocab=vocab, tensors=tensors)
-    optimizer = OptimizerState(m=m, v=v, step=opt_step, beta1=beta1, beta2=beta2, eps=eps)
+    optimizer = OptimizerState(m=arrays["adam.m"], v=arrays["adam.v"], step=opt_step,
+                               beta1=beta1, beta2=beta2, eps=eps)
     return Checkpoint(params=params, train_config=train_config, optimizer=optimizer, step=step,
                       rng_state=rng_state)
 
@@ -341,6 +351,8 @@ def _metric_lines_before(path: Path, step: int) -> str:
     for line in text[: text.rfind("\n") + 1].splitlines(keepends=True):  # drops a torn last line
         try:
             line_step = json.loads(line)["step"]
+            if type(line_step) is not int:
+                raise TypeError(f"step {line_step!r} is not an integer")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: bad metrics line {line!r}: {exc}") from exc
         if line_step < step:
@@ -368,13 +380,6 @@ def _start(config: TrainConfig, primary, temporal) -> Checkpoint:
     config, params = init_run(config, primary, temporal)
     rng_state = np.random.default_rng([config.seed, 1]).bit_generator.state
     return Checkpoint(params, config, init_optimizer(params), 0, rng_state)
-
-
-def _copy(ckpt: Checkpoint) -> Checkpoint:
-    """Copies of the parameters and Adam moments, which adam_step rebinds."""
-    tensors = {name: T.parameter(name, p.data.copy()) for name, p in ckpt.params.named().items()}
-    return dc_replace(ckpt, params=dc_replace(ckpt.params, tensors=tensors),
-                      optimizer=copy.deepcopy(ckpt.optimizer))
 
 
 def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
@@ -434,9 +439,10 @@ def train(
     out_dir = Path(out_dir)
     if resume_from is None:
         state, earlier_lines = _start(config, primary, temporal), ""
-    else:
-        is_value = isinstance(resume_from, Checkpoint)
-        state = _copy(resume_from) if is_value else load_checkpoint(resume_from)
+    else:  # a value is copied: ModelParams and OptimizerState pack their arrays anew
+        state = (load_checkpoint(resume_from) if not isinstance(resume_from, Checkpoint) else
+                 dc_replace(resume_from, params=dc_replace(resume_from.params),
+                            optimizer=dc_replace(resume_from.optimizer)))
         earlier_lines = _metric_lines_before(out_dir / "metrics.jsonl", state.step)
     config = _with_vocab(config, state.params.vocab)  # resolved as init_run does
     _run_steps(config, pools, state, config.steps, [(out_dir, config, earlier_lines)])

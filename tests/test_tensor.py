@@ -5,6 +5,8 @@ oracle that cannot share a bug with the implementation), plus the handful
 of closed forms that are exact in 64-bit arithmetic.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,8 @@ def _(rng, p):
 
 
 TOWER_LENGTHS = [3, 1, 4, 3]  # ragged, and one length twice but not side by side
+EQUAL_LENGTHS = [4, 4, 4]  # one slab, laid out without a permutation
+FALLING_LENGTHS = [5, 3, 3, 2, 1]  # every sequence moves in the length-sorted layout
 TOWER_NAMES = ("table", "pos", "w1", "b1", "w2", "b2")
 
 
@@ -209,13 +213,14 @@ def onehot(ids, width):
     return rows
 
 
-def tower_leaves(rng, p, one_hot=False):
+def tower_leaves(rng, p, one_hot=False, lengths=TOWER_LENGTHS):
     """Constant inputs (dense rows, or one-hot rows of 6 ids) and the six leaves."""
     # redraw until every pre-activation is away from the relu kink, where
     # finite differences are wrong
-    at = np.concatenate([np.arange(n) for n in TOWER_LENGTHS])
+    at = np.concatenate([np.arange(n) for n in lengths])
+    rows = at.size
     while True:
-        inputs = onehot(rng.integers(0, 6, size=11), 6) if one_hot else rand(rng, 11, 6)
+        inputs = onehot(rng.integers(0, 6, size=rows), 6) if one_hot else rand(rng, rows, 6)
         table, pos, w1, b1 = rand(rng, 6, 4), rand(rng, 5, 4), rand(rng, 4, 6), rand(rng, 6)
         if np.abs((inputs @ table + pos[at]) @ w1 + b1).min() > 0.05:
             break
@@ -233,6 +238,18 @@ def _(rng, p):
 def _(rng, p):
     inputs, leaves = tower_leaves(rng, p, one_hot=True)
     return lambda: readout2d(rng, T.tower(inputs, *leaves, TOWER_LENGTHS))
+
+
+@case("tower_equal")
+def _(rng, p):
+    inputs, leaves = tower_leaves(rng, p, lengths=EQUAL_LENGTHS)
+    return lambda: readout2d(rng, T.tower(inputs, *leaves, EQUAL_LENGTHS))
+
+
+@case("tower_falling")
+def _(rng, p):
+    inputs, leaves = tower_leaves(rng, p, one_hot=True, lengths=FALLING_LENGTHS)
+    return lambda: readout2d(rng, T.tower(inputs, *leaves, FALLING_LENGTHS))
 
 
 @pytest.mark.parametrize("kernel", sorted(CASES))
@@ -295,17 +312,38 @@ def test_backward_requires_named_parameters():
 
 
 def test_tower_matches_plain_numpy_per_sequence():
-    # against the unfolded first layer: embed, add positions, then multiply by w1
-    for one_hot in (False, True):
-        inputs, leaves = tower_leaves(np.random.default_rng(5), leaf, one_hot)
+    # against the unfolded first layer: embed, add positions, then multiply by
+    # w1; rising, falling, equal and unsorted lengths
+    shuffled = list(np.random.default_rng(4).permutation([1, 2, 2, 3, 4, 4, 5, 5, 5]))
+    cases = [TOWER_LENGTHS, EQUAL_LENGTHS, FALLING_LENGTHS, FALLING_LENGTHS[::-1], shuffled]
+    for one_hot, lengths in itertools.product((False, True), cases):
+        inputs, leaves = tower_leaves(np.random.default_rng(5), leaf, one_hot, lengths)
         table, pos, w1, b1, w2, b2 = (t.data for t in leaves)
-        out = T.tower(inputs, *leaves, TOWER_LENGTHS).data
-        starts = np.cumsum([0] + TOWER_LENGTHS)
-        for i, n in enumerate(TOWER_LENGTHS):
+        out = T.tower(inputs, *leaves, lengths).data
+        assert out.shape == (len(lengths), 3)
+        starts = np.cumsum([0] + lengths)
+        for i, n in enumerate(lengths):
             z = inputs[starts[i] : starts[i] + n] @ table + pos[:n]
             hidden = np.maximum(z @ w1 + b1, 0.0)
             o = hidden.mean(axis=0) @ w2 + b2
             np.testing.assert_allclose(out[i], o / np.linalg.norm(o), atol=1e-12)
+
+
+def test_tower_in_pieces_matches_one_piece_per_slab(monkeypatch):
+    # the forward holds at most _CHUNK_ROWS hidden rows at once; with 4, every
+    # slab of more than one short sequence is split, which moves no output and
+    # no gradient
+    lengths = [5, 1, 2, 5, 3, 2, 2, 5, 4, 4, 2]
+    inputs, leaves = tower_leaves(np.random.default_rng(6), leaf, lengths=lengths)
+    runs = []
+    for rows in (T._CHUNK_ROWS, 4):
+        monkeypatch.setattr(T, "_CHUNK_ROWS", rows)
+        out = T.tower(inputs, *leaves, lengths)
+        runs.append((out.data, T.backward(readout2d(np.random.default_rng(7), out), leaves)))
+    (out_a, grads_a), (out_b, grads_b) = runs
+    np.testing.assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-12)
+    for name in TOWER_NAMES:
+        np.testing.assert_allclose(grads_a[name], grads_b[name], rtol=1e-12, atol=1e-12)
 
 
 def test_tower_fold_is_invariant_to_where_the_lookup_happens():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 from dataclasses import replace as dc_replace
 
@@ -212,6 +213,72 @@ def test_adam_rejects_shape_mismatch():
         tr.adam_step(params, grads, state, lr=0.1)
 
 
+def test_flat_adam_matches_per_name_textbook_formula_bit_for_bit():
+    # the update the optimizer made per tensor before it ran over one flat
+    # vector, in the same operation order; log_temperature starts past its
+    # upper clip and is pushed further out by every gradient
+    rng = np.random.default_rng(8)
+    start = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5),
+             "log_temperature": np.asarray(4.7)}
+    steps = [{name: rng.standard_normal(np.shape(x)) for name, x in start.items()}
+             for _ in range(5)]
+    for g in steps:
+        g["log_temperature"] = np.asarray(-abs(float(g["log_temperature"])))
+    expect, m, v = dict(start), {}, {}
+    for t, grads in enumerate(steps, start=1):
+        for name, g in grads.items():
+            m[name] = 0.9 * m.get(name, np.zeros_like(g)) + (1.0 - 0.9) * g
+            v[name] = 0.999 * v.get(name, np.zeros_like(g)) + (1.0 - 0.999) * (g * g)
+            expect[name] = expect[name] - 0.05 * (m[name] / (1.0 - 0.9**t)) / (
+                np.sqrt(v[name] / (1.0 - 0.999**t)) + 1e-8)
+        expect["log_temperature"] = np.clip(expect["log_temperature"], -math.log(100.0),
+                                            math.log(100.0))
+
+    tensors = {name: T.parameter(name, x.copy()) for name, x in start.items()}
+    params = ModelParams(config=EncoderConfig(), vocab=TextVocab(tokens=("<unk>",)),
+                         tensors=tensors)
+    state = tr.init_optimizer(params)
+    for grads in steps:
+        tr.adam_step(params, grads, state, lr=0.05)
+    assert params["log_temperature"].data == math.log(100.0)
+    for name in start:
+        assert np.array_equal(params[name].data, expect[name]), name
+        assert np.array_equal(state.m[name], m[name]) and np.array_equal(state.v[name], v[name])
+
+
+def assert_packed(params, state):
+    """Every parameter and moment is a view of its own flat vector."""
+    flats = (params.flat, state.m_flat, state.v_flat)
+    for name, p in params.named().items():
+        for view, flat in zip((p.data, state.m[name], state.v[name]), flats):
+            assert np.shares_memory(view, flat) and view.base is flat, name
+    sizes = sum(p.data.size for p in params.trainable())
+    assert [f.size for f in flats] == [sizes] * 3
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[i + 1 :])
+
+
+def test_parameters_and_moments_live_in_flat_vectors(corpora, tiny_encoder, tmp_path):
+    primary, temporal = corpora
+    cfg, params = tr.init_run(tiny_config(tiny_encoder), primary, temporal)
+    assert_packed(params, tr.init_optimizer(params))
+    control = tiny_config(tiny_encoder, loss=LossConfig(lambda_l=0.0), checkpoint_every=2)
+    order = tiny_config(tiny_encoder, order_loss_start_step=3, checkpoint_every=2)
+    branches = tr.train_fork([(order, tmp_path / "order"), (control, tmp_path / "control")],
+                             primary, temporal, 3)
+    for ckpt in branches:  # each after six Adam steps
+        assert_packed(ckpt.params, ckpt.optimizer)
+    (a, b) = branches
+    for x in (a.params.flat, a.optimizer.m_flat, a.optimizer.v_flat):
+        assert not any(np.shares_memory(x, y)
+                       for y in (b.params.flat, b.optimizer.m_flat, b.optimizer.v_flat))
+    loaded = tr.load_checkpoint(tmp_path / "order" / "step000002.tckp")
+    assert_packed(loaded.params, loaded.optimizer)
+    for _ in range(3):
+        grads = {name: np.ones_like(p.data) for name, p in loaded.params.named().items()}
+        tr.adam_step(loaded.params, grads, loaded.optimizer, lr=1e-3)
+    assert_packed(loaded.params, loaded.optimizer)
+
+
 # -- config validation -----------------------------------------------------------
 
 
@@ -386,10 +453,11 @@ def test_resume_rejects_corrupt_metrics_line(corpora, tiny_encoder, tmp_path):
     primary, temporal = corpora
     cfg = tiny_config(tiny_encoder, steps=4, checkpoint_every=2)
     tr.train(cfg, primary, temporal, out_dir=tmp_path)
-    (tmp_path / "metrics.jsonl").write_text("not json\n")
-    mid = tmp_path / "step000002.tckp"
-    with pytest.raises(FormatError, match="bad metrics line"):
-        tr.train(cfg, primary, temporal, out_dir=tmp_path, resume_from=mid)
+    log, mid = tmp_path / "metrics.jsonl", tmp_path / "step000002.tckp"
+    for line in ("not json", '{"step":"3"}', '{"step":null}', '{"lr":0.1}'):
+        log.write_text(line + "\n")
+        with pytest.raises(FormatError, match=f"{re.escape(str(log))}: bad metrics line"):
+            tr.train(cfg, primary, temporal, out_dir=tmp_path, resume_from=mid)
 
 
 def test_resume_from_checkpoint_value_leaves_it_unchanged(corpora, tiny_encoder, tmp_path):
