@@ -10,8 +10,11 @@ A batch is encoded as one graph node per tower: every input's rows go back
 to back, as one-hot token rows or as frames, into one fused `tensor.tower` op
 that embeds them with `text.embed` or `audio.proj`, adds positions, applies
 the hidden layer, pools each sequence, applies the output layer and
-normalizes. Training and evaluation share this forward pass. Every
-parameter's data is a view of one float64 vector, `ModelParams.flat`.
+normalizes. The text node carries the reversed captions after the N
+captions, and `losses.train_loss` reads both nodes whole, so a training
+step's graph is tower, tower, `clap_loss`. Training and evaluation share
+this forward pass. Every parameter's data is a view of one float64 vector,
+`ModelParams.flat`.
 """
 
 from __future__ import annotations
@@ -204,14 +207,14 @@ def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
 @dataclass
 class BatchEmbeddings:
     audio: T.Tensor  # N x D
-    text: T.Tensor  # N x D
-    text_neg: T.Tensor | None  # M x D, aligned with mask order
-    temporal_rows: tuple[int, ...]  # batch row index of each text_neg row
+    text: T.Tensor  # (N + M) x D: each record's caption, then each flagged row's reversal
+    temporal_rows: tuple[int, ...]  # batch row of each reversed caption, in mask order
 
 
 def forward_batch(params: ModelParams, records, temporal_mask) -> BatchEmbeddings:
-    """Embed a batch of records; rows flagged in temporal_mask also embed
-    their order-reversed caption."""
+    """Embed a batch of records, one tower node each for text and audio; rows
+    flagged in temporal_mask also embed their order-reversed caption, after
+    the N captions in the text node."""
     records = list(records)
     mask = list(temporal_mask)
     if not records:
@@ -225,12 +228,6 @@ def forward_batch(params: ModelParams, records, temporal_mask) -> BatchEmbedding
 
     seqs = [params.vocab.encode(r.caption_pos.tokens) for r in records]
     seqs += [params.vocab.encode(records[i].caption_neg.tokens) for i in temporal_rows]
-    text_all = _encode_groups(params, "text", seqs)
-    n = len(records)
-    if temporal_rows:
-        text = T.gather_rows(text_all, np.arange(n))
-        text_neg = T.gather_rows(text_all, np.arange(n, n + len(temporal_rows)))
-    else:
-        text, text_neg = text_all, None
+    text = _encode_groups(params, "text", seqs)
     audio = _encode_groups(params, "audio", [r.clip.frames for r in records])
-    return BatchEmbeddings(audio=audio, text=text, text_neg=text_neg, temporal_rows=temporal_rows)
+    return BatchEmbeddings(audio=audio, text=text, temporal_rows=temporal_rows)

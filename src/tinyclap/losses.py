@@ -12,7 +12,11 @@ depends only on the margin, is always positive, and decays to zero as the
 margin grows.
 
 Combined: total = contrastive + lambda_l * order_term, same arithmetic as
-printed so the breakdown fields reconcile exactly.
+printed so the breakdown fields reconcile exactly. Training builds the whole
+objective as one `tensor.clap_loss` node with a closed-form backward;
+`contrastive_loss` and `temporal_loss` are its two terms' forward closed
+forms on plain arrays, and `similarity_matrix` is the plain product of the
+unit rows the towers return.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import InvalidConfig, NumericError, ShapeError
+from .errors import InvalidConfig, ShapeError
 
 LT_REDUCTIONS = ("mean", "sum")
 
@@ -37,9 +41,8 @@ class LossConfig:
         if not np.isfinite(self.lambda_l) or self.lambda_l < 0:
             raise InvalidConfig(f"lambda_l must be finite and >= 0, got {self.lambda_l}")
         if self.lt_reduction not in LT_REDUCTIONS:
-            raise InvalidConfig(
-                f"lt_reduction must be one of {LT_REDUCTIONS}, got {self.lt_reduction!r}"
-            )
+            raise InvalidConfig(f"lt_reduction must be one of {LT_REDUCTIONS}, "
+                                f"got {self.lt_reduction!r}")
 
 
 @dataclass(frozen=True)
@@ -51,84 +54,51 @@ class LossBreakdown:
     temporal_count: int
 
 
-def _as_tensor(x) -> T.Tensor:
-    return x if isinstance(x, T.Tensor) else T.Tensor(np.asarray(x, dtype=float))
+def _array(x) -> np.ndarray:
+    return np.asarray(x.data if isinstance(x, T.Tensor) else x, dtype=float)
 
 
 def similarity_matrix(audio_emb, text_emb) -> T.Tensor:
-    """Cosine similarity of every audio row against every text row: N x M,
-    entry ij = cos(audio_i, text_j).
-
-    Inputs need not be unit-norm; rows are normalized here, so for unit
-    inputs this is the plain inner-product matrix.
-    """
-    ea, et = _as_tensor(audio_emb), _as_tensor(text_emb)
-    if ea.data.ndim != 2 or et.data.ndim != 2 or ea.shape[1] != et.shape[1]:
+    """Every audio row against every text row: N x M, entry ij = audio_i . text_j,
+    the cosine similarity for the unit rows the towers return. A constant, no
+    graph node."""
+    ea, et = _array(audio_emb), _array(text_emb)
+    if ea.ndim != 2 or et.ndim != 2 or ea.shape[1] != et.shape[1]:
         raise ShapeError(f"similarity needs N x D and M x D, got {ea.shape} and {et.shape}")
-    for tag, m in (("audio", ea), ("text", et)):
-        norms = np.linalg.norm(m.data, axis=1)
-        if norms.size and norms.min() < 1e-12:
-            raise NumericError(f"zero-norm {tag} embedding row at index {int(norms.argmin())}")
-    return T.matmul(T.row_l2_normalize(ea), T.transpose(T.row_l2_normalize(et)))
+    return T.Tensor(ea @ et.T)
 
 
 def contrastive_loss(s, log_temperature) -> T.Tensor:
-    """Symmetric softmax cross-entropy with the diagonal as targets."""
-    sv = _as_tensor(s)
-    if sv.data.ndim != 2 or sv.shape[0] != sv.shape[1]:
+    """Symmetric softmax cross-entropy with the diagonal as targets, as a constant."""
+    sv = _array(s)
+    if sv.ndim != 2 or sv.shape[0] != sv.shape[1]:
         raise ShapeError(f"contrastive loss needs a square matrix, got {sv.shape}")
-    logits = T.mul_scalar(sv, T.exp(_as_tensor(log_temperature)))
-    diag = T.diag_part(logits)
-    audio_to_text = T.mean_all(T.sub(T.log_sum_exp(logits), diag))
-    text_to_audio = T.mean_all(T.sub(T.log_sum_exp(T.transpose(logits)), diag))
-    return T.scale(T.add(audio_to_text, text_to_audio), 0.5)
+    return T.Tensor(T._contrastive(sv * np.exp(_array(log_temperature)))[0])
 
 
-def temporal_loss(
-    audio_emb,
-    text_pos,
-    text_neg,
-    reduction: str = "mean",
-    log_temperature=None,
-) -> T.Tensor:
-    """Margin loss softplus(d_neg - d_pos) over row-aligned triples."""
+def temporal_loss(audio_emb, text_pos, text_neg, reduction: str = "mean",
+                  log_temperature=None) -> T.Tensor:
+    """Margin loss softplus(d_neg - d_pos) over row-aligned triples, as a constant."""
     if reduction not in LT_REDUCTIONS:
         raise InvalidConfig(f"reduction must be one of {LT_REDUCTIONS}, got {reduction!r}")
-    ea, ep, en = _as_tensor(audio_emb), _as_tensor(text_pos), _as_tensor(text_neg)
+    ea, ep, en = _array(audio_emb), _array(text_pos), _array(text_neg)
     if not ea.shape == ep.shape == en.shape:
-        raise ShapeError(
-            f"temporal loss needs row-aligned shapes, got {ea.shape}, {ep.shape}, {en.shape}"
-        )
+        raise ShapeError(f"temporal loss needs row-aligned shapes, got {ea.shape}, {ep.shape}, "
+                         f"{en.shape}")
     if ea.shape[0] == 0:
-        return T.Tensor(np.asarray(0.0))
-    margin = T.sub(T.rowwise_dot(ea, ep), T.rowwise_dot(ea, en))
+        return T.Tensor(0.0)
+    margin = (ea * ep).sum(axis=1) - (ea * en).sum(axis=1)
     if log_temperature is not None:
-        margin = T.mul_scalar(margin, T.exp(_as_tensor(log_temperature)))
-    per_sample = T.softplus(T.scale(margin, -1.0))
-    return T.mean_all(per_sample) if reduction == "mean" else T.sum_all(per_sample)
+        margin = margin * np.exp(_array(log_temperature))
+    return T.Tensor(T._order_term(margin, reduction)[0])
 
 
 def train_loss(batch, config: LossConfig, log_temperature) -> LossBreakdown:
-    """Full-batch contrastive term plus the order term over flagged rows."""
-    s = similarity_matrix(batch.audio, batch.text)
-    l_c = contrastive_loss(s, log_temperature)
-    rows = batch.temporal_rows
-    if batch.text_neg is None or len(rows) == 0:
-        l_t = T.Tensor(np.asarray(0.0))
-    else:
-        idx = np.asarray(rows, dtype=np.int64)
-        l_t = temporal_loss(
-            T.gather_rows(batch.audio, idx),
-            T.gather_rows(batch.text, idx),
-            batch.text_neg,
-            reduction=config.lt_reduction,
-            log_temperature=log_temperature if config.use_temperature_in_lt else None,
-        )
-    l_train = T.add(l_c, T.scale(l_t, config.lambda_l))
-    return LossBreakdown(
-        l_c=l_c,
-        l_t=l_t,
-        l_train=l_train,
-        batch_size=batch.audio.shape[0],
-        temporal_count=len(rows),
-    )
+    """Full-batch contrastive term plus the order term over flagged rows, as one
+    `clap_loss` node: `batch.text` holds the N captions, then the reversed
+    caption of each of `batch.temporal_rows`."""
+    log_t = log_temperature if isinstance(log_temperature, T.Tensor) else T.Tensor(log_temperature)
+    l_train, l_c, l_t = T.clap_loss(batch.audio, batch.text, log_t, batch.temporal_rows,
+                                    config.lambda_l, config.lt_reduction,
+                                    config.use_temperature_in_lt)
+    return LossBreakdown(l_c, l_t, l_train, batch.audio.shape[0], len(batch.temporal_rows))

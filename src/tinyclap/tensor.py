@@ -1,10 +1,11 @@
 """Dense-array kernel with reverse-mode gradients.
 
-Exactly the operations the encoders and losses need: one fused `tower` op
-per encoder, which takes its inputs as a constant array and folds the input
-table into the first layer, small kernels for the losses, CPU numpy storage
-only. Every kernel checks its output for NaN/Inf and raises NumericError on
-the spot, so a poisoned value can never travel.
+Exactly the ops a training step needs, each with a closed-form backward:
+one fused `tower` per encoder, which takes its inputs as a constant array
+and folds the input table into the first layer, and one `clap_loss` for the
+whole objective; CPU numpy storage only. Every op checks its output for
+NaN/Inf and raises NumericError on the spot, so a poisoned value can never
+travel.
 
 Graph convention (micrograd style): each op returns a fresh Tensor holding
 references to its parents and a closure that pushes adjoints into an
@@ -25,6 +26,9 @@ from .errors import NumericError, ShapeError
 DEFAULT_DTYPE = np.float64
 
 _EPS_DENOM = 1e-8  # floor used in relative-error comparisons
+_FD_KINK_RTOL = 1e-3  # one-sided slopes further apart than this may straddle a kink
+_FD_ROUNDOFF = 1e-14  # bound on the rounding error of one loss value
+_FD_EPS_MIN = 1e-10  # smallest step a kink shrinks the central difference to
 _NORM_EPS = 1e-8  # zero guard of the unit-row scaling
 _CHUNK_ROWS = 4096  # most hidden-layer rows `tower` holds at once in its forward
 
@@ -96,108 +100,7 @@ def _need_2d(x: Tensor, op: str) -> None:
         raise ShapeError(f"{op} needs a 2-d tensor, got shape {x.shape}")
 
 
-# -- kernels ------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _need_2d(a, "matmul")
-    _need_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-
-    def bw(g, adj):
-        _acc(adj, a, g @ b.data.T)
-        _acc(adj, b, a.data.T @ g)
-
-    return _result(a.data @ b.data, (a, b), bw, "matmul")
-
-
-def transpose(x: Tensor) -> Tensor:
-    _need_2d(x, "transpose")
-
-    def bw(g, adj):
-        _acc(adj, x, g.T)
-
-    return _result(np.ascontiguousarray(x.data.T), (x,), bw, "transpose")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-
-    def bw(g, adj):
-        _acc(adj, a, g)
-        _acc(adj, b, g)
-
-    return _result(a.data + b.data, (a, b), bw, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-
-    def bw(g, adj):
-        _acc(adj, a, g)
-        _acc(adj, b, -g)
-
-    return _result(a.data - b.data, (a, b), bw, "sub")
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def bw(g, adj):
-        _acc(adj, x, np.full(x.shape, g / n, dtype=x.data.dtype))
-
-    return _result(np.asarray(x.data.mean()), (x,), bw, "mean_all")
-
-
-def sum_all(x: Tensor) -> Tensor:
-    def bw(g, adj):
-        _acc(adj, x, np.full(x.shape, g, dtype=x.data.dtype))
-
-    return _result(np.asarray(x.data.sum()), (x,), bw, "sum_all")
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bw(g, adj):
-        _acc(adj, x, g * c)
-
-    return _result(x.data * c, (x,), bw, "scale")
-
-
-def mul_scalar(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply by a scalar graph node (e.g. a learnable temperature)."""
-    if s.data.ndim != 0:
-        raise ShapeError(f"mul_scalar needs a scalar node, got shape {s.shape}")
-
-    def bw(g, adj):
-        _acc(adj, x, g * s.data)
-        _acc(adj, s, np.asarray((x.data * g).sum()))
-
-    return _result(x.data * s.data, (x, s), bw, "mul_scalar")
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow surfaces as NumericError below
-        out_data = np.exp(x.data)
-
-    def bw(g, adj):
-        _acc(adj, x, g * out_data)
-
-    return _result(out_data, (x,), bw, "exp")
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + e^x), large-|x| safe."""
-
-    def bw(g, adj):
-        sig = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-        _acc(adj, x, g * sig)
-
-    return _result(np.logaddexp(0.0, x.data), (x,), bw, "softplus")
-
+# -- ops ------------------------------------------------------------------------
 
 def _unit_rows(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit length, and the denominators sqrt(|row|^2 + eps^2)."""
@@ -211,75 +114,6 @@ def _unit_rows_bw(x: np.ndarray, denom: np.ndarray, g: np.ndarray) -> np.ndarray
     return g / denom[:, None] - x * (dot / denom**3)[:, None]
 
 
-def row_l2_normalize(x: Tensor, eps: float = _NORM_EPS) -> Tensor:
-    """Scale each row to unit length; denom = sqrt(|row|^2 + eps^2) guards zeros."""
-    _need_2d(x, "row_l2_normalize")
-    if eps <= 0:
-        raise ShapeError("row_l2_normalize needs eps > 0")
-    out_data, denom = _unit_rows(x.data, eps)
-
-    def bw(g, adj):
-        _acc(adj, x, _unit_rows_bw(x.data, denom, g))
-
-    return _result(out_data, (x,), bw, "row_l2_normalize")
-
-
-def log_sum_exp(x: Tensor) -> Tensor:
-    """Row-wise log(sum(exp)): m x n -> m, max-shifted for stability."""
-    _need_2d(x, "log_sum_exp")
-    hi = x.data.max(axis=1, keepdims=True)
-    shifted = np.exp(x.data - hi)
-    total = shifted.sum(axis=1, keepdims=True)
-    out_data = (hi + np.log(total)).ravel()
-
-    def bw(g, adj):
-        _acc(adj, x, (shifted / total) * g[:, None])
-
-    return _result(out_data, (x,), bw, "log_sum_exp")
-
-
-def gather_rows(e: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
-    _need_2d(e, "gather_rows")
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows ids must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= e.shape[0]):
-        raise ShapeError(f"gather_rows ids out of range for {e.shape[0]} rows")
-
-    def bw(g, adj):
-        if e.requires_grad:
-            buf = np.zeros_like(e.data)
-            np.add.at(buf, idx, g)
-            _acc(adj, e, buf)
-
-    return _result(e.data[idx], (e,), bw, "gather_rows")
-
-
-def diag_part(x: Tensor) -> Tensor:
-    _need_2d(x, "diag_part")
-    if x.shape[0] != x.shape[1]:
-        raise ShapeError(f"diag_part needs a square matrix, got {x.shape}")
-
-    def bw(g, adj):
-        buf = np.zeros_like(x.data)
-        np.fill_diagonal(buf, g)
-        _acc(adj, x, buf)
-
-    return _result(np.diagonal(x.data).copy(), (x,), bw, "diag_part")
-
-
-def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
-    _need_2d(a, "rowwise_dot")
-    if a.shape != b.shape:
-        raise ShapeError(f"rowwise_dot shape mismatch: {a.shape} vs {b.shape}")
-
-    def bw(g, adj):
-        _acc(adj, a, b.data * g[:, None])
-        _acc(adj, b, a.data * g[:, None])
-
-    return _result((a.data * b.data).sum(axis=1), (a, b), bw, "rowwise_dot")
-
-
 def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
           b2: Tensor, lengths: Sequence[int] | np.ndarray) -> Tensor:
     """One encoder tower over sequences packed back to back: sum(lengths) x V -> S x D.
@@ -287,7 +121,7 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     Row r of the constant `inputs` is embedded as inputs[r] @ table plus the
     positional row of its place in its sequence, then relu(z @ w1 + b1) per
     row, the mean over each sequence's rows, the output layer
-    pooled @ w2 + b2, and row_l2_normalize's unit scaling. The first layer is
+    pooled @ w2 + b2, and the unit scaling of `_unit_rows`. The first layer is
     linear, so it runs folded: inputs @ (table @ w1) plus the row's position
     in pos[:L] @ w1 + b1. The rows are laid out by sequence length (a stable
     sort; no rows move when the lengths never fall), so each length's
@@ -357,6 +191,82 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     return _result(out_data, (table, pos, w1, b1, w2, b2), bw, "tower")
 
 
+def _contrastive(logits: np.ndarray) -> tuple[float, np.ndarray]:
+    """Symmetric softmax cross-entropy of square logits with the diagonal as targets,
+    and its gradient: the row and column softmaxes less twice the identity, over 2N."""
+    value, g = 0.0, -2.0 * np.eye(len(logits))
+    for axis in (1, 0):
+        hi = logits.max(axis=axis, keepdims=True)
+        shifted = np.exp(logits - hi)
+        total = shifted.sum(axis=axis, keepdims=True)
+        value += np.mean((hi + np.log(total)).ravel() - np.diagonal(logits))
+        g += shifted / total
+    return value * 0.5, g * (0.5 / len(logits))
+
+
+def _order_term(margin: np.ndarray, reduction: str) -> tuple[float, np.ndarray]:
+    """Mean or sum of softplus(-margin), large-|margin| safe, and its gradient in
+    the margins, -sigmoid(-margin) over M or 1."""
+    k = margin.size if reduction == "mean" else 1
+    return np.logaddexp(0.0, -margin).sum() / k, (np.tanh(-0.5 * margin) + 1.0) * (-0.5 / k)
+
+
+def clap_loss(audio: Tensor, text: Tensor, log_temperature: Tensor,
+              temporal_rows: Sequence[int] | np.ndarray, lambda_l: float,
+              lt_reduction: str = "mean",
+              use_temperature_in_lt: bool = False) -> tuple[Tensor, Tensor, Tensor]:
+    """The training objective as one node: (l_train, l_c, l_t).
+
+    `audio` holds N rows and `text` the N captions, then the reversed caption
+    of each of `temporal_rows`, all unit rows from `tower`. l_c is the
+    symmetric softmax cross-entropy over (audio @ text[:N].T) *
+    exp(log_temperature) with the diagonal as targets; l_t is the mean or sum
+    over flagged rows r of softplus(-audio_r . (text_r - reversed_r)), the
+    margin times exp(log_temperature) if `use_temperature_in_lt`; 0 with no
+    flagged rows. The node is l_train = l_c + l_t * lambda_l; l_c and l_t are
+    constants. The backward is closed form: softmax minus identity for l_c,
+    the sigmoid for l_t, and the temperature's adjoint from both.
+    """
+    _need_2d(audio, "clap_loss")
+    rows = np.asarray(temporal_rows, dtype=np.int64)
+    n, m = audio.shape[0], rows.size
+    if (n == 0 or text.shape != (n + m, audio.shape[1]) or log_temperature.data.ndim != 0
+            or rows.ndim != 1 or m and (rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any())):
+        raise ShapeError(f"clap_loss needs N x D audio, (N + {m}) x D text, a scalar temperature "
+                         f"and rows rising within [0, N), got {audio.shape}, {text.shape}, "
+                         f"{log_temperature.shape}, {rows}")
+    a, pos = audio.data, text.data[:n]
+    scale = np.exp(log_temperature.data)
+    s = a @ pos.T
+    l_c, g_logits = _contrastive(s * scale)
+    l_t, c = 0.0, scale if use_temperature_in_lt else 1.0
+    if m:
+        a_r, neg = a[rows], text.data[n:]
+        margin = ((a_r * pos[rows]).sum(axis=1) - (a_r * neg).sum(axis=1)) * c
+        l_t, g_margin = _order_term(margin, lt_reduction)
+
+    def bw(g, adj):
+        g_s = g_logits * (g * scale)  # adjoint of S
+        g_lt = (s * g_s).sum()
+        g_audio, g_text = g_s @ pos, np.zeros_like(text.data)
+        g_text[:n] = g_s.T @ a
+        if m:
+            g_scaled = g_margin * (g * lambda_l)  # adjoint of the margins times c
+            if use_temperature_in_lt:
+                g_lt += (margin * g_scaled).sum()
+            g_dot = (g_scaled * c)[:, None]  # adjoint of each margin's two dots
+            g_audio[rows] += g_dot * (pos[rows] - neg)
+            g_text[rows] += g_dot * a_r
+            g_text[n:] = -g_dot * a_r
+        _acc(adj, audio, g_audio)
+        _acc(adj, text, g_text)
+        _acc(adj, log_temperature, np.asarray(g_lt))
+
+    l_train = _result(np.asarray(l_c + l_t * lambda_l), (audio, text, log_temperature), bw,
+                      "clap_loss")
+    return l_train, Tensor(l_c, name="l_c"), Tensor(l_t, name="l_t")
+
+
 # -- backward pass ------------------------------------------------------------
 
 def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
@@ -391,37 +301,48 @@ def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
 
 # -- finite-difference oracle ---------------------------------------------------
 
-def finite_diff_check(
-    f: Callable[[dict[str, Tensor]], Tensor],
-    params: dict[str, Tensor],
-    eps: float = 1e-5,
-    n_coords: int = 200,
-    seed: int = 0,
-) -> float:
+def _probe(f, params, leaf: np.ndarray, offset: int, step: float, mid: float):
+    """Central difference, one-sided slopes' gap, and their rounding bound at a coordinate."""
+    saved = leaf[offset]
+    leaf[offset] = saved + step
+    hi = f(params).item()
+    leaf[offset] = saved - step
+    lo = f(params).item()
+    leaf[offset] = saved
+    return (hi - lo) / (2.0 * step), abs(hi + lo - 2.0 * mid) / step, 2.0 * _FD_ROUNDOFF / step
+
+
+def finite_diff_check(f: Callable[[dict[str, Tensor]], Tensor], params: dict[str, Tensor],
+                      eps: float = 1e-5, n_coords: int = 200, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Samples up to `n_coords` coordinates (seeded, without replacement) across
     the full parameter space; `f` must be a deterministic map from the current
-    leaf values to a scalar loss node.
+    leaf values to a scalar loss node. Where the two one-sided slopes of a
+    coordinate disagree by more than _FD_KINK_RTOL, a tenfold shorter step
+    tells curvature, whose gap shrinks with the step and leaves the central
+    difference where it was, from a kink of the loss (a relu switching inside
+    the step); a kink shrinks the step until the slopes agree.
     """
     if not 1e-7 <= eps <= 1e-2:
         raise ShapeError(f"finite_diff_check eps {eps} outside [1e-7, 1e-2]")
-    analytic = backward(f(params), params.values())
+    center = f(params)
+    analytic = backward(center, params.values())
+    mid = center.item()
 
     coords = [(name, i) for name in sorted(params) for i in range(params[name].data.size)]
     picks = np.random.default_rng(seed).permutation(len(coords))[: min(n_coords, len(coords))]
 
     worst = 0.0
     for name, offset in (coords[i] for i in picks):
-        leaf = params[name].data.reshape(-1)
-        saved = leaf[offset]
-        leaf[offset] = saved + eps
-        hi = f(params).item()
-        leaf[offset] = saved - eps
-        lo = f(params).item()
-        leaf[offset] = saved
-        numeric = (hi - lo) / (2.0 * eps)
+        leaf, step = params[name].data.reshape(-1), eps
+        numeric, gap, noise = _probe(f, params, leaf, offset, step, mid)
+        while gap > _FD_KINK_RTOL * (abs(numeric) + gap / 2) + noise and step > _FD_EPS_MIN:
+            short, short_gap, short_noise = _probe(f, params, leaf, offset, step / 10.0, mid)
+            if (short_gap <= gap / 5 + short_noise and abs(short - numeric)
+                    <= _FD_KINK_RTOL * max(abs(short), abs(numeric)) + short_noise):
+                break
+            step, numeric, gap, noise = step / 10.0, short, short_gap, short_noise
         a = float(analytic[name].reshape(-1)[offset])
-        err = abs(a - numeric) / max(abs(a), abs(numeric), _EPS_DENOM)
-        worst = max(worst, err)
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), _EPS_DENOM))
     return worst

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+import tinyclap.tensor as T
 from tinyclap import cli
 from tinyclap import evaluate as ev
 from tinyclap import trainer as tr
@@ -526,8 +527,8 @@ def test_eval_and_tclassify_reports_match_one_encode_per_direction(
     names = tuple(event.name for event in catalog_for(labeled).classes)
     zero_shot = ev.zero_shot_classify(params, list(labeled.records), names)
     order = forward_batch(params, test, [True] * len(test))
-    order_t2a = ev.t_classify_from_embeddings(order.audio.data, order.text.data,
-                                              order.text_neg.data)
+    order_t2a = ev.t_classify_from_embeddings(order.audio.data, order.text.data[: len(test)],
+                                              order.text.data[len(test) :])
     with_neg = [r for r in test if r.clip_neg is not None]
     text = encode_text_batch(params, [r.caption_pos.tokens for r in with_neg]).data
     audio = encode_audio_batch(params, [r.clip.frames for r in with_neg]).data
@@ -550,6 +551,31 @@ def test_gradcheck_passes_on_default_config(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "gradient check passed" in out
+
+
+# a central difference of step 1e-5 crosses a relu switch at these root seeds
+KINKED_SEEDS = (-1, 1, 10, 14, 15)
+
+
+@pytest.mark.parametrize("seed", KINKED_SEEDS)
+def test_gradcheck_passes_where_the_step_crosses_a_kink(seed):
+    cfg = replace(run_config_from_dict({}), seed=seed)
+    assert cli.gradcheck_value(cfg) < cli.GRADCHECK_THRESHOLD
+
+
+# the tower whose b1 the 200 sampled coordinates reach at each seed (none at 10)
+@pytest.mark.parametrize("seed,tower", [(-1, "text"), (1, "text"), (14, "audio"), (15, "text")])
+def test_gradcheck_fails_a_b1_gradient_one_percent_off(monkeypatch, seed, tower):
+    exact = T.backward
+
+    def skewed(loss, params):
+        grads = exact(loss, params)
+        grads[f"{tower}.b1"] = grads[f"{tower}.b1"] * 1.01
+        return grads
+
+    monkeypatch.setattr(T, "backward", skewed)
+    cfg = replace(run_config_from_dict({}), seed=seed)
+    assert cli.gradcheck_value(cfg) >= cli.GRADCHECK_THRESHOLD
 
 
 # -- config plumbing ----------------------------------------------------------------

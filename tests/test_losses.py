@@ -12,7 +12,7 @@ import pytest
 
 import tinyclap.tensor as T
 from tinyclap import losses as L
-from tinyclap.errors import InvalidConfig, NumericError, ShapeError
+from tinyclap.errors import InvalidConfig, ShapeError
 
 
 def oracle_contrastive(s, log_temp):
@@ -51,24 +51,20 @@ def test_similarity_three_four_five():
     assert s.data[0, 0] == pytest.approx(0.6, abs=1e-9)
 
 
-def test_similarity_normalizes_inputs():
-    a = np.array([[10.0, 0.0]])
-    t = np.array([[3.0, 4.0]])
-    s = L.similarity_matrix(a, t)
-    assert s.data[0, 0] == pytest.approx(0.6, abs=1e-9)
-
-
 def test_similarity_entries_bounded():
     rng = np.random.default_rng(0)
-    s = L.similarity_matrix(rng.standard_normal((12, 5)), rng.standard_normal((9, 5)))
+    s = L.similarity_matrix(unit_rows(rng, 12, 5), unit_rows(rng, 9, 5))
     assert s.data.shape == (12, 9)
     assert np.all(np.abs(s.data) <= 1.0 + 1e-9)
 
 
-def test_similarity_rejects_zero_row():
-    a = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(NumericError, match="index 0"):
-        L.similarity_matrix(a, np.eye(2))
+def test_similarity_is_the_plain_product_and_no_graph_node():
+    rng = np.random.default_rng(1)
+    a = T.parameter("a", unit_rows(rng, 4, 3))
+    t = unit_rows(rng, 5, 3)
+    s = L.similarity_matrix(a, t)
+    np.testing.assert_array_equal(s.data, a.data @ t.T)
+    assert not s.requires_grad and s._parents == ()
 
 
 def test_similarity_rejects_mismatched_dims():
@@ -180,18 +176,25 @@ def test_temporal_depends_only_on_margin():
 
 
 def test_temporal_gradient_step_decreases_each_term():
+    # the order term's gradient from clap_loss: l_train is linear in lambda_l, so
+    # the gradients at lambda_l 1 and 0 differ by the order term's alone
     rng = np.random.default_rng(7)
     ea = unit_rows(rng, 4, 6)
     ep_data, en_data = unit_rows(rng, 4, 6), unit_rows(rng, 4, 6)
-    ep = T.parameter("ep", ep_data.copy())
+    text = T.parameter("text", np.vstack([ep_data, en_data]))
+    ep = text.data[:4]
     before = [
-        L.temporal_loss(ea[i : i + 1], ep.data[i : i + 1], en_data[i : i + 1]).item()
+        L.temporal_loss(ea[i : i + 1], ep[i : i + 1], en_data[i : i + 1]).item()
         for i in range(4)
     ]
-    grads = T.backward(L.temporal_loss(ea, ep, en_data, reduction="sum"), [ep])
-    ep.data -= 0.05 * grads["ep"]
+
+    def grad(lambda_l):
+        l_train, _, _ = T.clap_loss(T.Tensor(ea), text, T.Tensor(0.0), range(4), lambda_l, "sum")
+        return T.backward(l_train, [text])["text"][:4]
+
+    ep -= 0.05 * (grad(1.0) - grad(0.0))
     after = [
-        L.temporal_loss(ea[i : i + 1], ep.data[i : i + 1], en_data[i : i + 1]).item()
+        L.temporal_loss(ea[i : i + 1], ep[i : i + 1], en_data[i : i + 1]).item()
         for i in range(4)
     ]
     assert all(b < a for a, b in zip(before, after))
@@ -217,10 +220,12 @@ def test_temporal_optional_temperature_scales_margin():
 
 
 class FakeBatch:
+    """Like encoders.BatchEmbeddings: the text rows hold the captions, then the
+    reversed caption of each temporal row."""
+
     def __init__(self, audio, text, text_neg, temporal_rows):
         self.audio = T.Tensor(audio)
-        self.text = T.Tensor(text)
-        self.text_neg = None if text_neg is None else T.Tensor(text_neg)
+        self.text = T.Tensor(text if text_neg is None else np.vstack([text, text_neg]))
         self.temporal_rows = temporal_rows
 
 
@@ -268,11 +273,11 @@ def test_train_loss_matches_component_oracles():
     batch = make_batch(rng, n=5, d=8, temporal_rows=(0, 2, 4))
     log_temp = 0.7
     out = L.train_loss(batch, L.LossConfig(lambda_l=0.5), log_temp)
-    s = batch.audio.data @ batch.text.data.T
+    s = batch.audio.data @ batch.text.data[:5].T
     assert out.l_c.item() == pytest.approx(oracle_contrastive(s, log_temp), abs=1e-9)
     rows = np.array(batch.temporal_rows)
     d_pos = (batch.audio.data[rows] * batch.text.data[rows]).sum(axis=1)
-    d_neg = (batch.audio.data[rows] * batch.text_neg.data).sum(axis=1)
+    d_neg = (batch.audio.data[rows] * batch.text.data[5:]).sum(axis=1)
     assert out.l_t.item() == pytest.approx(oracle_temporal(d_pos, d_neg), abs=1e-9)
 
 
@@ -288,14 +293,40 @@ def test_loss_config_validates():
 def test_gradient_flows_through_both_terms():
     rng = np.random.default_rng(13)
     audio = T.parameter("audio", unit_rows(rng, 4, 6))
-    text = T.parameter("text", unit_rows(rng, 4, 6))
-    neg = T.parameter("neg", unit_rows(rng, 2, 6))
+    text = T.parameter("text", unit_rows(rng, 6, 6))  # 4 captions, then 2 reversals
 
     class B:
         pass
 
     b = B()
-    b.audio, b.text, b.text_neg, b.temporal_rows = audio, text, neg, (0, 2)
+    b.audio, b.text, b.temporal_rows = audio, text, (0, 2)
     out = L.train_loss(b, L.LossConfig(lambda_l=0.5), 0.0)
-    grads = T.backward(out.l_train, [audio, text, neg])
-    assert all(np.abs(g).max() > 0 for g in grads.values())
+    grads = T.backward(out.l_train, [audio, text])
+    assert np.abs(grads["audio"]).max() > 0
+    assert np.abs(grads["text"][:4]).max() > 0 and np.abs(grads["text"][4:]).min() > 0
+
+
+# -- the clap_loss op ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("temperature_in_lt", [False, True])
+@pytest.mark.parametrize("rows", [(), (0, 2, 4), (0, 1, 3, 4)])
+def test_clap_loss_matches_component_oracles(reduction, temperature_in_lt, rows):
+    rng = np.random.default_rng(14)
+    n, log_temp = 5, 0.9
+    audio, text = unit_rows(rng, n, 7), unit_rows(rng, n + len(rows), 7)
+    l_train, l_c, l_t = T.clap_loss(T.Tensor(audio), T.Tensor(text), T.Tensor(log_temp), rows,
+                                    0.3, reduction, temperature_in_lt)
+    assert l_c.item() == pytest.approx(oracle_contrastive(audio @ text[:n].T, log_temp),
+                                       rel=1e-12)
+    want = 0.0
+    if rows:
+        idx = list(rows)
+        scale = math.exp(log_temp) if temperature_in_lt else 1.0
+        d_pos = scale * (audio[idx] * text[idx]).sum(axis=1)
+        d_neg = scale * (audio[idx] * text[n:]).sum(axis=1)
+        want = oracle_temporal(d_pos, d_neg) * (len(rows) if reduction == "sum" else 1)
+    assert l_t.item() == pytest.approx(want, rel=1e-12)
+    assert l_train.item() == l_c.item() + l_t.item() * 0.3
+    assert not l_c.requires_grad and not l_t.requires_grad

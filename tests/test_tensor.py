@@ -24,74 +24,84 @@ def rand(rng, *shape):
     return rng.standard_normal(shape)
 
 
+def sum_node(x, w=None):
+    """Test-local readout node: the sum of every entry of x, weighted by w if given."""
+    w = np.ones(x.shape) if w is None else w
+    return T._result(np.asarray((x.data * w).sum()), (x,),
+                     lambda g, adj: T._acc(adj, x, g * w), "sum")
+
+
+def square_sum(x):
+    """Test-local node: the sum of the squares of x's entries."""
+    return T._result(np.asarray((x.data * x.data).sum()), (x,),
+                     lambda g, adj: T._acc(adj, x, 2.0 * g * x.data), "square_sum")
+
+
+def unit_rows_node(x):
+    """Test-local node: `tower`'s unit-row scaling, forward and backward, on its own."""
+    out, denom = T._unit_rows(x.data, T._NORM_EPS)
+    return T._result(out, (x,), lambda g, adj: T._acc(adj, x, T._unit_rows_bw(x.data, denom, g)),
+                     "unit_rows")
+
+
 # -- closed forms ---------------------------------------------------------------
 
 
-def test_matmul_identity_returns_operand():
-    rng = np.random.default_rng(0)
-    b = rand(rng, 3, 5)
-    out = T.matmul(T.Tensor(np.eye(3)), T.Tensor(b))
-    np.testing.assert_array_equal(out.data, b)
-
-
 def test_row_l2_normalize_three_four_five_triangle():
-    out = T.row_l2_normalize(T.Tensor([[3.0, 4.0]]))
-    np.testing.assert_allclose(out.data, [[0.6, 0.8]], atol=1e-9)
+    out, _ = T._unit_rows(np.array([[3.0, 4.0]]), T._NORM_EPS)
+    np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-9)
 
 
 def test_row_l2_normalize_unit_norm_rows():
     rng = np.random.default_rng(1)
-    x = rand(rng, 10, 7)
-    out = T.row_l2_normalize(T.Tensor(x))
-    np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-9)
+    out, _ = T._unit_rows(rand(rng, 10, 7), T._NORM_EPS)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
 
 
 def test_sum_of_squares_gradient():
     x = leaf("x", [[1.0, 2.0, 3.0]])
-    loss = T.sum_all(T.rowwise_dot(x, x))
-    grads = T.backward(loss, [x])
+    grads = T.backward(square_sum(x), [x])
     np.testing.assert_allclose(grads["x"], [[2.0, 4.0, 6.0]], atol=1e-12)
 
 
 def test_detached_parameter_gets_zero_gradient():
     x = leaf("x", [[1.0, 2.0]])
     unused = leaf("unused", [[5.0]])
-    grads = T.backward(T.sum_all(x), [x, unused])
+    grads = T.backward(sum_node(x), [x, unused])
     np.testing.assert_array_equal(grads["unused"], np.zeros((1, 1)))
     np.testing.assert_array_equal(grads["x"], np.ones((1, 2)))
 
 
 def test_softplus_matches_reference():
-    x = T.Tensor([[-700.0, -1.0, 0.0, 1.0, 700.0]])
-    np.testing.assert_allclose(
-        T.softplus(x).data, np.logaddexp(0.0, x.data), atol=0
-    )
+    # clap_loss's order term, one margin at a time, out to where exp(-margin) nears overflow
+    for m in (-700.0, -1.0, 0.0, 1.0, 700.0):
+        value, _ = T._order_term(np.array([m]), "sum")
+        assert value == np.logaddexp(0.0, -m)
 
 
 def test_log_sum_exp_matches_reference_and_is_shift_stable():
+    # clap_loss's contrastive term: the mean of both directions' log-sum-exp less
+    # the diagonal, unchanged by a shift of every logit that would overflow exp
     rng = np.random.default_rng(4)
-    x = rand(rng, 5, 9)
-    ref = np.log(np.exp(x).sum(axis=1))
-    np.testing.assert_allclose(T.log_sum_exp(T.Tensor(x)).data, ref, atol=1e-12)
-    big = T.log_sum_exp(T.Tensor(x + 1000.0)).data
-    np.testing.assert_allclose(big, ref + 1000.0, atol=1e-9)
+    x = rand(rng, 5, 5)
+    lse_rows, lse_cols = np.log(np.exp(x).sum(axis=1)), np.log(np.exp(x).sum(axis=0))
+    want = 0.5 * (np.mean(lse_rows - np.diagonal(x)) + np.mean(lse_cols - np.diagonal(x)))
+    for shift in (0.0, 1000.0):
+        value, grad = T._contrastive(x + shift)
+        assert value == pytest.approx(want, abs=1e-9)
+        assert abs(grad.sum()) < 1e-12  # each softmax sums to one, as the identity does
 
 
-# -- finite differences, one kernel at a time -----------------------------------
+# -- finite differences, one op at a time -----------------------------------------
 
-# Each entry builds a scalar from a fresh leaf; a fixed random readout matrix
+# Each entry builds a scalar from fresh leaves; a fixed random readout matrix
 # makes every output coordinate matter, so a wrong adjoint anywhere shows up.
 
 
 def readout2d(rng, out):
     # derive the weights from the shape, not from rng: finite_diff_check calls
     # the graph builder repeatedly and the readout must be identical each time
-    w = T.Tensor(np.random.default_rng(list(out.shape)).standard_normal(out.shape))
-    return T.sum_all(T.rowwise_dot(out, w))
-
-
-def readout1d(rng, out):
-    return T.add(T.sum_all(out), T.scale(T.mean_all(out), 0.3))
+    return sum_node(out, np.random.default_rng(list(out.shape)).standard_normal(out.shape))
 
 
 CASES = {}
@@ -105,100 +115,48 @@ def case(name):
     return deco
 
 
-@case("matmul")
-def _(rng, p):
-    a = p("a", rand(rng, 7, 5))
-    b = p("b", rand(rng, 5, 4))
-    return lambda: readout2d(rng, T.matmul(a, b))
-
-
-@case("transpose")
-def _(rng, p):
-    x = p("x", rand(rng, 6, 3))
-    return lambda: readout2d(rng, T.transpose(x))
-
-
-@case("add")
-def _(rng, p):
-    a = p("a", rand(rng, 4, 4))
-    b = p("b", rand(rng, 4, 4))
-    return lambda: readout2d(rng, T.add(a, b))
-
-
-@case("sub")
-def _(rng, p):
-    a = p("a", rand(rng, 4, 6))
-    b = p("b", rand(rng, 4, 6))
-    return lambda: readout2d(rng, T.sub(a, b))
-
-
-@case("mean_all")
-def _(rng, p):
-    x = p("x", rand(rng, 5, 5))
-    return lambda: T.mean_all(x)
-
-
-@case("sum_all")
-def _(rng, p):
-    x = p("x", rand(rng, 5, 5))
-    return lambda: T.sum_all(x)
-
-
-@case("scale")
-def _(rng, p):
-    x = p("x", rand(rng, 6, 6))
-    return lambda: readout2d(rng, T.scale(x, -1.7))
-
-
-@case("mul_scalar")
-def _(rng, p):
-    x = p("x", rand(rng, 6, 6))
-    s = p("s", 0.37)
-    return lambda: readout2d(rng, T.mul_scalar(x, s))
-
-
-@case("exp")
-def _(rng, p):
-    x = p("x", 0.5 * rand(rng, 6, 4))
-    return lambda: readout2d(rng, T.exp(x))
-
-
-@case("softplus")
-def _(rng, p):
-    x = p("x", rand(rng, 7, 3))
-    return lambda: readout2d(rng, T.softplus(x))
-
-
 @case("row_l2_normalize")
 def _(rng, p):
     x = p("x", rand(rng, 8, 6) + 0.1)
-    return lambda: readout2d(rng, T.row_l2_normalize(x))
+    return lambda: readout2d(rng, unit_rows_node(x))
+
+
+def helper_node(helper, x, *args):
+    """Test-local node around one of clap_loss's numpy helpers, which return a
+    value and its gradient."""
+    value, grad = helper(x.data, *args)
+    return T._result(np.asarray(value), (x,), lambda g, adj: T._acc(adj, x, g * grad), "helper")
 
 
 @case("log_sum_exp")
 def _(rng, p):
-    x = p("x", rand(rng, 8, 8))
-    return lambda: readout1d(rng, T.log_sum_exp(x))
+    # the contrastive term: both directions' log-sum-exp less the diagonal
+    x = p("x", 2.0 * rand(rng, 6, 6))
+    return lambda: helper_node(T._contrastive, x)
 
 
-@case("gather_rows")
+@case("softplus")
 def _(rng, p):
-    e = p("e", rand(rng, 10, 4))
-    ids = rng.integers(0, 10, size=15)
-    return lambda: readout2d(rng, T.gather_rows(e, ids))
+    # the order term: softplus(-margin), summed
+    x = p("x", 2.0 * rand(rng, 9))
+    return lambda: helper_node(T._order_term, x, "sum")
 
 
-@case("diag_part")
-def _(rng, p):
-    x = p("x", rand(rng, 7, 7))
-    return lambda: readout1d(rng, T.diag_part(x))
+def clap_case(reduction, temperature_in_lt, rows):
+    def build(rng, p):
+        n = 7
+        audio = p("audio", 0.6 * rand(rng, n, 4))
+        text = p("text", 0.6 * rand(rng, n + len(rows), 4))
+        log_t = p("log_t", 0.4)
+        return lambda: T.clap_loss(audio, text, log_t, rows, 0.7, reduction, temperature_in_lt)[0]
+
+    return build
 
 
-@case("rowwise_dot")
-def _(rng, p):
-    a = p("a", rand(rng, 9, 4))
-    b = p("b", rand(rng, 9, 4))
-    return lambda: readout1d(rng, T.rowwise_dot(a, b))
+for _reduction, _temperature, _rows in itertools.product(("mean", "sum"), (False, True),
+                                                         ((), (0, 2, 3, 6))):
+    case(f"clap_loss-{_reduction}-{'temp' if _temperature else 'notemp'}-"
+         f"{'rows' if _rows else 'norows'}")(clap_case(_reduction, _temperature, _rows))
 
 
 TOWER_LENGTHS = [3, 1, 4, 3]  # ragged, and one length twice but not side by side
@@ -269,7 +227,7 @@ def test_kernel_backward_matches_finite_differences(kernel):
 
 def test_quadratic_finite_diff_is_exact_to_roundoff():
     x = leaf("x", [[2.0, -3.0, 0.5]])
-    err = T.finite_diff_check(lambda ps: T.sum_all(T.rowwise_dot(ps["x"], ps["x"])), {"x": x})
+    err = T.finite_diff_check(lambda ps: square_sum(ps["x"]), {"x": x})
     assert err < 1e-8
 
 
@@ -283,17 +241,23 @@ def test_constant_function_has_zero_error():
 
 
 def test_backward_reuses_node_without_double_count():
-    # y = x + x must give dy/dx = 2, the classic fan-out accumulation case
-    x = leaf("x", [[3.0]])
-    grads = T.backward(T.sum_all(T.add(x, x)), [x])
-    np.testing.assert_array_equal(grads["x"], [[2.0]])
+    # one tower node as both of clap_loss's inputs must give the gradient of two
+    # towers over the same leaves: its adjoints add up, and it runs backward once
+    inputs, leaves = tower_leaves(np.random.default_rng(8), leaf)
+    log_t = leaf("log_t", 0.2)
+    out = T.tower(inputs, *leaves, TOWER_LENGTHS)
+    shared = T.backward(T.clap_loss(out, out, log_t, (), 1.0)[0], leaves)
+    twins = [T.tower(inputs, *leaves, TOWER_LENGTHS) for _ in range(2)]
+    apart = T.backward(T.clap_loss(*twins, log_t, (), 1.0)[0], leaves)
+    for name in TOWER_NAMES:
+        np.testing.assert_allclose(shared[name], apart[name], rtol=1e-12, atol=1e-15)
 
 
 def test_backward_deterministic_bit_identical():
     def build():
         inputs, leaves = tower_leaves(np.random.default_rng(7), leaf)
         out = T.tower(inputs, *leaves, TOWER_LENGTHS)
-        return T.backward(T.mean_all(T.matmul(out, T.transpose(out))), leaves)
+        return T.backward(T.clap_loss(out, out, leaf("log_t", 0.0), (), 1.0)[0], leaves)
 
     g1, g2 = build(), build()
     assert all(np.array_equal(g1[k], g2[k]) for k in g1)
@@ -302,13 +266,13 @@ def test_backward_deterministic_bit_identical():
 def test_backward_requires_scalar_loss():
     x = leaf("x", [[1.0, 2.0]])
     with pytest.raises(ShapeError):
-        T.backward(T.exp(x), [x])
+        T.backward(unit_rows_node(x), [x])
 
 
 def test_backward_requires_named_parameters():
     x = T.Tensor([[1.0]], requires_grad=True)
     with pytest.raises(ShapeError):
-        T.backward(T.sum_all(x), [x])
+        T.backward(sum_node(x), [x])
 
 
 def test_tower_matches_plain_numpy_per_sequence():
@@ -366,8 +330,14 @@ def test_tower_fold_is_invariant_to_where_the_lookup_happens():
 
 def test_adjoint_shapes_match_primals():
     inputs, leaves = tower_leaves(np.random.default_rng(9), leaf)
-    grads = T.backward(T.sum_all(T.tower(inputs, *leaves, TOWER_LENGTHS)), leaves)
+    grads = T.backward(sum_node(T.tower(inputs, *leaves, TOWER_LENGTHS)), leaves)
     assert [grads[t.name].shape for t in leaves] == [t.shape for t in leaves]
+
+
+def clap(n, text_rows, width=3, rows=(), log_t=0.0):
+    """clap_loss on n audio rows and text_rows text rows of ones."""
+    return T.clap_loss(T.Tensor(np.ones((n, 3))), T.Tensor(np.ones((text_rows, width))),
+                       T.Tensor(log_t), rows, 1.0)
 
 
 def tower_args(rows=5, cols=2, width=2):
@@ -383,17 +353,17 @@ def tower_args(rows=5, cols=2, width=2):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3)))),
-        lambda: T.add(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones((2, 3)))),
+        lambda: clap(2, 2, rows=(0,)),  # no reversed caption row for the flagged row
+        lambda: clap(2, 2, width=4),  # text rows wider than audio rows
         lambda: T.tower(*tower_args(), [2, 2]),  # lengths do not tile the 5 rows
         lambda: T.tower(*tower_args(), [3, 0, 2]),  # a zero length
-        lambda: T.diag_part(T.Tensor(np.ones((2, 3)))),
-        lambda: T.rowwise_dot(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones((2, 3)))),
+        lambda: clap(2, 2, log_t=np.zeros(1)),  # a temperature that is not a scalar
+        lambda: clap(2, 3, rows=(2,)),  # a flagged row past the batch
         lambda: T.tower(*tower_args(), [4, 1]),  # longer than the positional table
         lambda: T.tower(*tower_args(rows=0), []),
-        lambda: T.gather_rows(T.Tensor(np.ones((2, 2))), [0, 2]),
-        lambda: T.mul_scalar(T.Tensor(np.ones((2, 2))), T.Tensor(np.ones(2))),
-        lambda: T.row_l2_normalize(T.Tensor(np.ones((2, 2))), eps=0.0),
+        lambda: clap(3, 5, rows=(1, 0)),  # flagged rows out of order
+        lambda: T.clap_loss(T.Tensor(np.ones(3)), T.Tensor(np.ones((1, 3))), T.Tensor(0.0), (), 1.0),
+        lambda: clap(0, 0),  # an empty batch
         lambda: T.tower(*tower_args(width=3), [3, 2]),  # table wider than w1
         lambda: T.tower(np.ones(5), *tower_args()[1:], [3, 2]),  # 1-d inputs
         lambda: T.tower(*tower_args(cols=3)[:1], *tower_args()[1:], [3, 2]),  # 3 columns, 2 table rows
@@ -406,8 +376,8 @@ def test_shape_errors(build):
 
 
 def test_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
+        clap(2, 2, width=4)
 
 
 def test_non_finite_input_rejected():
@@ -416,6 +386,6 @@ def test_non_finite_input_rejected():
 
 
 def test_non_finite_result_rejected():
-    with pytest.raises(NumericError):
-        T.exp(T.Tensor([[1000.0]]))
+    with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+        clap(2, 2, log_t=1000.0)  # exp(1000) overflows
 

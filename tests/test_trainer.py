@@ -12,7 +12,7 @@ import pytest
 import tinyclap.tensor as T
 from tinyclap import trainer as tr
 from tinyclap.corpus import build_catalog, build_mixed_dataset
-from tinyclap.encoders import EncoderConfig, ModelParams, TextVocab, build_vocab
+from tinyclap.encoders import EncoderConfig, ModelParams, TextVocab, build_vocab, init_params
 from tinyclap.errors import EmptyPool, FormatError, InvalidConfig, NumericError
 from tinyclap.losses import LossConfig
 
@@ -277,6 +277,29 @@ def test_parameters_and_moments_live_in_flat_vectors(corpora, tiny_encoder, tmp_
         grads = {name: np.ones_like(p.data) for name, p in loaded.params.named().items()}
         tr.adam_step(loaded.params, grads, loaded.optimizer, lr=1e-3)
     assert_packed(loaded.params, loaded.optimizer)
+
+
+def test_training_step_graph_is_two_towers_and_one_loss(corpora, tiny_encoder):
+    primary, temporal = corpora
+    params = init_params(tiny_encoder, build_vocab(list(corpora)), seed=0)
+    records, mask = tr.compose_batch(list(primary.records), list(temporal.records), 8, 0.25,
+                                     np.random.default_rng(0))
+    assert any(mask)
+    breakdown = tr.train_loss(tr.forward_batch(params, records, mask), LossConfig(),
+                              params["log_temperature"])
+    seen, stack = {}, [breakdown.l_train]
+    while stack:
+        node = stack.pop()
+        if node._uid not in seen:
+            seen[node._uid] = node
+            stack.extend(node._parents)
+    assert len(seen) == 3 + 13 and len([n for n in seen.values() if n._parents]) == 3
+    assert {n.name for n in seen.values() if not n._parents} == set(params.named())
+    audio, text, log_t = breakdown.l_train._parents  # the clap_loss node's
+    assert log_t is params["log_temperature"]
+    for node, tower, table in ((audio, "audio", "proj"), (text, "text", "embed")):
+        names = [f"{tower}.{k}" for k in (table, "pos", "w1", "b1", "w2", "b2")]
+        assert [p.name for p in node._parents] == names
 
 
 # -- config validation -----------------------------------------------------------
