@@ -106,7 +106,7 @@ def t_classify_from_embeddings(audio, text_pos, text_neg) -> float:
 @dataclass(frozen=True)
 class EvalEmbeddings:
     """One embedding pass over a test set, kept as plain arrays: a live tower
-    node would keep its closure, and with it the hidden layer, alive."""
+    node would keep its closure, and with it the relu mask and a piece buffer."""
 
     audio: np.ndarray  # N x D, each record's clip
     text: np.ndarray  # N x D, each record's caption

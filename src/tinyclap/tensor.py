@@ -30,7 +30,7 @@ _FD_KINK_RTOL = 1e-3  # one-sided slopes further apart than this may straddle a 
 _FD_ROUNDOFF = 1e-14  # bound on the rounding error of one loss value
 _FD_EPS_MIN = 1e-10  # smallest step a kink shrinks the central difference to
 _NORM_EPS = 1e-8  # zero guard of the unit-row scaling
-_CHUNK_ROWS = 4096  # most hidden-layer rows `tower` holds at once in its forward
+_PIECE_BYTES = 512 * 1024  # most hidden-layer bytes `tower` works on at once, in L2
 
 
 _uid_counter = itertools.count()
@@ -125,12 +125,14 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     linear, so it runs folded: inputs @ (table @ w1) plus the row's position
     in pos[:L] @ w1 + b1. The rows are laid out by sequence length (a stable
     sort; no rows move when the lengths never fall), so each length's
-    sequences form one k x n x h slab of the hidden layer; the positional
-    add, the pool and the backward's per-position sums run on those slabs.
-    The forward fills one buffer with pieces of at most _CHUNK_ROWS slab rows
-    and keeps only their relu mask, so the hidden layer it holds does not
-    grow with the batch. Rows come out in input order; the backward is
-    closed-form and reaches the six parameters.
+    sequences form one k x n x h slab of the hidden layer. Both directions
+    walk the same pieces of whole sequences of one length, at most
+    _PIECE_BYTES of hidden rows each, through one buffer, so a piece and its
+    relu mask stay in a core's L2 from one pass to the next: the forward
+    builds a piece, adds positions, pools it and keeps its mask; the
+    closed-form backward writes the piece's adjoint (mask times sequence
+    adjoint) there, then adds its per-position sums and its inputs' product
+    with it. No pass spans the hidden layer; rows come out in input order.
     """
     x = np.asarray(inputs, dtype=DEFAULT_DTYPE)
     if x.ndim != 2:
@@ -147,29 +149,29 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
         raise ShapeError(f"tower lengths {lengths} do not split {x.shape[0]} rows into "
                          f"sequences of 1 to {pos.shape[0]} positions")
     order = np.argsort(lens, kind="stable")
+    ranked = lens[order]
+    rows = np.concatenate(([0], np.cumsum(ranked)))  # each sequence's first row, sorted
     if (np.diff(lens) < 0).any():  # each row moves as far as its sequence's start does
-        shift = np.cumsum(lens)[order] - np.cumsum(lens[order])
-        x = x[np.arange(x.shape[0]) + np.repeat(shift, lens[order])]
-    sizes, counts = np.unique(lens, return_counts=True)
-    slabs = [(int(n), order[s - k : s], slice(r - k * n, r))  # (n, its sequences, its rows)
-             for n, k, s, r in zip(sizes, counts, np.cumsum(counts), np.cumsum(sizes * counts))]
-    top = int(sizes[-1])
+        x = x[np.arange(x.shape[0]) + np.repeat(np.cumsum(lens)[order] - rows[1:], ranked)]
+    sizes, firsts = np.unique(ranked, return_index=True)  # each length's first sequence
+    per = max(1, _PIECE_BYTES // (x.itemsize * h))  # hidden rows per piece
+    cuts = [i for n, a, b in zip(sizes, firsts, np.append(firsts[1:], lens.size))
+            for i in range(a, b, max(1, per // n))] + [lens.size]
+    pieces = [(int(ranked[a]), order[a:b], slice(rows[a], rows[b]))  # whole sequences of one length
+              for a, b in zip(cuts, cuts[1:])]
 
     w1_folded = table.data @ w1.data
-    pos_b1 = pos.data[:top] @ w1.data + b1.data
+    pos_b1 = pos.data[: ranked[-1]] @ w1.data + b1.data
     pooled = np.empty((lens.size, h))
     active = np.empty((x.shape[0], h), dtype=bool)
-    piece = np.empty((min(x.shape[0], max(_CHUNK_ROWS, top)), h))  # holds every piece in turn
-    for n, seqs, rows in slabs:
-        step = max(1, _CHUNK_ROWS // n)  # sequences per piece
-        for i in range(0, seqs.size, step):
-            part = slice(rows.start + i * n, rows.start + min(i + step, seqs.size) * n)
-            z = np.matmul(x[part], w1_folded, out=piece[: part.stop - part.start])
-            slab = z.reshape(-1, n, h)
-            slab += pos_b1[:n]
-            np.maximum(slab, 0.0, out=slab)
-            pooled[seqs[i : i + step]] = slab.mean(axis=1)
-            np.greater(z, 0.0, out=active[part])  # relu(z) > 0 exactly where z > 0
+    buf = np.empty((max(p.stop - p.start for _, _, p in pieces), h))  # holds every piece in turn
+    for n, seqs, part in pieces:
+        z = np.matmul(x[part], w1_folded, out=buf[: part.stop - part.start])
+        slab = z.reshape(-1, n, h)
+        slab += pos_b1[:n]
+        np.maximum(slab, 0.0, out=slab)
+        pooled[seqs] = slab.mean(axis=1)
+        np.greater(z, 0.0, out=active[part])  # relu(z) > 0 exactly where z > 0
     o = pooled @ w2.data + b2.data
     out_data, denom = _unit_rows(o, _NORM_EPS)
 
@@ -177,16 +179,19 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
         go = _unit_rows_bw(o, denom, g)
         _acc(adj, b2, go.sum(axis=0))
         _acc(adj, w2, pooled.T @ go)
-        gpre = np.repeat(((go @ w2.data.T) / lens[:, None])[order], lens[order], axis=0)
-        gpre *= active
-        g_pos_b1 = np.zeros((top, h))  # adjoint of pos[:top] @ w1 + b1
-        for n, _, rows in slabs:
-            g_pos_b1[:n] += gpre[rows].reshape(-1, n, h).sum(axis=0)
+        g_seq = (go @ w2.data.T) / lens[:, None]  # adjoint of each hidden row of a sequence
+        g_pos_b1 = np.zeros((pos.shape[0], h))  # adjoint of pos @ w1 + b1
+        g_folded = np.zeros((x.shape[1], h))  # adjoint of table @ w1
+        for n, seqs, part in pieces:
+            gpre = buf[: part.stop - part.start]
+            np.copyto(gpre.reshape(-1, n, h), g_seq[seqs][:, None])
+            gpre *= active[part]
+            g_pos_b1[:n] += gpre.reshape(-1, n, h).sum(axis=0)
+            g_folded += x[part].T @ gpre
         _acc(adj, b1, g_pos_b1.sum(axis=0))
-        g_folded = x.T @ gpre  # adjoint of table @ w1
-        _acc(adj, w1, table.data.T @ g_folded + pos.data[:top].T @ g_pos_b1)
+        _acc(adj, w1, table.data.T @ g_folded + pos.data.T @ g_pos_b1)
         _acc(adj, table, g_folded @ w1.data.T)
-        _acc(adj, pos, np.pad(g_pos_b1 @ w1.data.T, ((0, pos.shape[0] - top), (0, 0))))
+        _acc(adj, pos, g_pos_b1 @ w1.data.T)
 
     return _result(out_data, (table, pos, w1, b1, w2, b2), bw, "tower")
 

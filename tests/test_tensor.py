@@ -6,6 +6,8 @@ of closed forms that are exact in 64-bit arithmetic.
 """
 
 import itertools
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -213,7 +215,7 @@ def _(rng, p):
 @pytest.mark.parametrize("kernel", sorted(CASES))
 def test_kernel_backward_matches_finite_differences(kernel):
     for seed in range(3):
-        rng = np.random.default_rng([seed, hash(kernel) % 2**32])
+        rng = np.random.default_rng([seed, zlib.crc32(kernel.encode())])  # same draw in every process
         params = {}
 
         def p(name, data):
@@ -294,20 +296,43 @@ def test_tower_matches_plain_numpy_per_sequence():
 
 
 def test_tower_in_pieces_matches_one_piece_per_slab(monkeypatch):
-    # the forward holds at most _CHUNK_ROWS hidden rows at once; with 4, every
-    # slab of more than one short sequence is split, which moves no output and
-    # no gradient
+    # both directions walk the hidden layer in pieces of at most _PIECE_BYTES;
+    # at 6 rows of 6 units every slab of more than one sequence is split, the
+    # four sequences of length 2 into 3 + 1, which moves no output and no
+    # gradient beyond rounding
     lengths = [5, 1, 2, 5, 3, 2, 2, 5, 4, 4, 2]
     inputs, leaves = tower_leaves(np.random.default_rng(6), leaf, lengths=lengths)
     runs = []
-    for rows in (T._CHUNK_ROWS, 4):
-        monkeypatch.setattr(T, "_CHUNK_ROWS", rows)
+    for budget in (1 << 30, 6 * 6 * 8):
+        monkeypatch.setattr(T, "_PIECE_BYTES", budget)
         out = T.tower(inputs, *leaves, lengths)
         runs.append((out.data, T.backward(readout2d(np.random.default_rng(7), out), leaves)))
     (out_a, grads_a), (out_b, grads_b) = runs
     np.testing.assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-12)
     for name in TOWER_NAMES:
         np.testing.assert_allclose(grads_a[name], grads_b[name], rtol=1e-12, atol=1e-12)
+
+
+def test_tower_holds_no_full_size_hidden_layer():
+    # 64 clips of 40 frames at hidden_dim 192: the hidden layer is 3.93 MB, and
+    # neither direction may allocate half of it beyond what it started with
+    rng = np.random.default_rng(12)
+    inputs = rand(rng, 64 * 40, 16)
+    shapes = [(16, 64), (40, 64), (64, 192), (192,), (192, 64), (64,)]
+    leaves = [leaf(name, 0.1 * rand(rng, *shape)) for name, shape in zip(TOWER_NAMES, shapes)]
+    hidden = inputs.shape[0] * 192 * 8
+    tracemalloc.start()
+    try:
+        out = T.tower(inputs, *leaves, [40] * 64)
+        forward = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out._bw(np.ones(out.shape), {})
+        backward = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert forward < hidden / 2, f"forward peaks at {forward} bytes"
+    assert backward < hidden / 2, f"backward peaks at {backward} bytes"
 
 
 def test_tower_fold_is_invariant_to_where_the_lookup_happens():
