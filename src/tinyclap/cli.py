@@ -245,7 +245,7 @@ def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
         emb = embed_test_set(params, test_records)  # one pass serves both tasks
         tc = order_scores(emb)
         t2a, a2t = recall_at_k(similarity_matrix(emb.audio, emb.text).data, cfg.eval.recall_ks)
-        del emb  # kept alive into the next pass, its rows raise peak RSS by ~5 MB
+        del emb  # kept alive into the next pass, its rows would add to that pass's peak RSS
         zs = zero_shot_classify(params, labeled_records, label_names)
         metrics["t_classify"][name] = tc
         metrics["retrieval"][name] = {"T2A": t2a, "A2T": a2t}

@@ -6,10 +6,11 @@ positions, an output layer, and row L2 normalization. The hidden layer sits
 before the pool; with purely additive positions a plain mean is permutation
 invariant, so the nonlinearity must see positions to make order matter.
 
-A batch is encoded as one graph node per tower: every input's rows go back
-to back, as one-hot token rows or as frames, into one fused `tensor.tower` op
-that embeds them with `text.embed` or `audio.proj`, adds positions, applies
-the hidden layer, pools each sequence, applies the output layer and
+A batch is encoded as one graph node per tower: every input goes back to
+back, as token ids or as frame rows, into one fused `tensor.tower` op that
+embeds them with `text.embed` or `audio.proj`, adds positions, applies the
+hidden layer (once per distinct (token, position) cell for text, once per
+frame for audio), pools each sequence, applies the output layer and
 normalizes. The text node carries the reversed captions after the N
 captions, and `losses.train_loss` reads both nodes whole, so a training
 step's graph is tower, tower, `clap_loss`. Training and evaluation share
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import EmptyInput, InvalidConfig, MissingNegative, SequenceTooLong, ShapeError
+from .errors import EmptyInput, InvalidConfig, MissingNegative, SequenceTooLong
 
 UNK_TOKEN = "<unk>"
 INIT_STD = 0.02
@@ -168,9 +169,9 @@ def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelPara
 def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:
     """Shared batched tower: inputs are token-id lists (text) or T x F arrays (audio).
 
-    All inputs' rows go back to back into one `tower` op, as one-hot rows of
-    the token ids against `text.embed` or as frames against `audio.proj`;
-    rows come out in input order.
+    All inputs go back to back into one `tower` op, as one array of token
+    ids into `text.embed` or as frame rows against `audio.proj`; `tower`
+    checks the ids' range. Rows come out in input order.
     """
     cfg = params.config
     if not inputs:
@@ -183,12 +184,7 @@ def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:
             raise error(f"{tower} input {i} has {len(item)} positions, max is {cfg.max_positions}")
     if tower == "text":
         table = params["text.embed"]
-        ids = np.concatenate([np.asarray(item, dtype=np.int64) for item in inputs])
-        if ids.min() < 0 or ids.max() >= table.shape[0]:
-            raise ShapeError(f"text token ids must be in [0, {table.shape[0]}), "
-                             f"got {ids.min()} to {ids.max()}")
-        rows = np.zeros((ids.size, table.shape[0]))
-        rows[np.arange(ids.size), ids] = 1.0
+        rows = np.concatenate([np.asarray(item, dtype=np.int64) for item in inputs])
     else:
         table = params["audio.proj"]
         rows = np.concatenate(inputs, axis=0)

@@ -1,9 +1,10 @@
 """Dense-array kernel with reverse-mode gradients.
 
 Exactly the ops a training step needs, each with a closed-form backward:
-one fused `tower` per encoder, which takes its inputs as a constant array
-and folds the input table into the first layer, and one `clap_loss` for the
-whole objective; CPU numpy storage only. Every op checks its output for
+one fused `tower` per encoder, which takes its inputs as constant frame rows
+or token ids, folds the input table into the first layer and, for ids, builds
+the hidden layer once per distinct (token, position) cell; and one
+`clap_loss` for the whole objective. CPU numpy storage only. Every op checks its output for
 NaN/Inf and raises NumericError on the spot, so a poisoned value can never
 travel.
 
@@ -30,7 +31,7 @@ _FD_KINK_RTOL = 1e-3  # one-sided slopes further apart than this may straddle a 
 _FD_ROUNDOFF = 1e-14  # bound on the rounding error of one loss value
 _FD_EPS_MIN = 1e-10  # smallest step a kink shrinks the central difference to
 _NORM_EPS = 1e-8  # zero guard of the unit-row scaling
-_PIECE_BYTES = 512 * 1024  # most hidden-layer bytes `tower` works on at once, in L2
+_PIECE_BYTES = 512 * 1024  # most hidden-row or count-row bytes `tower` works on at once, in L2
 
 
 _uid_counter = itertools.count()
@@ -114,40 +115,17 @@ def _unit_rows_bw(x: np.ndarray, denom: np.ndarray, g: np.ndarray) -> np.ndarray
     return g / denom[:, None] - x * (dot / denom**3)[:, None]
 
 
-def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-          b2: Tensor, lengths: Sequence[int] | np.ndarray) -> Tensor:
-    """One encoder tower over sequences packed back to back: sum(lengths) x V -> S x D.
+def _slab_stage(x, lens, w1_folded, pos_b1):
+    """Dense rows' hidden layer pooled per sequence, and its backward.
 
-    Row r of the constant `inputs` is embedded as inputs[r] @ table plus the
-    positional row of its place in its sequence, then relu(z @ w1 + b1) per
-    row, the mean over each sequence's rows, the output layer
-    pooled @ w2 + b2, and the unit scaling of `_unit_rows`. The first layer is
-    linear, so it runs folded: inputs @ (table @ w1) plus the row's position
-    in pos[:L] @ w1 + b1. The rows are laid out by sequence length (a stable
-    sort; no rows move when the lengths never fall), so each length's
-    sequences form one k x n x h slab of the hidden layer. Both directions
-    walk the same pieces of whole sequences of one length, at most
-    _PIECE_BYTES of hidden rows each, through one buffer, so a piece and its
-    relu mask stay in a core's L2 from one pass to the next: the forward
-    builds a piece, adds positions, pools it and keeps its mask; the
-    closed-form backward writes the piece's adjoint (mask times sequence
-    adjoint) there, then adds its per-position sums and its inputs' product
-    with it. No pass spans the hidden layer; rows come out in input order.
+    The rows are laid out by length (a stable sort; none move when the
+    lengths never fall), so each length's sequences are one k x n x h slab.
+    Both directions walk the same pieces of whole sequences of one length,
+    at most _PIECE_BYTES each, through one buffer that stays in L2: the
+    forward builds, pools and masks a piece, the backward writes its adjoint
+    there and adds its per-position sums and its inputs' product with it.
     """
-    x = np.asarray(inputs, dtype=DEFAULT_DTYPE)
-    if x.ndim != 2:
-        raise ShapeError(f"tower needs 2-d inputs, got shape {x.shape}")
-    _need_2d(table, "tower")
-    e, h, d = table.shape[1], b1.data.size, b2.data.size
-    shapes = [t.shape for t in (table, pos, w1, b1, w2, b2)]
-    if shapes != [(x.shape[1], e), pos.shape[:1] + (e,), (e, h), (h,), (h, d), (d,)]:
-        raise ShapeError(f"tower shapes do not chain: inputs {x.shape}, "
-                         f"table/pos/w1/b1/w2/b2 {shapes}")
-    lens = np.asarray(lengths, dtype=np.int64)
-    if (lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != x.shape[0]
-            or lens.max() > pos.shape[0]):
-        raise ShapeError(f"tower lengths {lengths} do not split {x.shape[0]} rows into "
-                         f"sequences of 1 to {pos.shape[0]} positions")
+    h = w1_folded.shape[1]
     order = np.argsort(lens, kind="stable")
     ranked = lens[order]
     rows = np.concatenate(([0], np.cumsum(ranked)))  # each sequence's first row, sorted
@@ -160,8 +138,6 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     pieces = [(int(ranked[a]), order[a:b], slice(rows[a], rows[b]))  # whole sequences of one length
               for a, b in zip(cuts, cuts[1:])]
 
-    w1_folded = table.data @ w1.data
-    pos_b1 = pos.data[: ranked[-1]] @ w1.data + b1.data
     pooled = np.empty((lens.size, h))
     active = np.empty((x.shape[0], h), dtype=bool)
     buf = np.empty((max(p.stop - p.start for _, _, p in pieces), h))  # holds every piece in turn
@@ -172,15 +148,9 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
         np.maximum(slab, 0.0, out=slab)
         pooled[seqs] = slab.mean(axis=1)
         np.greater(z, 0.0, out=active[part])  # relu(z) > 0 exactly where z > 0
-    o = pooled @ w2.data + b2.data
-    out_data, denom = _unit_rows(o, _NORM_EPS)
 
-    def bw(g, adj):
-        go = _unit_rows_bw(o, denom, g)
-        _acc(adj, b2, go.sum(axis=0))
-        _acc(adj, w2, pooled.T @ go)
-        g_seq = (go @ w2.data.T) / lens[:, None]  # adjoint of each hidden row of a sequence
-        g_pos_b1 = np.zeros((pos.shape[0], h))  # adjoint of pos @ w1 + b1
+    def bw(g_seq):
+        g_pos_b1 = np.zeros(pos_b1.shape)  # adjoint of pos[:L] @ w1 + b1
         g_folded = np.zeros((x.shape[1], h))  # adjoint of table @ w1
         for n, seqs, part in pieces:
             gpre = buf[: part.stop - part.start]
@@ -188,6 +158,99 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
             gpre *= active[part]
             g_pos_b1[:n] += gpre.reshape(-1, n, h).sum(axis=0)
             g_folded += x[part].T @ gpre
+        return g_folded, g_pos_b1
+
+    return pooled, bw
+
+
+def _cell_stage(ids, lens, w1_folded, pos_b1):
+    """Token ids' hidden layer pooled per sequence, and its backward.
+
+    A row's hidden layer relu(w1_folded[id] + pos_b1[place]) is built once per
+    distinct (token, place) cell. The forward gathers each sequence's cells,
+    padded to the longest sequence with a zero row, a piece of at most
+    _PIECE_BYTES at a time, and sums them in place order. So a sequence pools
+    to the bits of `_slab_stage`'s mean whatever else is in the batch, which a
+    product with a sequence x cell matrix would not. The backward sums the
+    sequence adjoints per cell with the 0/1 sequence x cell count matrix,
+    masks them, and scatters them into a token x place grid, whose sums over
+    places and over tokens are the adjoints of w1_folded and pos_b1.
+    """
+    top, h = pos_b1.shape  # the longest sequence, the hidden width
+    seq = np.repeat(np.arange(lens.size), lens)  # each row's sequence
+    place = np.arange(ids.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    cells, inv = np.unique(ids * top + place, return_inverse=True)
+    cell_token, cell_place = np.divmod(cells, top)
+    hidden = np.zeros((cells.size + 1, h))  # the last row pads sequences to `top` places
+    z = np.add(w1_folded[cell_token], pos_b1[cell_place], out=hidden[:-1])
+    np.maximum(z, 0.0, out=z)
+    active = z > 0.0  # relu(z) > 0 exactly where z > 0
+    seq_cells = np.full((lens.size, top), cells.size)  # each sequence's cell at each place
+    seq_cells[seq, place] = inv
+    per = max(1, _PIECE_BYTES // (hidden.itemsize * top * h))  # sequences per piece
+    buf = np.empty((min(per, lens.size), top, h))
+    pooled = np.empty((lens.size, h))
+    for a in range(0, lens.size, per):
+        piece = buf[: min(per, lens.size - a)]
+        np.take(hidden, seq_cells[a : a + per], axis=0, out=piece, mode="clip")  # in range; "raise" buffers
+        piece.sum(axis=1, out=pooled[a : a + per])
+    pooled /= lens[:, None]
+
+    def bw(g_seq):
+        count = np.zeros((lens.size, cells.size))
+        count[seq, inv] = 1.0
+        grid = np.zeros((w1_folded.shape[0], top, h))
+        grid[cell_token, cell_place] = (count.T @ g_seq) * active
+        return grid.sum(axis=1), grid.sum(axis=0)
+
+    return pooled, bw
+
+
+def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+          b2: Tensor, lengths: Sequence[int] | np.ndarray) -> Tensor:
+    """One encoder tower over sequences packed back to back: S sequences -> S x D.
+
+    `inputs` is constant: sum(lengths) float rows against `table` (frames) or
+    as many integer ids of its rows (tokens). Each is embedded and added to its
+    place's positional row, then relu(z @ w1 + b1), the mean over each
+    sequence, pooled @ w2 + b2 and `_unit_rows`, with the first layer folded
+    (table @ w1, pos[:L] @ w1 + b1). Only the hidden layer differs by input
+    kind; the rest, backward included, is shared. Rows come out in input order.
+    """
+    x = np.asarray(inputs)
+    ids = x.ndim == 1
+    if ids and not np.issubdtype(x.dtype, np.integer) or x.ndim not in (1, 2):
+        raise ShapeError(f"tower needs 2-d float rows or 1-d integer token ids, "
+                         f"got {x.dtype} of shape {x.shape}")
+    _need_2d(table, "tower")
+    v, e, h, d = table.shape + (b1.data.size, b2.data.size)
+    shapes = [t.shape for t in (table, pos, w1, b1, w2, b2)]
+    if shapes != [(v if ids else x.shape[1], e), pos.shape[:1] + (e,), (e, h), (h,), (h, d), (d,)]:
+        raise ShapeError(f"tower shapes do not chain: inputs {x.shape}, "
+                         f"table/pos/w1/b1/w2/b2 {shapes}")
+    lens = np.asarray(lengths, dtype=np.int64)
+    if (lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != x.shape[0]
+            or lens.max() > pos.shape[0]):
+        raise ShapeError(f"tower lengths {lengths} do not split {x.shape[0]} rows into "
+                         f"sequences of 1 to {pos.shape[0]} positions")
+    if ids and (x.min() < 0 or x.max() >= v):
+        raise ShapeError(f"tower token ids must be in [0, {v}), got {x.min()} to {x.max()}")
+
+    w1_folded = table.data @ w1.data
+    pos_b1 = pos.data[: lens.max()] @ w1.data + b1.data
+    stage = _cell_stage if ids else _slab_stage
+    pooled, hidden_bw = stage(x.astype(np.int64 if ids else DEFAULT_DTYPE, copy=False), lens,
+                              w1_folded, pos_b1)
+    o = pooled @ w2.data + b2.data
+    out_data, denom = _unit_rows(o, _NORM_EPS)
+
+    def bw(g, adj):
+        go = _unit_rows_bw(o, denom, g)
+        _acc(adj, b2, go.sum(axis=0))
+        _acc(adj, w2, pooled.T @ go)
+        g_folded, g_top = hidden_bw((go @ w2.data.T) / lens[:, None])  # per hidden row
+        g_pos_b1 = np.zeros((pos.shape[0], h))  # adjoint of all of pos @ w1 + b1
+        g_pos_b1[: len(g_top)] = g_top
         _acc(adj, b1, g_pos_b1.sum(axis=0))
         _acc(adj, w1, table.data.T @ g_folded + pos.data.T @ g_pos_b1)
         _acc(adj, table, g_folded @ w1.data.T)

@@ -144,7 +144,7 @@ def test_too_long_inputs_rejected(params):
 
 @pytest.mark.parametrize("bad_id", [-1, 7])
 def test_token_id_outside_vocab_rejected(params, bad_id):
-    # a negative id would silently pick the last one-hot column
+    # `tower` rejects it: as an index, a negative id would wrap around to the last table row
     with pytest.raises(ShapeError, match="token ids"):
         E._encode_groups(params, "text", [[1, 2], [3, bad_id]])
 

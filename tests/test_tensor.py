@@ -173,16 +173,18 @@ def onehot(ids, width):
     return rows
 
 
-def tower_leaves(rng, p, one_hot=False, lengths=TOWER_LENGTHS):
-    """Constant inputs (dense rows, or one-hot rows of 6 ids) and the six leaves."""
+def tower_leaves(rng, p, kind="rows", lengths=TOWER_LENGTHS):
+    """Constant inputs (dense rows, or one-hot rows or token ids of 6 ids) and the six leaves."""
     # redraw until every pre-activation is away from the relu kink, where
     # finite differences are wrong
     at = np.concatenate([np.arange(n) for n in lengths])
     rows = at.size
     while True:
-        inputs = onehot(rng.integers(0, 6, size=rows), 6) if one_hot else rand(rng, rows, 6)
+        inputs = rand(rng, rows, 6) if kind == "rows" else rng.integers(0, 6, size=rows)
+        inputs = onehot(inputs, 6) if kind == "onehot" else inputs
         table, pos, w1, b1 = rand(rng, 6, 4), rand(rng, 5, 4), rand(rng, 4, 6), rand(rng, 6)
-        if np.abs((inputs @ table + pos[at]) @ w1 + b1).min() > 0.05:
+        embedded = table[inputs] if kind == "ids" else inputs @ table
+        if np.abs((embedded + pos[at]) @ w1 + b1).min() > 0.05:
             break
     data = (table, pos, w1, b1, rand(rng, 6, 3), rand(rng, 3))
     return inputs, [p(name, v) for name, v in zip(TOWER_NAMES, data)]
@@ -196,7 +198,7 @@ def _(rng, p):
 
 @case("tower_onehot")
 def _(rng, p):
-    inputs, leaves = tower_leaves(rng, p, one_hot=True)
+    inputs, leaves = tower_leaves(rng, p, "onehot")
     return lambda: readout2d(rng, T.tower(inputs, *leaves, TOWER_LENGTHS))
 
 
@@ -208,7 +210,14 @@ def _(rng, p):
 
 @case("tower_falling")
 def _(rng, p):
-    inputs, leaves = tower_leaves(rng, p, one_hot=True, lengths=FALLING_LENGTHS)
+    inputs, leaves = tower_leaves(rng, p, "onehot", FALLING_LENGTHS)
+    return lambda: readout2d(rng, T.tower(inputs, *leaves, FALLING_LENGTHS))
+
+
+@case("tower_ids")
+def _(rng, p):
+    # five sequences over 6 ids: at each of the three seeds two of them share a cell
+    inputs, leaves = tower_leaves(rng, p, "ids", FALLING_LENGTHS)
     return lambda: readout2d(rng, T.tower(inputs, *leaves, FALLING_LENGTHS))
 
 
@@ -282,14 +291,15 @@ def test_tower_matches_plain_numpy_per_sequence():
     # w1; rising, falling, equal and unsorted lengths
     shuffled = list(np.random.default_rng(4).permutation([1, 2, 2, 3, 4, 4, 5, 5, 5]))
     cases = [TOWER_LENGTHS, EQUAL_LENGTHS, FALLING_LENGTHS, FALLING_LENGTHS[::-1], shuffled]
-    for one_hot, lengths in itertools.product((False, True), cases):
-        inputs, leaves = tower_leaves(np.random.default_rng(5), leaf, one_hot, lengths)
+    for kind, lengths in itertools.product(("rows", "onehot", "ids"), cases):
+        inputs, leaves = tower_leaves(np.random.default_rng(5), leaf, kind, lengths)
         table, pos, w1, b1, w2, b2 = (t.data for t in leaves)
         out = T.tower(inputs, *leaves, lengths).data
         assert out.shape == (len(lengths), 3)
         starts = np.cumsum([0] + lengths)
         for i, n in enumerate(lengths):
-            z = inputs[starts[i] : starts[i] + n] @ table + pos[:n]
+            at = inputs[starts[i] : starts[i] + n]
+            z = (table[at] if kind == "ids" else at @ table) + pos[:n]
             hidden = np.maximum(z @ w1 + b1, 0.0)
             o = hidden.mean(axis=0) @ w2 + b2
             np.testing.assert_allclose(out[i], o / np.linalg.norm(o), atol=1e-12)
@@ -335,11 +345,53 @@ def test_tower_holds_no_full_size_hidden_layer():
     assert backward < hidden / 2, f"backward peaks at {backward} bytes"
 
 
+def test_tower_ids_match_one_hot_rows(monkeypatch):
+    # the cell stage against the slab stage fed one-hot rows of the same ids,
+    # the output to the bit (both sum each sequence's hidden rows in place
+    # order): falling, equal, repeated and unsorted lengths; token 2 opens
+    # every sequence, so one cell is shared by all of them; ids stay below 5
+    # of a vocab of 9, so four table rows get no gradient; and pooling in one
+    # piece and in pieces of one sequence
+    rng = np.random.default_rng(13)
+    shapes = [(9, 4), (6, 4), (4, 6), (6,), (6, 3), (3,)]
+    leaves = [leaf(name, rand(rng, *shape)) for name, shape in zip(TOWER_NAMES, shapes)]
+    for lengths in (FALLING_LENGTHS, EQUAL_LENGTHS, TOWER_LENGTHS, [2, 5, 2, 6, 1, 2]):
+        ids = rng.integers(0, 5, size=sum(lengths))
+        ids[np.cumsum([0] + lengths[:-1])] = 2
+        dense = T.tower(onehot(ids, 9), *leaves, lengths)
+        want = T.backward(readout2d(rng, dense), leaves)
+        assert not want["table"][5:].any()
+        for budget in (1 << 30, 1):
+            monkeypatch.setattr(T, "_PIECE_BYTES", budget)
+            out = T.tower(ids, *leaves, lengths)
+            np.testing.assert_array_equal(out.data, dense.data)
+            grads = T.backward(readout2d(rng, out), leaves)
+            for name in TOWER_NAMES:
+                np.testing.assert_allclose(grads[name], want[name], rtol=1e-12, atol=1e-12)
+
+
+def test_tower_ids_hold_no_one_hot_rows():
+    # an evaluation call: 1,000 captions of 13 to 18 tokens of a 35-token vocab
+    # at hidden_dim 192, where one-hot rows of the ids alone would take ~4.3 MB
+    rng = np.random.default_rng(14)
+    lengths = rng.integers(13, 19, size=1000)
+    ids = rng.integers(0, 35, size=lengths.sum())
+    shapes = [(35, 64), (18, 64), (64, 192), (192,), (192, 64), (64,)]
+    leaves = [leaf(name, 0.1 * rand(rng, *shape)) for name, shape in zip(TOWER_NAMES, shapes)]
+    tracemalloc.start()
+    try:
+        T.tower(ids, *leaves, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ids.size * 35 * 8, f"forward peaks at {peak} bytes"
+
+
 def test_tower_fold_is_invariant_to_where_the_lookup_happens():
     # one-hot rows against the table, or the looked-up rows against the identity
     rng = np.random.default_rng(11)
     ids = rng.integers(0, 6, size=sum(TOWER_LENGTHS))
-    _, leaves = tower_leaves(rng, leaf, one_hot=True)
+    _, leaves = tower_leaves(rng, leaf, "onehot")
     table, rest = leaves[0], leaves[1:]
     eye = leaf("table", np.eye(table.shape[1]))
     results = []
@@ -372,6 +424,11 @@ def tower_args(rows=5, cols=2, width=2):
     return [np.ones((rows, cols))] + [T.Tensor(np.ones(shape)) for shape in shapes]
 
 
+def tower_ids(ids, width=2):
+    """tower_args with token ids of its 2-row table in place of the rows."""
+    return [np.asarray(ids)] + tower_args(width=width)[1:]
+
+
 # -- error surface ----------------------------------------------------------------
 
 
@@ -393,6 +450,14 @@ def tower_args(rows=5, cols=2, width=2):
         lambda: T.tower(np.ones(5), *tower_args()[1:], [3, 2]),  # 1-d inputs
         lambda: T.tower(*tower_args(cols=3)[:1], *tower_args()[1:], [3, 2]),  # 3 columns, 2 table rows
         lambda: T.tower(*tower_args(rows=6), [3, 2]),  # 6 input rows, lengths sum to 5
+        lambda: T.tower(*tower_ids([0, 1, -1, 0, 1]), [3, 2]),  # a negative id would wrap around
+        lambda: T.tower(*tower_ids([0, 1, 2, 0, 1]), [3, 2]),  # an id past the 2-row table
+        lambda: T.tower(*tower_ids([0.0, 1.0, 1.0, 0.0, 1.0]), [3, 2]),  # float ids
+        lambda: T.tower(*tower_ids(np.ones(5, dtype=bool)), [3, 2]),  # bool ids
+        lambda: T.tower(*tower_ids(np.int64(1)), [1]),  # 0-d ids
+        lambda: T.tower(*tower_ids([0, 1, 1, 0, 1]), [2, 2]),  # lengths do not tile the 5 ids
+        lambda: T.tower(*tower_ids([0, 1, 1, 0, 1]), [4, 1]),  # longer than the positional table
+        lambda: T.tower(*tower_ids([0, 1, 1, 0, 1], width=3), [3, 2]),  # table wider than w1
     ],
 )
 def test_shape_errors(build):
