@@ -6,14 +6,14 @@ positions, an output layer, and row L2 normalization. The hidden layer sits
 before the pool; with purely additive positions a plain mean is permutation
 invariant, so the nonlinearity must see positions to make order matter.
 
-A batch is encoded as one graph node per tower: every input goes back to
-back, as token ids or as frame rows, into one fused `tensor.tower` op that
+A batch is encoded as one op per tower: every input goes back to back,
+as token ids or as frame rows, into one fused `tensor.tower` op that
 embeds them with `text.embed` or `audio.proj`, adds positions, applies the
 hidden layer (once per distinct (token, position) cell for text, once per
 frame for audio), pools each sequence, applies the output layer and
-normalizes. The text node carries the reversed captions after the N
-captions, and `losses.train_loss` reads both nodes whole, so a training
-step's graph is tower, tower, `clap_loss`. Training and evaluation share
+normalizes. The text output carries the reversed captions after the N
+captions, and `losses.train_loss` reads both outputs whole, so a training
+step is tower, tower, `clap_loss`. Training and evaluation share
 this forward pass. Every parameter's data is a view of one float64 vector,
 `ModelParams.flat`.
 """
@@ -208,9 +208,9 @@ class BatchEmbeddings:
 
 
 def forward_batch(params: ModelParams, records, temporal_mask) -> BatchEmbeddings:
-    """Embed a batch of records, one tower node each for text and audio; rows
+    """Embed a batch of records, one tower op each for text and audio; rows
     flagged in temporal_mask also embed their order-reversed caption, after
-    the N captions in the text node."""
+    the N captions in the text output."""
     records = list(records)
     mask = list(temporal_mask)
     if not records:

@@ -106,7 +106,7 @@ def t_classify_from_embeddings(audio, text_pos, text_neg) -> float:
 @dataclass(frozen=True)
 class EvalEmbeddings:
     """One embedding pass over a test set, kept as plain arrays: a live tower
-    node would keep its closure, and with it the relu mask and a piece buffer."""
+    output would keep its closure, and with it the relu mask and a piece buffer."""
 
     audio: np.ndarray  # N x D, each record's clip
     text: np.ndarray  # N x D, each record's caption
@@ -118,7 +118,7 @@ class EvalEmbeddings:
 def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
     """Every test input through its tower once: the captions and their
     reversals in one text pass, the clips in one audio pass, then the
-    reversed clips. Each pass keeps only its rows, so one tower node, with
+    reversed clips. Each pass keeps only its rows, so one tower output, with
     the arrays its backward would use, is alive at a time."""
     records = list(records)
     if not records:

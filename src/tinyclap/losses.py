@@ -13,7 +13,7 @@ margin grows.
 
 Combined: total = contrastive + lambda_l * order_term, same arithmetic as
 printed so the breakdown fields reconcile exactly. Training builds the whole
-objective as one `tensor.clap_loss` node with a closed-form backward;
+objective as one `tensor.clap_loss` op with a closed-form backward;
 `contrastive_loss` and `temporal_loss` are its two terms' forward closed
 forms on plain arrays, and `similarity_matrix` is the plain product of the
 unit rows the towers return.
@@ -60,8 +60,8 @@ def _array(x) -> np.ndarray:
 
 def similarity_matrix(audio_emb, text_emb) -> T.Tensor:
     """Every audio row against every text row: N x M, entry ij = audio_i . text_j,
-    the cosine similarity for the unit rows the towers return. A constant, no
-    graph node."""
+    the cosine similarity for the unit rows the towers return. A constant,
+    with no gradient closure."""
     ea, et = _array(audio_emb), _array(text_emb)
     if ea.ndim != 2 or et.ndim != 2 or ea.shape[1] != et.shape[1]:
         raise ShapeError(f"similarity needs N x D and M x D, got {ea.shape} and {et.shape}")
@@ -95,7 +95,7 @@ def temporal_loss(audio_emb, text_pos, text_neg, reduction: str = "mean",
 
 def train_loss(batch, config: LossConfig, log_temperature) -> LossBreakdown:
     """Full-batch contrastive term plus the order term over flagged rows, as one
-    `clap_loss` node: `batch.text` holds the N captions, then the reversed
+    `clap_loss` op: `batch.text` holds the N captions, then the reversed
     caption of each of `batch.temporal_rows`."""
     log_t = log_temperature if isinstance(log_temperature, T.Tensor) else T.Tensor(log_temperature)
     l_train, l_c, l_t = T.clap_loss(batch.audio, batch.text, log_t, batch.temporal_rows,

@@ -8,16 +8,15 @@ the hidden layer once per distinct (token, position) cell; and one
 NaN/Inf and raises NumericError on the spot, so a poisoned value can never
 travel.
 
-Graph convention (micrograd style): each op returns a fresh Tensor holding
-references to its parents and a closure that pushes adjoints into an
-accumulator dict. ``backward`` replays the closures in exact reverse
-creation order, which is a valid topological order because an op's inputs
-always exist before its output.
+Gradient convention: an op's output holds one closure that maps its adjoint
+to (parameter, gradient) pairs, pulled from its inputs by `_pull`. A
+parameter holds the mark _LEAF, as a closure over itself would be a
+reference cycle that outlives `del` until the cyclic collector runs; a
+constant holds neither. ``backward`` is one call plus a per-parameter sum.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,26 +31,25 @@ _FD_ROUNDOFF = 1e-14  # bound on the rounding error of one loss value
 _FD_EPS_MIN = 1e-10  # smallest step a kink shrinks the central difference to
 _NORM_EPS = 1e-8  # zero guard of the unit-row scaling
 _PIECE_BYTES = 512 * 1024  # most hidden-row or count-row bytes `tower` works on at once, in L2
-
-
-_uid_counter = itertools.count()
+_LEAF = object()  # a parameter's `_grads`
 
 
 class Tensor:
-    """A node in the computation graph: numpy payload plus backward hook."""
+    """A numpy payload; a parameter or an op's output also leads to gradients."""
 
-    __slots__ = ("data", "requires_grad", "name", "_parents", "_bw", "_uid")
+    __slots__ = ("data", "name", "_grads")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         arr = np.asarray(data, dtype=DEFAULT_DTYPE)
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite values in tensor {name or '<anon>'}")
         self.data = arr
-        self.requires_grad = requires_grad
         self.name = name
-        self._parents: tuple[Tensor, ...] = ()
-        self._bw: Callable[[np.ndarray, dict[int, np.ndarray]], None] | None = None
-        self._uid = next(_uid_counter)
+        self._grads = None  # _LEAF, an op's closure, or None for a constant
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._grads is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -66,34 +64,30 @@ class Tensor:
 
 
 def parameter(name: str, data) -> Tensor:
-    return Tensor(data, requires_grad=True, name=name)
+    leaf = Tensor(data, name=name)
+    leaf._grads = _LEAF
+    return leaf
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor], bw, op: str) -> Tensor:
+def _result(data: np.ndarray, parents: Sequence[Tensor], grads, op: str) -> Tensor:
     if not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite result from {op}")
     out = Tensor.__new__(Tensor)
-    out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
-    out.name = None
-    out._uid = next(_uid_counter)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._bw = bw
-    else:
-        out._parents = ()
-        out._bw = None
+    out.data, out.name = data, None
+    out._grads = grads if any(p.requires_grad for p in parents) else None
     return out
 
 
-def _acc(adjoints: dict[int, np.ndarray], node: Tensor, g: np.ndarray) -> None:
-    if not node.requires_grad:
-        return
-    key = node._uid
-    if key in adjoints:
-        adjoints[key] += g
-    else:
-        adjoints[key] = np.array(g, dtype=node.data.dtype, copy=True)
+def _pull(*inputs: tuple[Tensor, np.ndarray]) -> list[tuple[Tensor, np.ndarray]]:
+    """(parameter, gradient) pairs behind each (input, adjoint): the input itself
+    if it is a parameter, its closure's pairs if it is an op's output."""
+    pairs = []
+    for node, g in inputs:
+        if node._grads is _LEAF:
+            pairs.append((node, g))
+        elif node._grads is not None:
+            pairs += node._grads(g)
+    return pairs
 
 
 def _need_2d(x: Tensor, op: str) -> None:
@@ -244,19 +238,16 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     o = pooled @ w2.data + b2.data
     out_data, denom = _unit_rows(o, _NORM_EPS)
 
-    def bw(g, adj):
+    def grads(g):
         go = _unit_rows_bw(o, denom, g)
-        _acc(adj, b2, go.sum(axis=0))
-        _acc(adj, w2, pooled.T @ go)
         g_folded, g_top = hidden_bw((go @ w2.data.T) / lens[:, None])  # per hidden row
         g_pos_b1 = np.zeros((pos.shape[0], h))  # adjoint of all of pos @ w1 + b1
         g_pos_b1[: len(g_top)] = g_top
-        _acc(adj, b1, g_pos_b1.sum(axis=0))
-        _acc(adj, w1, table.data.T @ g_folded + pos.data.T @ g_pos_b1)
-        _acc(adj, table, g_folded @ w1.data.T)
-        _acc(adj, pos, g_pos_b1 @ w1.data.T)
+        return _pull((b2, go.sum(axis=0)), (w2, pooled.T @ go), (b1, g_pos_b1.sum(axis=0)),
+                     (w1, table.data.T @ g_folded + pos.data.T @ g_pos_b1),
+                     (table, g_folded @ w1.data.T), (pos, g_pos_b1 @ w1.data.T))
 
-    return _result(out_data, (table, pos, w1, b1, w2, b2), bw, "tower")
+    return _result(out_data, (table, pos, w1, b1, w2, b2), grads, "tower")
 
 
 def _contrastive(logits: np.ndarray) -> tuple[float, np.ndarray]:
@@ -313,7 +304,7 @@ def clap_loss(audio: Tensor, text: Tensor, log_temperature: Tensor,
         margin = ((a_r * pos[rows]).sum(axis=1) - (a_r * neg).sum(axis=1)) * c
         l_t, g_margin = _order_term(margin, lt_reduction)
 
-    def bw(g, adj):
+    def grads(g):
         g_s = g_logits * (g * scale)  # adjoint of S
         g_lt = (s * g_s).sum()
         g_audio, g_text = g_s @ pos, np.zeros_like(text.data)
@@ -326,11 +317,9 @@ def clap_loss(audio: Tensor, text: Tensor, log_temperature: Tensor,
             g_audio[rows] += g_dot * (pos[rows] - neg)
             g_text[rows] += g_dot * a_r
             g_text[n:] = -g_dot * a_r
-        _acc(adj, audio, g_audio)
-        _acc(adj, text, g_text)
-        _acc(adj, log_temperature, np.asarray(g_lt))
+        return _pull((audio, g_audio), (text, g_text), (log_temperature, np.asarray(g_lt)))
 
-    l_train = _result(np.asarray(l_c + l_t * lambda_l), (audio, text, log_temperature), bw,
+    l_train = _result(np.asarray(l_c + l_t * lambda_l), (audio, text, log_temperature), grads,
                       "clap_loss")
     return l_train, Tensor(l_c, name="l_c"), Tensor(l_t, name="l_t")
 
@@ -340,30 +329,21 @@ def clap_loss(audio: Tensor, text: Tensor, log_temperature: Tensor,
 def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss for every named parameter.
 
-    Replays the reachable nodes' closures in reverse creation order (inputs are
-    created before outputs); parameters the graph does not reach get zeros.
+    One call of the loss's closure yields a (parameter, gradient) pair per path
+    from the loss to a parameter: a node reached along two paths runs its
+    closure once per path, and a parameter's gradients add up in path order.
+    Parameters the loss does not reach get zeros.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    reachable: dict[int, Tensor] = {}
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if node._uid in reachable:
-            continue
-        reachable[node._uid] = node
-        stack.extend(node._parents)
-    adjoints: dict[int, np.ndarray] = {loss._uid: np.asarray(1.0, dtype=loss.data.dtype)}
-    for node in sorted(reachable.values(), key=lambda n: n._uid, reverse=True):
-        g = adjoints.get(node._uid)
-        if g is not None and node._bw is not None:
-            node._bw(g, adjoints)
+    sums: dict[int, np.ndarray] = {}
+    for p, g in _pull((loss, np.asarray(1.0))):
+        sums[id(p)] = sums[id(p)] + g if id(p) in sums else g
     grads: dict[str, np.ndarray] = {}
     for p in params:
         if p.name is None:
             raise ShapeError("backward: parameters must be named")
-        g = adjoints.get(p._uid)
-        grads[p.name] = np.zeros_like(p.data) if g is None else g
+        grads[p.name] = sums[id(p)] if id(p) in sums else np.zeros_like(p.data)
     return grads
 
 

@@ -195,8 +195,8 @@ def test_audio_batch_matches_single_encodes(params):
 
 def sum_node(x):
     """Test-local readout: the sum of every entry of x, as a graph node."""
-    return T._result(np.asarray(x.data.sum()), (x,),
-                     lambda g, adj: T._acc(adj, x, np.full(x.shape, g)), "sum")
+    return T._result(np.asarray(x.data.sum()), (x,), lambda g: T._pull((x, np.full(x.shape, g))),
+                     "sum")
 
 
 def test_batch_gradients_match_single_gradients(params):

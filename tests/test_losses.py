@@ -64,7 +64,7 @@ def test_similarity_is_the_plain_product_and_no_graph_node():
     t = unit_rows(rng, 5, 3)
     s = L.similarity_matrix(a, t)
     np.testing.assert_array_equal(s.data, a.data @ t.T)
-    assert not s.requires_grad and s._parents == ()
+    assert a.requires_grad and not s.requires_grad
 
 
 def test_similarity_rejects_mismatched_dims():

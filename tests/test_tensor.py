@@ -29,20 +29,19 @@ def rand(rng, *shape):
 def sum_node(x, w=None):
     """Test-local readout node: the sum of every entry of x, weighted by w if given."""
     w = np.ones(x.shape) if w is None else w
-    return T._result(np.asarray((x.data * w).sum()), (x,),
-                     lambda g, adj: T._acc(adj, x, g * w), "sum")
+    return T._result(np.asarray((x.data * w).sum()), (x,), lambda g: T._pull((x, g * w)), "sum")
 
 
 def square_sum(x):
     """Test-local node: the sum of the squares of x's entries."""
     return T._result(np.asarray((x.data * x.data).sum()), (x,),
-                     lambda g, adj: T._acc(adj, x, 2.0 * g * x.data), "square_sum")
+                     lambda g: T._pull((x, 2.0 * g * x.data)), "square_sum")
 
 
 def unit_rows_node(x):
     """Test-local node: `tower`'s unit-row scaling, forward and backward, on its own."""
     out, denom = T._unit_rows(x.data, T._NORM_EPS)
-    return T._result(out, (x,), lambda g, adj: T._acc(adj, x, T._unit_rows_bw(x.data, denom, g)),
+    return T._result(out, (x,), lambda g: T._pull((x, T._unit_rows_bw(x.data, denom, g))),
                      "unit_rows")
 
 
@@ -127,7 +126,7 @@ def helper_node(helper, x, *args):
     """Test-local node around one of clap_loss's numpy helpers, which return a
     value and its gradient."""
     value, grad = helper(x.data, *args)
-    return T._result(np.asarray(value), (x,), lambda g, adj: T._acc(adj, x, g * grad), "helper")
+    return T._result(np.asarray(value), (x,), lambda g: T._pull((x, g * grad)), "helper")
 
 
 @case("log_sum_exp")
@@ -221,6 +220,20 @@ def _(rng, p):
     return lambda: readout2d(rng, T.tower(inputs, *leaves, FALLING_LENGTHS))
 
 
+@case("tower_shared")
+def _(rng, p):
+    # one tower node as both of clap_loss's inputs: its backward runs once per
+    # use, and each leaf's gradient is the sum over the two paths
+    inputs, leaves = tower_leaves(rng, p)
+    log_t = p("log_t", 0.4)
+
+    def build():
+        out = T.tower(inputs, *leaves, TOWER_LENGTHS)
+        return T.clap_loss(out, out, log_t, (), 0.7)[0]
+
+    return build
+
+
 @pytest.mark.parametrize("kernel", sorted(CASES))
 def test_kernel_backward_matches_finite_differences(kernel):
     for seed in range(3):
@@ -253,7 +266,8 @@ def test_constant_function_has_zero_error():
 
 def test_backward_reuses_node_without_double_count():
     # one tower node as both of clap_loss's inputs must give the gradient of two
-    # towers over the same leaves: its adjoints add up, and it runs backward once
+    # towers over the same leaves: it runs its backward once per use, the same
+    # arithmetic as the twins, and the leaves' gradients add up
     inputs, leaves = tower_leaves(np.random.default_rng(8), leaf)
     log_t = leaf("log_t", 0.2)
     out = T.tower(inputs, *leaves, TOWER_LENGTHS)
@@ -261,7 +275,7 @@ def test_backward_reuses_node_without_double_count():
     twins = [T.tower(inputs, *leaves, TOWER_LENGTHS) for _ in range(2)]
     apart = T.backward(T.clap_loss(*twins, log_t, (), 1.0)[0], leaves)
     for name in TOWER_NAMES:
-        np.testing.assert_allclose(shared[name], apart[name], rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(shared[name], apart[name])
 
 
 def test_backward_deterministic_bit_identical():
@@ -281,7 +295,7 @@ def test_backward_requires_scalar_loss():
 
 
 def test_backward_requires_named_parameters():
-    x = T.Tensor([[1.0]], requires_grad=True)
+    x = T.parameter(None, [[1.0]])
     with pytest.raises(ShapeError):
         T.backward(sum_node(x), [x])
 
@@ -337,7 +351,7 @@ def test_tower_holds_no_full_size_hidden_layer():
         forward = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        out._bw(np.ones(out.shape), {})
+        out._grads(np.ones(out.shape))
         backward = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()

@@ -1,9 +1,11 @@
 """Training-loop checks: batching, schedule, Adam, checkpoints, resume."""
 
+import gc
 import json
 import math
 import re
 import struct
+import weakref
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -279,27 +281,59 @@ def test_parameters_and_moments_live_in_flat_vectors(corpora, tiny_encoder, tmp_
     assert_packed(loaded.params, loaded.optimizer)
 
 
-def test_training_step_graph_is_two_towers_and_one_loss(corpora, tiny_encoder):
+def test_training_step_graph_is_two_towers_and_one_loss(corpora, tiny_encoder, monkeypatch):
     primary, temporal = corpora
     params = init_params(tiny_encoder, build_vocab(list(corpora)), seed=0)
     records, mask = tr.compose_batch(list(primary.records), list(temporal.records), 8, 0.25,
                                      np.random.default_rng(0))
     assert any(mask)
+    calls = {"tower": [], "clap_loss": []}
+    for op, log in calls.items():
+        def spy(*args, _op=getattr(T, op), _log=log, **kwargs):
+            _log.append((args, _op(*args, **kwargs)))
+            return _log[-1][1]
+        monkeypatch.setattr(T, op, spy)
     breakdown = tr.train_loss(tr.forward_batch(params, records, mask), LossConfig(),
                               params["log_temperature"])
-    seen, stack = {}, [breakdown.l_train]
-    while stack:
-        node = stack.pop()
-        if node._uid not in seen:
-            seen[node._uid] = node
-            stack.extend(node._parents)
-    assert len(seen) == 3 + 13 and len([n for n in seen.values() if n._parents]) == 3
-    assert {n.name for n in seen.values() if not n._parents} == set(params.named())
-    audio, text, log_t = breakdown.l_train._parents  # the clap_loss node's
-    assert log_t is params["log_temperature"]
-    for node, tower, table in ((audio, "audio", "proj"), (text, "text", "embed")):
+    (text_args, text), (audio_args, audio) = calls["tower"]
+    for args, tower, table in ((text_args, "text", "embed"), (audio_args, "audio", "proj")):
         names = [f"{tower}.{k}" for k in (table, "pos", "w1", "b1", "w2", "b2")]
-        assert [p.name for p in node._parents] == names
+        assert len(args) == 8 and all(a is params[n] for a, n in zip(args[1:7], names))
+    [(loss_args, (l_train, _, _))] = calls["clap_loss"]
+    assert loss_args[0] is audio and loss_args[1] is text
+    assert loss_args[2] is params["log_temperature"] and l_train is breakdown.l_train
+    # each of the 13 parameters belongs to one op, so the loss's closure yields it
+    # once: its gradient is that one array, summed with nothing
+    reached = [p for p, _ in l_train._grads(np.asarray(1.0))]
+    assert sorted(map(id, reached)) == sorted(map(id, params.trainable()))
+
+
+def test_dropped_parameters_are_freed_without_the_cycle_collector(corpora, tiny_encoder,
+                                                                  tmp_path):
+    # a parameter's gradient mark must not close over the parameter: such a
+    # cycle keeps a dropped parameter set, with its flat vector and the
+    # checkpoint payload its views came from, alive until gc runs
+    primary, temporal = corpora
+    cfg, params = tr.init_run(tiny_config(tiny_encoder), primary, temporal)
+    state = tr.Checkpoint(params=params, train_config=cfg, optimizer=tr.init_optimizer(params),
+                          step=0, rng_state=np.random.default_rng(0).bit_generator.state)
+    tr.save_checkpoint(state, tmp_path / "a.tckp")
+    records, mask = tr.compose_batch(list(primary.records), list(temporal.records), 8, 0.25,
+                                     np.random.default_rng(0))
+    gc.collect()
+    gc.disable()
+    try:
+        for make in (lambda: tr.load_checkpoint(tmp_path / "a.tckp").params,
+                     lambda: init_params(tiny_encoder, params.vocab, seed=1)):
+            fresh = make()
+            breakdown = tr.train_loss(tr.forward_batch(fresh, records, mask), LossConfig(),
+                                      fresh["log_temperature"])
+            T.backward(breakdown.l_train, fresh.trainable())
+            flat = weakref.ref(fresh.flat)
+            del fresh, breakdown
+            assert flat() is None
+    finally:
+        gc.enable()
 
 
 # -- config validation -----------------------------------------------------------
