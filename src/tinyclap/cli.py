@@ -76,7 +76,8 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     return replace(cfg.train, seed=split_seed(cfg.seed, "train"))
 
 
-def cmd_synth(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_synth(cfg: RunConfig, out_dir: Path) -> dict:
+    """Builds the four manifests, writes them under out_dir/data, and returns them by name."""
     data_dir = out_dir / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
     c = cfg.corpus
@@ -103,7 +104,7 @@ def cmd_synth(cfg: RunConfig, out_dir: Path) -> int:
         save_manifest(manifest, data_dir / f"{name}.jsonl")
         print(f"{name}: {len(manifest.records)} records -> {data_dir / (name + '.jsonl')}")
     _write_config_echo(cfg, out_dir)
-    return 0
+    return pieces
 
 
 def cmd_train(cfg: RunConfig, data_dir: Path, out_dir: Path, resume=None) -> int:
@@ -203,15 +204,12 @@ def _fmt(x) -> str:
 
 
 def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
-    cmd_synth(cfg, out_dir)
-    data_dir = out_dir / "data"
-    primary = load_manifest(data_dir / "train_primary.jsonl")
-    temporal = load_manifest(data_dir / "train_temporal.jsonl")
-    test = load_manifest(data_dir / "test.jsonl")
-    labeled = load_manifest(data_dir / "labeled.jsonl")
-    label_names = tuple(ev.name for ev in catalog_for(labeled).classes)
-    test_records = list(test.records)
-    labeled_records = list(labeled.records)
+    # trains and evaluates on the manifests it drew; the files are for later stages
+    pieces = cmd_synth(cfg, out_dir)
+    primary, temporal = pieces["train_primary"], pieces["train_temporal"]
+    label_names = tuple(ev.name for ev in catalog_for(pieces["labeled"]).classes)
+    test_records = list(pieces["test"].records)
+    labeled_records = list(pieces["labeled"].records)
 
     base_train = _train_config(cfg)
     # The order objective joins at the halfway mark (aligned model first,
@@ -321,7 +319,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         data_dir = Path(getattr(args, "data", None) or out_dir / "data")
         if args.command == "synth":
-            return cmd_synth(cfg, out_dir)
+            cmd_synth(cfg, out_dir)
+            return 0
         if args.command == "train":
             return cmd_train(cfg, data_dir, out_dir, resume=getattr(args, "resume", None))
         if args.command == "eval":

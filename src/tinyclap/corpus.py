@@ -8,8 +8,9 @@ reusing the same per-event noise), giving hard negatives that differ only in
 order.
 
 All frame data lives on the float32 grid so on-disk round-trips are lossless;
-generation is keyed per record as rng(seed, record_index), so records are
-independent of generation order.
+generation is keyed per record: one generator, rng(seed, record_index), draws
+a record's events, connector and clip noise, so records are independent of
+generation order.
 """
 
 from __future__ import annotations
@@ -182,38 +183,21 @@ class AudioClip:
         return isinstance(other, AudioClip) and np.array_equal(self.frames, other.frames)
 
 
-def synth_event_frames(
-    event: EventClass, n_frames: int, noise_sigma: float, rng: np.random.Generator
+def synth_clip_blocks(
+    event_ids, catalog: EventCatalog, n_frames: int, noise_sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """n_frames x F block: prototype plus sigma-scaled gaussian noise per frame."""
+    """E x n_frames x F blocks, one per event in order: the prototype plus
+    sigma-scaled gaussian noise per frame, the whole clip's noise drawn in one
+    call. A clip is its blocks in order and its reversal the blocks reversed."""
     if n_frames < 1:
         raise InvalidConfig(f"n_frames must be >= 1, got {n_frames}")
     if noise_sigma < 0:
         raise InvalidConfig(f"noise_sigma must be >= 0, got {noise_sigma}")
-    base = np.repeat(event.prototype[None, :], n_frames, axis=0)
+    base = np.stack([np.tile(catalog.classes[eid].prototype, (n_frames, 1)) for eid in event_ids])
     if noise_sigma == 0:
-        return base.copy()
-    noise = noise_sigma * rng.standard_normal((n_frames, event.prototype.shape[0]))
+        return base
+    noise = noise_sigma * rng.standard_normal(base.shape)
     return (base.astype(np.float64) + noise).astype(FRAME_DTYPE.base)
-
-
-def _event_blocks(
-    event_ids: tuple[int, ...],
-    catalog: EventCatalog,
-    frames_per_event: int,
-    noise_sigma: float,
-    root: int,
-) -> list[np.ndarray]:
-    """Noise blocks keyed by (event id, occurrence), not clip position, so a
-    reversed event order reuses the same realizations."""
-    occurrences: dict[int, int] = {}
-    blocks = []
-    for eid in event_ids:
-        occ = occurrences.get(eid, 0)
-        occurrences[eid] = occ + 1
-        child = np.random.default_rng([root, eid, occ])
-        blocks.append(synth_event_frames(catalog.classes[eid], frames_per_event, noise_sigma, child))
-    return blocks
 
 
 # -- captions ------------------------------------------------------------------
@@ -403,19 +387,18 @@ def build_mixed_dataset(
                 break
         seen_sets.add(frozenset(ids))
         connector = GENERATION_CONNECTORS[int(rng.integers(len(GENERATION_CONNECTORS)))]
-        root = int(rng.integers(2**63))
-        blocks = _event_blocks(ids, catalog, frames_per_event, noise_sigma, root)
+        blocks = synth_clip_blocks(ids, catalog, frames_per_event, noise_sigma, rng)
         spec = ClipSpec(event_ids=ids, frames_per_event=frames_per_event, noise_sigma=noise_sigma)
         caption_pos = render_caption(ids, catalog, connector)
         records.append(
             DatasetRecord(
                 record_id=idx,
-                clip=AudioClip(frames=np.concatenate(blocks, axis=0)),
+                clip=AudioClip(frames=blocks.reshape(-1, catalog.frame_dim)),
                 spec=spec,
                 caption_pos=caption_pos,
                 caption_neg=negate_caption(caption_pos),
                 clip_neg=(
-                    AudioClip(frames=np.concatenate(blocks[::-1], axis=0))
+                    AudioClip(frames=blocks[::-1].reshape(-1, catalog.frame_dim))
                     if with_negative_clips
                     else None
                 ),
@@ -443,8 +426,7 @@ def build_labeled_clips(
     for idx in range(n_records):
         rng = np.random.default_rng([seed, idx])
         label = int(rng.integers(len(catalog)))
-        root = int(rng.integers(2**63))
-        blocks = _event_blocks((label,), catalog, frames_per_event, noise_sigma, root)
+        blocks = synth_clip_blocks((label,), catalog, frames_per_event, noise_sigma, rng)
         records.append(LabeledRecord(record_id=idx, label_id=label, clip=AudioClip(blocks[0])))
     return DatasetManifest(
         records=tuple(records),

@@ -138,12 +138,8 @@ class ModelParams:
         return list(self.tensors.values())
 
 
-def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelParams:
-    """Weights and positional tables N(0, 0.02), biases zero, temperature ln(1/0.07).
-
-    Tensors are drawn in PARAM_ORDER from a single generator; the order is
-    part of the format (same seed, same bits).
-    """
+def param_shapes(config: EncoderConfig, vocab: TextVocab) -> dict[str, tuple[int, ...]]:
+    """Each parameter's shape under config and vocab."""
     v = config.vocab_size or len(vocab)
     if v != len(vocab):
         raise InvalidConfig(f"config.vocab_size {config.vocab_size} != vocab size {len(vocab)}")
@@ -152,6 +148,16 @@ def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelPara
     for tower in ("text", "audio"):  # the towers' layers past the input table share their shapes
         shapes.update({f"{tower}.pos": (config.max_positions, e), f"{tower}.w1": (e, h),
                        f"{tower}.b1": (h,), f"{tower}.w2": (h, d), f"{tower}.b2": (d,)})
+    return shapes
+
+
+def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelParams:
+    """Weights and positional tables N(0, 0.02), biases zero, temperature ln(1/0.07).
+
+    Tensors are drawn in PARAM_ORDER from a single generator; the order is
+    part of the format (same seed, same bits).
+    """
+    shapes = param_shapes(config, vocab)
     rng = np.random.default_rng(seed)
     tensors: dict[str, T.Tensor] = {}
     for name in PARAM_ORDER:

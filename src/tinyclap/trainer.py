@@ -23,6 +23,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import DatasetManifest, load_manifest
 from .encoders import (
+    PARAM_ORDER,
     EncoderConfig,
     ModelParams,
     TextVocab,
@@ -30,6 +31,7 @@ from .encoders import (
     flat_views,
     forward_batch,
     init_params,
+    param_shapes,
 )
 from .errors import EmptyPool, FormatError, InvalidConfig, NumericError
 from .losses import LossConfig, train_loss
@@ -277,21 +279,26 @@ def load_checkpoint(path) -> Checkpoint:
         tc["loss"] = LossConfig(**tc["loss"])
         train_config = TrainConfig(**tc)
         vocab = TextVocab(tokens=tuple(meta["vocab"]))
-        param_names = list(meta["param_names"])
+        shapes = param_shapes(train_config.encoder, vocab)
+        if meta["param_names"] != list(PARAM_ORDER):
+            raise ValueError(f"parameter names {meta['param_names']} are not {list(PARAM_ORDER)}")
         step = int(meta["step"])
         opt_meta = meta["optimizer"]
         opt_step = int(opt_meta["step"])
         beta1, beta2, eps = (float(opt_meta[key]) for key in ("beta1", "beta2", "eps"))
         np.random.default_rng().bit_generator.state = rng_state  # a state resume can set
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise FormatError(f"{path}: bad meta or rng section: {exc!r}") from exc
     arrays: dict[str, dict[str, np.ndarray]] = {"tensor": {}, "adam.m": {}, "adam.v": {}}
-    for name in param_names:
+    for name in PARAM_ORDER:
         for kind, store in arrays.items():
             key = f"{kind}:{name}"
             if key not in sections:
                 raise FormatError(f"{path}: missing section {key!r}")
             store[name] = _tensor_from_payload(sections[key], f"{path} [{key}]")
+            if store[name].shape != shapes[name]:
+                raise FormatError(f"{path} [{key}]: shape {store[name].shape}, the config and "
+                                  f"vocab give {shapes[name]}")
     tensors = {name: T.parameter(name, arr) for name, arr in arrays["tensor"].items()}
     params = ModelParams(config=train_config.encoder, vocab=vocab, tensors=tensors)
     optimizer = OptimizerState(m=arrays["adam.m"], v=arrays["adam.v"], step=opt_step,

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import tinyclap.tensor as T
@@ -195,6 +196,13 @@ def _edit_meta(change):
     return edit
 
 
+def _resized(section, shape):
+    def edit(name, payload):
+        return name, tr._tensor_payload(np.zeros(shape)) if name == section else payload
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -204,9 +212,12 @@ def _edit_meta(change):
         _edit_meta(lambda meta: meta["optimizer"].pop("step")),
         _edit_meta(lambda meta: meta["optimizer"].update(beta1="fast")),
         lambda name, payload: (name, b"{}" if name == b"rng" else payload),
+        _edit_meta(lambda meta: meta["param_names"].remove("audio.b2")),
+        _resized(b"tensor:text.w2", (3, 3)),
+        _resized(b"adam.m:audio.w1", (2,)),
     ],
     ids=["name-not-utf8", "meta-not-utf8", "no-step", "no-optimizer-step", "beta1-not-a-number",
-         "rng-not-a-state"],
+         "rng-not-a-state", "no-audio.b2", "text.w2-3x3", "misshapen-moment"],
 )
 def test_corrupt_checkpoint_is_format_error_and_exits_two(edit, tiny_config, trained_dir, capsys):
     good = trained_dir / "train" / "final.tckp"
@@ -463,6 +474,44 @@ def test_repro_fork_matches_standalone_runs(train_over, tmp_path, monkeypatch):
             assert (out / run / name).read_bytes() == (alone / name).read_bytes(), f"{run}/{name}"
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_repro_keeps_the_corpus_it_drew(tiny_config, synth_dir, tmp_path, monkeypatch):
+    def no_reread(path):
+        raise AssertionError(f"repro re-read {path}")
+
+    used = {}
+    train_fork, embed, zero_shot = cli.train_fork, cli.embed_test_set, cli.zero_shot_classify
+
+    def fork(branches, primary, temporal, fork_step):
+        used.update(train_primary=primary.records, train_temporal=temporal.records)
+        return train_fork(branches, primary, temporal, fork_step)
+
+    def embed_once(params, records):
+        used.setdefault("test", records)
+        return embed(params, records)
+
+    def zero_shot_once(params, records, label_names):
+        used.setdefault("labeled", records)
+        return zero_shot(params, records, label_names)
+
+    monkeypatch.setattr(cli, "load_manifest", no_reread)
+    monkeypatch.setattr(cli, "train_fork", fork)
+    monkeypatch.setattr(cli, "embed_test_set", embed_once)
+    monkeypatch.setattr(cli, "zero_shot_classify", zero_shot_once)
+    out = tmp_path / "repro"
+    assert cli.main(["repro", "--config", str(tiny_config), "--out", str(out)]) == 0
+    for name in MANIFESTS:
+        path = out / "data" / f"{name}.jsonl"
+        records = tuple(used[name])
+        assert records == load_manifest(path).records  # frames, captions and event ids
+        clips = [c for r in records for c in (r.clip, getattr(r, "clip_neg", None)) if c]
+        np.testing.assert_array_equal(np.concatenate([c.frames for c in clips]),
+                                      np.load(path.with_name(f"{name}.frames.npy")))
+        for ext in (".jsonl", ".frames.npy"):  # the files equal a standalone synth's
+            written = out / "data" / f"{name}{ext}"
+            assert written.read_bytes() == (synth_dir / "data" / f"{name}{ext}").read_bytes()
+
+
 # -- eval / tclassify / gradcheck --------------------------------------------------
 
 
@@ -558,9 +607,19 @@ KINKED_SEEDS = (-1, 1, 10, 14, 15)
 
 
 @pytest.mark.parametrize("seed", KINKED_SEEDS)
-def test_gradcheck_passes_where_the_step_crosses_a_kink(seed):
+def test_gradcheck_passes_where_the_step_crosses_a_kink(monkeypatch, seed):
+    probe, kinked = T._probe, []
+
+    def watched(f, params, leaf, offset, step, mid):
+        numeric, gap, noise = slopes = probe(f, params, leaf, offset, step, mid)
+        if step == 1e-5 and gap > T._FD_KINK_RTOL * (abs(numeric) + gap / 2) + noise:
+            kinked.append(offset)
+        return slopes
+
+    monkeypatch.setattr(T, "_probe", watched)
     cfg = replace(run_config_from_dict({}), seed=seed)
     assert cli.gradcheck_value(cfg) < cli.GRADCHECK_THRESHOLD
+    assert kinked, "no sampled coordinate's 1e-5 one-sided slopes disagree"
 
 
 # the tower whose b1 the 200 sampled coordinates reach at each seed (none at 10)

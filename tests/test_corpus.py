@@ -108,27 +108,35 @@ def test_catalog_validates_structure():
 
 
 def test_zero_noise_frames_equal_prototype(catalog):
-    ev = catalog.classes[3]
-    frames = C.synth_event_frames(ev, 5, 0.0, np.random.default_rng(0))
-    assert frames.shape == (5, 16)
-    for row in frames:
-        np.testing.assert_array_equal(row, ev.prototype)
+    blocks = C.synth_clip_blocks((3, 7), catalog, 5, 0.0, np.random.default_rng(0))
+    assert blocks.shape == (2, 5, 16) and blocks.dtype == C.FRAME_DTYPE
+    for eid, block in zip((3, 7), blocks):
+        for row in block:
+            np.testing.assert_array_equal(row, catalog.classes[eid].prototype)
 
 
 def test_single_zero_noise_frame(catalog):
-    ev = catalog.classes[0]
-    frames = C.synth_event_frames(ev, 1, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(frames, ev.prototype[None, :])
+    blocks = C.synth_clip_blocks((0,), catalog, 1, 0.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(blocks, catalog.classes[0].prototype[None, None, :])
 
 
 def test_frame_noise_mean_concentrates(catalog):
     # Monte-Carlo oracle: mean of n frames deviates from the prototype by
     # roughly sigma/sqrt(n) per component; 3 sigma bounds hold with huge margin
-    ev = catalog.classes[1]
     sigma, n = 0.1, 1000
-    frames = C.synth_event_frames(ev, n, sigma, np.random.default_rng(42))
-    dev = np.abs(frames.astype(np.float64).mean(axis=0) - ev.prototype.astype(np.float64))
-    assert dev.max() < 3 * sigma / math.sqrt(n) + 1e-7
+    blocks = C.synth_clip_blocks((1, 2), catalog, n, sigma, np.random.default_rng(42))
+    for eid, block in zip((1, 2), blocks):
+        proto = catalog.classes[eid].prototype.astype(np.float64)
+        dev = np.abs(block.astype(np.float64).mean(axis=0) - proto)
+        assert dev.max() < 3 * sigma / math.sqrt(n) + 1e-7
+
+
+@pytest.mark.parametrize("n_frames, sigma", [(0, 0.1), (3, -0.1)])
+def test_clip_blocks_reject_bad_arguments(catalog, n_frames, sigma):
+    with pytest.raises(InvalidConfig):
+        C.synth_clip_blocks((0,), catalog, n_frames, sigma, np.random.default_rng(0))
+    with pytest.raises(InvalidConfig):
+        C.build_labeled_clips(catalog, 3, n_frames, sigma, seed=0)
 
 
 def _prototype_blocks(catalog, event_ids, n_frames):
@@ -265,6 +273,16 @@ def test_two_event_negative_clip_is_half_block_swap(catalog):
     for rec in man.records:
         top, bottom = rec.clip.frames[:6], rec.clip.frames[6:]
         np.testing.assert_array_equal(rec.clip_neg.frames, np.concatenate([bottom, top]))
+
+
+@pytest.mark.parametrize("n_events", [3, 4])
+def test_noisy_negative_clip_is_its_blocks_reversed(catalog, n_events):
+    man = C.build_mixed_dataset(catalog, 30, n_events, 4, 0.3, True, seed=17)
+    for rec in man.records:
+        blocks = np.split(rec.clip.frames, n_events)
+        for block, proto in zip(blocks, _prototype_blocks(catalog, rec.spec.event_ids, 4)):
+            assert not np.array_equal(block, proto)  # the noise is there to be reused
+        np.testing.assert_array_equal(rec.clip_neg.frames, np.concatenate(blocks[::-1]))
 
 
 def test_event_sets_unique_across_records(catalog):
