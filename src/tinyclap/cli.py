@@ -204,6 +204,11 @@ def _fmt(x) -> str:
 
 
 def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
+    # checked before any work: the evaluation at the end needs these records
+    c, k = cfg.corpus, max(cfg.eval.recall_ks)
+    if min(c.test_records, c.labeled_records) < 1 or k > c.test_records:
+        raise InvalidConfig(f"repro cannot evaluate R@{k} over {c.test_records} test and "
+                            f"{c.labeled_records} labeled records")
     # trains and evaluates on the manifests it drew; the files are for later stages
     pieces = cmd_synth(cfg, out_dir)
     primary, temporal = pieces["train_primary"], pieces["train_temporal"]

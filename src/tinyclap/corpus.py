@@ -546,9 +546,10 @@ def load_manifest(path) -> DatasetManifest:
     cat = header["catalog"]
     try:
         ref = CatalogRef(int(cat["n_classes"]), int(cat["frame_dim"]), int(cat["seed"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        fail(1, f"bad catalog reference: {exc}")
-    catalog = build_catalog(ref.n_classes, ref.frame_dim, ref.seed)
+        catalog = build_catalog(ref.n_classes, ref.frame_dim, ref.seed)
+        seed = int(header.get("seed", 0))
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+        fail(1, f"bad catalog reference or seed: {exc}")
     frames = _load_frames(path, ref.frame_dim)
     kind = header.get("kind", "paired")
     n_expected = header.get("n_records")
@@ -632,13 +633,11 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(
             f"{_frames_path(path)}: {len(frames) - next_row} frame rows after the last clip span"
         )
-    return DatasetManifest(
-        records=tuple(records),
-        catalog_ref=ref,
-        split=header.get("split", "train"),
-        seed=int(header.get("seed", 0)),
-        kind=kind,
-    )
+    try:
+        return DatasetManifest(records=tuple(records), catalog_ref=ref,
+                               split=header.get("split", "train"), seed=seed, kind=kind)
+    except InvalidConfig as exc:  # duplicate record ids
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def catalog_for(manifest: DatasetManifest) -> EventCatalog:

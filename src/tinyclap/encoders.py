@@ -139,7 +139,7 @@ class ModelParams:
 
 
 def param_shapes(config: EncoderConfig, vocab: TextVocab) -> dict[str, tuple[int, ...]]:
-    """Each parameter's shape under config and vocab."""
+    """Each parameter's shape under config and vocab, in PARAM_ORDER."""
     v = config.vocab_size or len(vocab)
     if v != len(vocab):
         raise InvalidConfig(f"config.vocab_size {config.vocab_size} != vocab size {len(vocab)}")
@@ -148,7 +148,7 @@ def param_shapes(config: EncoderConfig, vocab: TextVocab) -> dict[str, tuple[int
     for tower in ("text", "audio"):  # the towers' layers past the input table share their shapes
         shapes.update({f"{tower}.pos": (config.max_positions, e), f"{tower}.w1": (e, h),
                        f"{tower}.b1": (h,), f"{tower}.w2": (h, d), f"{tower}.b2": (d,)})
-    return shapes
+    return {name: shapes[name] for name in PARAM_ORDER}
 
 
 def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelParams:
@@ -157,11 +157,9 @@ def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelPara
     Tensors are drawn in PARAM_ORDER from a single generator; the order is
     part of the format (same seed, same bits).
     """
-    shapes = param_shapes(config, vocab)
     rng = np.random.default_rng(seed)
     tensors: dict[str, T.Tensor] = {}
-    for name in PARAM_ORDER:
-        shape = shapes[name]
+    for name, shape in param_shapes(config, vocab).items():
         if name == "log_temperature":
             data = np.array(LOG_TEMPERATURE_INIT)
         elif name.endswith((".b1", ".b2")):

@@ -23,7 +23,6 @@ import numpy as np
 from . import tensor as T
 from .corpus import DatasetManifest, load_manifest
 from .encoders import (
-    PARAM_ORDER,
     EncoderConfig,
     ModelParams,
     TextVocab,
@@ -37,7 +36,7 @@ from .errors import EmptyPool, FormatError, InvalidConfig, NumericError
 from .losses import LossConfig, train_loss
 
 CHECKPOINT_MAGIC = b"TCKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 LOG_TEMPERATURE_MIN = -math.log(100.0)
 LOG_TEMPERATURE_MAX = math.log(100.0)
 ADAM_BETA1 = 0.9
@@ -175,63 +174,30 @@ class Checkpoint:
 
 
 # -- checkpoint file format ------------------------------------------------------
-# "TCKP" + u32 version, then sections of (u32 name length, name bytes,
-# u64 payload length, payload). "meta" holds canonical JSON; each tensor
-# section holds u32 ndim, u32 per dim, then little-endian f64 values.
-
-
-def _dump_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _tensor_payload(arr: np.ndarray) -> bytes:
-    shape = arr.shape
-    head = struct.pack("<I", len(shape)) + b"".join(struct.pack("<I", d) for d in shape)
-    return head + np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def _tensor_from_payload(raw: bytes, where: str) -> np.ndarray:
-    if len(raw) < 4:
-        raise FormatError(f"{where}: truncated tensor section")
-    (ndim,) = struct.unpack_from("<I", raw, 0)
-    if len(raw) < 4 + 4 * ndim:
-        raise FormatError(f"{where}: truncated tensor shape")
-    shape = struct.unpack_from(f"<{ndim}I", raw, 4) if ndim else ()
-    body = raw[4 + 4 * ndim :]
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    if len(body) != 8 * count:
-        raise FormatError(f"{where}: tensor payload is {len(body)} bytes, expected {8 * count}")
-    return np.frombuffer(body, dtype="<f8").reshape(shape)  # the loader packs copies
-
-
-def _write_section(out: list[bytes], name: str, payload: bytes) -> None:
-    nb = name.encode("utf-8")
-    out.append(struct.pack("<I", len(nb)) + nb + struct.pack("<Q", len(payload)) + payload)
+# "TCKP", u32 version, u64 meta length, canonical-JSON meta (step, train_config,
+# vocab, optimizer step and constants, rng state), then params.flat, m_flat and
+# v_flat back to back as little-endian f64, in the in-memory layout that
+# param_shapes(config, vocab) gives: PARAM_ORDER, each parameter row-major.
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    layout = [(name, t.data.shape) for name, t in ckpt.params.named().items()]
+    if layout != list(param_shapes(ckpt.train_config.encoder, ckpt.params.vocab).items()):
+        raise InvalidConfig(f"parameters {layout} are not the layout the config and vocab give")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta = {
+    opt = ckpt.optimizer
+    meta = json.dumps({
         "step": ckpt.step,
         "train_config": asdict(ckpt.train_config),
         "vocab": list(ckpt.params.vocab.tokens),
-        "optimizer": {
-            "step": ckpt.optimizer.step,
-            "beta1": ckpt.optimizer.beta1,
-            "beta2": ckpt.optimizer.beta2,
-            "eps": ckpt.optimizer.eps,
-        },
-        "param_names": list(ckpt.params.named().keys()),
-    }
-    blobs: list[bytes] = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    _write_section(blobs, "meta", _dump_json(meta))
-    for name, p in ckpt.params.named().items():
-        _write_section(blobs, f"tensor:{name}", _tensor_payload(p.data))
-        _write_section(blobs, f"adam.m:{name}", _tensor_payload(ckpt.optimizer.m[name]))
-        _write_section(blobs, f"adam.v:{name}", _tensor_payload(ckpt.optimizer.v[name]))
-    _write_section(blobs, "rng", _dump_json(ckpt.rng_state))
-    path.write_bytes(b"".join(blobs))
+        "optimizer": {"step": opt.step, "beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps},
+        "rng": ckpt.rng_state,
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(meta)) + meta)
+        for vector in (ckpt.params.flat, opt.m_flat, opt.v_flat):
+            fh.write(vector.astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -243,66 +209,42 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: bad checkpoint magic (expected {CHECKPOINT_MAGIC!r})")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}"
-        )
-    sections: dict[str, bytes] = {}
-    off = 8
-    while off < len(raw):
-        if off + 4 > len(raw):
-            raise FormatError(f"{path}: truncated section header")
-        (nlen,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        if off + nlen + 8 > len(raw):
-            raise FormatError(f"{path}: truncated section header")
-        try:
-            name = raw[off : off + nlen].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: section name is not UTF-8: {exc}") from exc
-        off += nlen
-        (plen,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        if off + plen > len(raw):
-            raise FormatError(f"{path}: truncated payload for section {name!r}")
-        sections[name] = raw[off : off + plen]
-        off += plen
-    if "meta" not in sections or "rng" not in sections:
-        raise FormatError(f"{path}: missing required sections (meta, rng)")
+        raise FormatError(f"{path}: checkpoint version {version}, this build reads "
+                          f"{CHECKPOINT_VERSION}")
+    if len(raw) < 16:
+        raise FormatError(f"{path}: truncated checkpoint header ({len(raw)} bytes)")
+    body = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    if body > len(raw):
+        raise FormatError(f"{path}: meta runs to byte {body}, past the end of the file "
+                          f"({len(raw)} bytes)")
     try:
-        meta = json.loads(sections["meta"])
-        rng_state = json.loads(sections["rng"])
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-        raise FormatError(f"{path}: bad JSON section: {exc}") from exc
-    try:
+        meta = json.loads(raw[16:body])
         tc = dict(meta["train_config"])
         tc["encoder"] = EncoderConfig(**tc["encoder"])
         tc["loss"] = LossConfig(**tc["loss"])
         train_config = TrainConfig(**tc)
         vocab = TextVocab(tokens=tuple(meta["vocab"]))
         shapes = param_shapes(train_config.encoder, vocab)
-        if meta["param_names"] != list(PARAM_ORDER):
-            raise ValueError(f"parameter names {meta['param_names']} are not {list(PARAM_ORDER)}")
         step = int(meta["step"])
         opt_meta = meta["optimizer"]
         opt_step = int(opt_meta["step"])
         beta1, beta2, eps = (float(opt_meta[key]) for key in ("beta1", "beta2", "eps"))
+        rng_state = meta["rng"]
         np.random.default_rng().bit_generator.state = rng_state  # a state resume can set
-    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
-        raise FormatError(f"{path}: bad meta or rng section: {exc!r}") from exc
-    arrays: dict[str, dict[str, np.ndarray]] = {"tensor": {}, "adam.m": {}, "adam.v": {}}
-    for name in PARAM_ORDER:
-        for kind, store in arrays.items():
-            key = f"{kind}:{name}"
-            if key not in sections:
-                raise FormatError(f"{path}: missing section {key!r}")
-            store[name] = _tensor_from_payload(sections[key], f"{path} [{key}]")
-            if store[name].shape != shapes[name]:
-                raise FormatError(f"{path} [{key}]: shape {store[name].shape}, the config and "
-                                  f"vocab give {shapes[name]}")
-    tensors = {name: T.parameter(name, arr) for name, arr in arrays["tensor"].items()}
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:  # bad JSON or UTF-8 too
+        raise FormatError(f"{path}: bad meta: {exc!r}") from exc
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()]).tolist()
+    if len(raw) - body != 24 * ends[-1]:
+        raise FormatError(f"{path}: {len(raw) - body} bytes of vectors, the config and vocab "
+                          f"give {24 * ends[-1]}")
+    # flat, m_flat and v_flat as views into raw: ModelParams and OptimizerState pack copies
+    vectors = np.frombuffer(raw, "<f8", 3 * ends[-1], body).reshape(3, -1)
+    arrays, m, v = ({name: vec[start:stop].reshape(shapes[name])
+                     for name, start, stop in zip(shapes, [0, *ends], ends)}
+                    for vec in vectors)
+    tensors = {name: T.parameter(name, arr) for name, arr in arrays.items()}
     params = ModelParams(config=train_config.encoder, vocab=vocab, tensors=tensors)
-    optimizer = OptimizerState(m=arrays["adam.m"], v=arrays["adam.v"], step=opt_step,
-                               beta1=beta1, beta2=beta2, eps=eps)
+    optimizer = OptimizerState(m=m, v=v, step=opt_step, beta1=beta1, beta2=beta2, eps=eps)
     return Checkpoint(params=params, train_config=train_config, optimizer=optimizer, step=step,
                       rng_state=rng_state)
 
@@ -452,6 +394,9 @@ def train(
                             optimizer=dc_replace(resume_from.optimizer)))
         earlier_lines = _metric_lines_before(out_dir / "metrics.jsonl", state.step)
     config = _with_vocab(config, state.params.vocab)  # resolved as init_run does
+    if config.encoder != state.params.config:
+        raise InvalidConfig(f"the config's encoder {config.encoder} differs from the "
+                            f"checkpoint's {state.params.config}")
     _run_steps(config, pools, state, config.steps, [(out_dir, config, earlier_lines)])
     state.train_config = config
     save_checkpoint(state, out_dir / "final.tckp")

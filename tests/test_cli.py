@@ -165,70 +165,85 @@ def test_corrupt_manifest_exits_two(tiny_config, trained_dir, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def checkpoint_sections(raw):
-    """The (name bytes, payload) sections of a checkpoint, in file order."""
-    sections, off = [], 8
-    while off < len(raw):
-        (nlen,) = struct.unpack_from("<I", raw, off)
-        name = raw[off + 4 : off + 4 + nlen]
-        (plen,) = struct.unpack_from("<Q", raw, off + 4 + nlen)
-        start = off + 12 + nlen
-        sections.append((name, raw[start : start + plen]))
-        off = start + plen
-    return sections
+def checkpoint_parts(raw):
+    """A checkpoint's meta, as a dict, and the bytes of its three vectors."""
+    (meta_len,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[16 : 16 + meta_len]), raw[16 + meta_len :]
 
 
-def checkpoint_bytes(raw, sections):
-    out = [raw[:8]]
-    for name, payload in sections:
-        out += [struct.pack("<I", len(name)), name, struct.pack("<Q", len(payload)), payload]
-    return b"".join(out)
+def checkpoint_bytes(raw, meta: bytes, vectors: bytes):
+    return raw[:8] + struct.pack("<Q", len(meta)) + meta + vectors
 
 
 def _edit_meta(change):
-    def edit(name, payload):
-        if name != b"meta":
-            return name, payload
-        meta = json.loads(payload)
+    def edit(raw):
+        meta, vectors = checkpoint_parts(raw)
         change(meta)
-        return name, json.dumps(meta).encode()
+        return checkpoint_bytes(raw, json.dumps(meta).encode(), vectors)
 
     return edit
 
 
-def _resized(section, shape):
-    def edit(name, payload):
-        return name, tr._tensor_payload(np.zeros(shape)) if name == section else payload
+def _edit_vectors(change):
+    def edit(raw):
+        meta, vectors = checkpoint_parts(raw)
+        return checkpoint_bytes(raw, json.dumps(meta).encode(), change(vectors))
 
     return edit
+
+
+def _meta_not_utf8(raw):
+    meta, vectors = checkpoint_parts(raw)
+    return checkpoint_bytes(raw, b"\xff" + json.dumps(meta).encode(), vectors)
+
+
+SIZE_MISMATCH = r"(\d+) bytes of vectors, the config and vocab give (?!\1)\d+$"
+
+
+def _extra_token(meta):
+    meta["vocab"].append("zzz")
+    meta["train_config"]["encoder"]["vocab_size"] += 1  # consistent meta, short vectors
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, message",
     [
-        lambda name, payload: (b"\xff" + name if name == b"rng" else name, payload),
-        lambda name, payload: (name, b"\xff" + payload if name == b"meta" else payload),
-        _edit_meta(lambda meta: meta.pop("step")),
-        _edit_meta(lambda meta: meta["optimizer"].pop("step")),
-        _edit_meta(lambda meta: meta["optimizer"].update(beta1="fast")),
-        lambda name, payload: (name, b"{}" if name == b"rng" else payload),
-        _edit_meta(lambda meta: meta["param_names"].remove("audio.b2")),
-        _resized(b"tensor:text.w2", (3, 3)),
-        _resized(b"adam.m:audio.w1", (2,)),
+        (_meta_not_utf8, r"bad meta: UnicodeDecodeError\("),
+        (_edit_meta(lambda meta: meta.pop("step")), r"bad meta: KeyError\('step'\)"),
+        (_edit_meta(lambda meta: meta["optimizer"].pop("step")), r"bad meta: KeyError\('step'\)"),
+        (_edit_meta(lambda meta: meta["optimizer"].update(beta1="fast")),
+         r"bad meta: ValueError\(\"could not convert string to float: 'fast'\"\)"),
+        (_edit_meta(lambda meta: meta.update(rng={})),
+         r"bad meta: ValueError\('state must be for a PCG64 RNG'\)"),
+        (_edit_vectors(lambda vectors: vectors[:-8]), SIZE_MISMATCH),
+        (_edit_vectors(lambda vectors: vectors + bytes(8)), SIZE_MISMATCH),
+        (lambda raw: raw[:8] + struct.pack("<Q", len(raw)) + raw[16:],
+         r"meta runs to byte \d+, past the end of the file \(\d+ bytes\)"),
+        (_edit_meta(_extra_token), SIZE_MISMATCH),
     ],
-    ids=["name-not-utf8", "meta-not-utf8", "no-step", "no-optimizer-step", "beta1-not-a-number",
-         "rng-not-a-state", "no-audio.b2", "text.w2-3x3", "misshapen-moment"],
+    ids=["meta-not-utf8", "no-step", "no-optimizer-step", "beta1-not-a-number", "rng-not-a-state",
+         "vectors-one-short", "vectors-one-long", "meta-length-past-end", "vocab-extra-token"],
 )
-def test_corrupt_checkpoint_is_format_error_and_exits_two(edit, tiny_config, trained_dir, capsys):
+def test_corrupt_checkpoint_is_format_error_and_exits_two(edit, message, tiny_config,
+                                                          trained_dir, capsys):
     good = trained_dir / "train" / "final.tckp"
-    raw = good.read_bytes()
     bad = trained_dir / "bad.tckp"
-    bad.write_bytes(checkpoint_bytes(raw, [edit(*sec) for sec in checkpoint_sections(raw)]))
-    with pytest.raises(FormatError, match=re.escape(str(bad))):
+    bad.write_bytes(edit(good.read_bytes()))
+    with pytest.raises(FormatError, match=re.escape(str(bad)) + ": " + message):
         tr.load_checkpoint(bad)
     argv = ["eval", "--config", str(tiny_config), "--checkpoint", str(bad), "--out", str(trained_dir)]
     assert cli.main(argv) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_version_one_checkpoint_exits_two(tiny_config, trained_dir, capsys):
+    good = trained_dir / "train" / "final.tckp"
+    old = trained_dir / "v1.tckp"
+    old.write_bytes(tr.CHECKPOINT_MAGIC + struct.pack("<I", 1) + good.read_bytes()[8:])
+    argv = ["eval", "--config", str(tiny_config), "--checkpoint", str(old),
+            "--out", str(trained_dir)]
+    assert cli.main(argv) == 2
+    assert f"{old}: checkpoint version 1, this build reads 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line_no", [0, 3], ids=["header", "record"])
@@ -243,6 +258,57 @@ def test_non_utf8_manifest_is_format_error_and_exits_two(line_no, tiny_config, t
     argv = ["eval", "--config", str(tiny_config), "--checkpoint", checkpoint, "--out", str(trained_dir)]
     assert cli.main(argv) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def _edit_line(line_no, change):
+    def edit(lines):
+        row = json.loads(lines[line_no])
+        change(row, lines)
+        lines[line_no] = json.dumps(row)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit_line(0, lambda h, _: h.update(seed="abc")), "bad catalog reference or seed"),
+        (_edit_line(0, lambda h, _: h.update(seed=None)), "bad catalog reference or seed"),
+        (_edit_line(0, lambda h, _: h["catalog"].update(seed=-1)), "bad catalog reference or seed"),
+        (_edit_line(0, lambda h, _: h["catalog"].update(n_classes=1)),
+         "bad catalog reference or seed: need at least 2 classes"),
+        (_edit_line(2, lambda row, lines: row.update(id=json.loads(lines[1])["id"])),
+         "record ids must be unique"),
+    ],
+    ids=["seed-abc", "seed-null", "catalog-seed-negative", "one-class", "duplicate-id"],
+)
+def test_bad_manifest_header_or_ids_are_format_errors(edit, message, tiny_config, trained_dir,
+                                                      capsys):
+    path = trained_dir / "data" / "test.jsonl"
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(str(path)) + ".*" + message):
+        load_manifest(path)
+    checkpoint = str(trained_dir / "train" / "final.tckp")
+    argv = ["tclassify", "--config", str(tiny_config), "--checkpoint", checkpoint,
+            "--out", str(trained_dir)]
+    assert cli.main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_resume_with_another_encoder_exits_one(tiny_config, trained_dir, capsys):
+    doc = json.loads(tiny_config.read_text())
+    doc["train"]["encoder"]["hidden_dim"] = 24
+    wider = trained_dir / "wider.json"
+    wider.write_text(json.dumps(doc))
+    final = trained_dir / "train" / "final.tckp"
+    before = final.read_bytes()
+    argv = ["train", "--config", str(wider), "--out", str(trained_dir), "--resume", str(final)]
+    assert cli.main(argv) == 1
+    assert "differs from the checkpoint's" in capsys.readouterr().err
+    assert final.read_bytes() == before
+    tr.load_checkpoint(final)
 
 
 @pytest.mark.parametrize("line_no", [0, 3], ids=["first-line", "last-line"])
@@ -475,6 +541,25 @@ def test_repro_fork_matches_standalone_runs(train_over, tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "corpus_over, eval_over",
+    [({"test_records": 4}, {"recall_ks": [1, 5]}), ({"test_records": 0}, {"recall_ks": [1]}),
+     ({"labeled_records": 0}, {})],
+    ids=["recall-k-past-test-records", "no-test-records", "no-labeled-records"],
+)
+def test_repro_rejects_what_it_cannot_evaluate_before_training(corpus_over, eval_over, tmp_path,
+                                                               capsys):
+    doc = json.loads(json.dumps(TINY))
+    doc["corpus"].update(corpus_over)
+    doc["eval"].update(eval_over)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "repro"
+    assert cli.main(["repro", "--config", str(config_path), "--out", str(out)]) == 1
+    assert not (out / "run_order").exists() and not (out / "data").exists()
+    assert "repro cannot evaluate" in capsys.readouterr().err
+
+
 def test_repro_keeps_the_corpus_it_drew(tiny_config, synth_dir, tmp_path, monkeypatch):
     def no_reread(path):
         raise AssertionError(f"repro re-read {path}")

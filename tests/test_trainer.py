@@ -381,9 +381,35 @@ def test_checkpoint_round_trip_and_byte_stability(corpora, tiny_encoder, tmp_pat
         np.testing.assert_array_equal(loaded.params[name].data, p.data)
         np.testing.assert_array_equal(loaded.optimizer.m[name], opt.m[name])
     assert loaded.rng_state == ckpt.rng_state
+    # header, meta, then the three flat vectors back to back and nothing else
+    raw = path_a.read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", raw, 8)
+    assert len(raw) == 16 + meta_len + 24 * params.flat.size
+    vectors = np.frombuffer(raw, "<f8", offset=16 + meta_len).reshape(3, -1)
+    for got, want in zip(vectors, (params.flat, opt.m_flat, opt.v_flat)):
+        np.testing.assert_array_equal(got, want)
     path_b = tmp_path / "b.tckp"
     tr.save_checkpoint(loaded, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+@pytest.mark.parametrize("change", ["reversed-order", "other-encoder"])
+def test_save_checkpoint_rejects_params_off_the_file_layout(change, corpora, tiny_encoder,
+                                                            tmp_path):
+    # the file stores flat vectors with no names or shapes, so a parameter set in
+    # another order, or stamped with a config of other shapes, would load wrong
+    primary, temporal = corpora
+    cfg, params = tr.init_run(tiny_config(tiny_encoder), primary, temporal)
+    if change == "reversed-order":
+        params = ModelParams(config=params.config, vocab=params.vocab,
+                             tensors=dict(reversed(params.named().items())))
+    else:
+        cfg = dc_replace(cfg, encoder=dc_replace(tiny_encoder, hidden_dim=24))
+    state = tr.Checkpoint(params=params, train_config=cfg, optimizer=tr.init_optimizer(params),
+                          step=0, rng_state=np.random.default_rng(0).bit_generator.state)
+    with pytest.raises(InvalidConfig, match="not the layout the config and vocab give"):
+        tr.save_checkpoint(state, tmp_path / "a.tckp")
+    assert not (tmp_path / "a.tckp").exists()
 
 
 def test_checkpoint_missing_file(tmp_path):
@@ -405,10 +431,10 @@ def test_checkpoint_bad_version(tmp_path):
         tr.load_checkpoint(p)
 
 
-def test_checkpoint_missing_sections(tmp_path):
+def test_checkpoint_truncated_header(tmp_path):
     p = tmp_path / "empty.tckp"
-    p.write_bytes(tr.CHECKPOINT_MAGIC + struct.pack("<I", tr.CHECKPOINT_VERSION))
-    with pytest.raises(FormatError, match="missing required sections"):
+    p.write_bytes(tr.CHECKPOINT_MAGIC + struct.pack("<I", tr.CHECKPOINT_VERSION) + bytes(7))
+    with pytest.raises(FormatError, match=r"truncated checkpoint header \(15 bytes\)"):
         tr.load_checkpoint(p)
 
 
@@ -504,6 +530,20 @@ def test_resume_into_same_dir_reproduces_uninterrupted_run(corpora, tiny_encoder
         assert (run_dir / name).read_bytes() == blob, name
     _, rows = read_metrics(run_dir)
     assert [r["step"] for r in rows] == list(range(6))
+
+
+def test_resume_with_another_encoder_is_rejected_before_any_step(corpora, tiny_encoder,
+                                                                tmp_path):
+    primary, temporal = corpora
+    cfg = tiny_config(tiny_encoder, steps=4, checkpoint_every=2)
+    tr.train(cfg, primary, temporal, out_dir=tmp_path / "full")
+    wider = dc_replace(cfg, encoder=dc_replace(tiny_encoder, hidden_dim=24))
+    out = tmp_path / "resumed"
+    with pytest.raises(InvalidConfig, match=r"encoder .*hidden_dim=24.* differs from the "
+                                            r"checkpoint's .*hidden_dim=12"):
+        tr.train(wider, primary, temporal, out_dir=out,
+                 resume_from=tmp_path / "full" / "step000002.tckp")
+    assert not out.exists()
 
 
 def test_resume_rejects_corrupt_metrics_line(corpora, tiny_encoder, tmp_path):
