@@ -521,6 +521,14 @@ def _load_frames(path: Path, frame_dim: int) -> np.ndarray:
     return frames
 
 
+def _json_value(value, key: str, kinds: tuple = (int,)):
+    """The value as JSON gave it, if its type is one of kinds (a bool is not an int here)."""
+    if type(value) not in kinds:
+        raise TypeError(f"{key} must be {'an integer' if kinds == (int,) else 'a number'}, "
+                        f"got {value!r}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
@@ -545,9 +553,10 @@ def load_manifest(path) -> DatasetManifest:
         fail(1, f"unsupported schema version {header.get('schema_version')!r}")
     cat = header["catalog"]
     try:
-        ref = CatalogRef(int(cat["n_classes"]), int(cat["frame_dim"]), int(cat["seed"]))
+        ref = CatalogRef(*(_json_value(cat[key], f"catalog {key}")
+                           for key in ("n_classes", "frame_dim", "seed")))
         catalog = build_catalog(ref.n_classes, ref.frame_dim, ref.seed)
-        seed = int(header.get("seed", 0))
+        seed = _json_value(header.get("seed", 0), "seed")
     except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         fail(1, f"bad catalog reference or seed: {exc}")
     frames = _load_frames(path, ref.frame_dim)
@@ -582,21 +591,21 @@ def load_manifest(path) -> DatasetManifest:
             fail(line_no, f"bad record JSON: {exc}")
         try:
             if kind == "labeled":
-                label = int(row["label"])
+                label = _json_value(row["label"], "label")
                 if not 0 <= label < len(catalog):
                     fail(line_no, f"label {label} not in catalog")
                 records.append(
                     LabeledRecord(
-                        record_id=int(row["id"]),
+                        record_id=_json_value(row["id"], "id"),
                         label_id=label,
                         clip=clip_at(row["clip"], line_no),
                     )
                 )
             else:
                 spec = ClipSpec(
-                    event_ids=tuple(int(e) for e in row["events"]),
-                    frames_per_event=int(row["frames_per_event"]),
-                    noise_sigma=float(row["noise_sigma"]),
+                    event_ids=tuple(_json_value(e, "event id") for e in row["events"]),
+                    frames_per_event=_json_value(row["frames_per_event"], "frames_per_event"),
+                    noise_sigma=float(_json_value(row["noise_sigma"], "noise_sigma", (int, float))),
                 )
                 caption_pos = checked(
                     render_caption(spec.event_ids, catalog, row["connector"]),
@@ -609,7 +618,7 @@ def load_manifest(path) -> DatasetManifest:
                 )
                 records.append(
                     DatasetRecord(
-                        record_id=int(row["id"]),
+                        record_id=_json_value(row["id"], "id"),
                         clip=clip_at(row["clip"], line_no),
                         spec=spec,
                         caption_pos=caption_pos,

@@ -108,25 +108,23 @@ def build_vocab(manifests) -> TextVocab:
     return TextVocab(tokens=(UNK_TOKEN, *seen.keys()))
 
 
-def flat_views(arrays: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Copies of the arrays end to end in one float64 vector, and a view of it per name."""
-    flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays.values()])
-    parts = np.split(flat, np.cumsum([np.size(a) for a in arrays.values()])[:-1])
-    return flat, {name: part.reshape(np.shape(a)) for (name, a), part in zip(arrays.items(), parts)}
-
-
 @dataclass
 class ModelParams:
-    """Named parameters whose data are views into `flat`, packed anew from the given tensors."""
+    """Named parameters whose data are views of `flat`, cut in the layout param_shapes gives."""
 
     config: EncoderConfig
     vocab: TextVocab
-    tensors: dict[str, T.Tensor]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(repr=False, compare=False)
+    tensors: dict[str, T.Tensor] = field(init=False)
 
     def __post_init__(self):
-        self.flat, views = flat_views({name: t.data for name, t in self.tensors.items()})
-        self.tensors = {name: T.parameter(name, view) for name, view in views.items()}
+        shapes = param_shapes(self.config, self.vocab)
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        if getattr(self.flat, "dtype", None) != np.float64 or np.shape(self.flat) != (ends[-1],):
+            raise InvalidConfig(f"flat must be one float64 vector of {ends[-1]} numbers, got "
+                                f"{getattr(self.flat, 'dtype', None)} {np.shape(self.flat)}")
+        self.tensors = {name: T.parameter(name, part.reshape(shape)) for (name, shape), part
+                        in zip(shapes.items(), np.split(self.flat, ends[:-1]))}
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self.tensors[name]
@@ -151,6 +149,11 @@ def param_shapes(config: EncoderConfig, vocab: TextVocab) -> dict[str, tuple[int
     return {name: shapes[name] for name in PARAM_ORDER}
 
 
+def param_count(config: EncoderConfig, vocab: TextVocab) -> int:
+    """The length of the flat vector that holds every parameter under config and vocab."""
+    return sum(math.prod(shape) for shape in param_shapes(config, vocab).values())
+
+
 def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelParams:
     """Weights and positional tables N(0, 0.02), biases zero, temperature ln(1/0.07).
 
@@ -158,16 +161,13 @@ def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelPara
     part of the format (same seed, same bits).
     """
     rng = np.random.default_rng(seed)
-    tensors: dict[str, T.Tensor] = {}
-    for name, shape in param_shapes(config, vocab).items():
+    params = ModelParams(config, vocab, np.zeros(param_count(config, vocab)))
+    for name, t in params.named().items():
         if name == "log_temperature":
-            data = np.array(LOG_TEMPERATURE_INIT)
-        elif name.endswith((".b1", ".b2")):
-            data = np.zeros(shape)
-        else:
-            data = INIT_STD * rng.standard_normal(shape)
-        tensors[name] = T.parameter(name, data)
-    return ModelParams(config=config, vocab=vocab, tensors=tensors)
+            t.data[...] = LOG_TEMPERATURE_INIT
+        elif not name.endswith((".b1", ".b2")):
+            t.data[...] = INIT_STD * rng.standard_normal(t.data.shape)
+    return params
 
 
 def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:

@@ -3,9 +3,10 @@
 Each batch draws floor(batch_size * temporal_fraction) records from the
 order-negative pool (mask true) and the rest from the primary pool, without
 replacement within a batch, then shuffles. Training state is a pure function
-of (config, data, seed): the checkpoint carries parameters, optimizer
-moments, and the batch generator's bit state, so an interrupted run resumed
-at a checkpoint boundary reproduces the uninterrupted run bit for bit.
+of (config, data, seed), and a `Checkpoint` holds each of its facts once: the
+flat parameters and Adam moments in the layout `param_shapes` gives, the step,
+and the batch generator's bit state. So an interrupted run resumed at a
+checkpoint boundary reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .encoders import (
     ModelParams,
     TextVocab,
     build_vocab,
-    flat_views,
     forward_batch,
     init_params,
-    param_shapes,
+    param_count,
 )
 from .errors import EmptyPool, FormatError, InvalidConfig, NumericError
 from .losses import LossConfig, train_loss
@@ -114,34 +114,11 @@ def lr_schedule(step: int, config: TrainConfig) -> float:
     return config.base_lr * min(1.0, (step + 1) / config.warmup_steps)
 
 
-@dataclass
-class OptimizerState:
-    """Adam moments; m and v are views into m_flat and v_flat, packed anew from the arrays given."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
-    m_flat: np.ndarray = field(init=False, repr=False, compare=False)
-    v_flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        (self.m_flat, self.m), (self.v_flat, self.v) = flat_views(self.m), flat_views(self.v)
-
-
-def init_optimizer(params: ModelParams) -> OptimizerState:
-    zeros = {name: np.zeros_like(t.data) for name, t in params.named().items()}
-    return OptimizerState(m=zeros, v=zeros)
-
-
-def adam_step(params: ModelParams, grads, state: OptimizerState, lr: float) -> None:
-    """In-place Adam with bias correction over the flat vectors, in the
-    textbook formula's operation order; log_temperature clamped afterwards."""
-    t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+def adam_step(params: ModelParams, grads, m, v, t: int, lr: float) -> None:
+    """In-place Adam update number t (from 1) over the flat parameters and moments m and v,
+    in the textbook formula's operation order; log_temperature clamped afterwards."""
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     named = params.named()
     for name, p in named.items():
         if np.shape(grads[name]) != p.data.shape:
@@ -151,52 +128,52 @@ def adam_step(params: ModelParams, grads, state: OptimizerState, lr: float) -> N
     if not np.isfinite(g).all():
         bad = next(name for name in named if not np.isfinite(grads[name]).all())
         raise NumericError(f"non-finite gradient for parameter {bad!r} at step {t}")
-    m, v, buf = state.m_flat, state.v_flat, np.empty_like(g)
-    m *= state.beta1
-    m += np.multiply(1.0 - state.beta1, g, out=buf)
-    v *= state.beta2
-    v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=g), out=g)
+    buf = np.empty_like(g)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=buf)
+    v *= ADAM_BETA2
+    v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=g), out=g)
     np.multiply(lr, np.divide(m, bc1, out=buf), out=buf)
-    buf /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), state.eps, out=g)
+    buf /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), ADAM_EPS, out=g)
     params.flat -= buf
     lt = params["log_temperature"].data
     np.clip(lt, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX, out=lt)
-    state.step = t
 
 
 @dataclass
 class Checkpoint:
+    """The training state; m and v are Adam's moments in params.flat's layout."""
+
     params: ModelParams
     train_config: TrainConfig
-    optimizer: OptimizerState
+    m: np.ndarray
+    v: np.ndarray
     step: int
     rng_state: dict
 
 
 # -- checkpoint file format ------------------------------------------------------
 # "TCKP", u32 version, u64 meta length, canonical-JSON meta (step, train_config,
-# vocab, optimizer step and constants, rng state), then params.flat, m_flat and
-# v_flat back to back as little-endian f64, in the in-memory layout that
-# param_shapes(config, vocab) gives: PARAM_ORDER, each parameter row-major.
+# vocab, rng state), then params.flat, m and v back to back as little-endian f64,
+# in the in-memory layout that param_shapes(config, vocab) gives: PARAM_ORDER,
+# each parameter row-major. Older files' meta `optimizer` entry is ignored.
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    layout = [(name, t.data.shape) for name, t in ckpt.params.named().items()]
-    if layout != list(param_shapes(ckpt.train_config.encoder, ckpt.params.vocab).items()):
-        raise InvalidConfig(f"parameters {layout} are not the layout the config and vocab give")
+    if ckpt.params.config != ckpt.train_config.encoder:
+        raise InvalidConfig(f"parameters for {ckpt.params.config} are not the layout the config "
+                            f"and vocab give ({ckpt.train_config.encoder})")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    opt = ckpt.optimizer
     meta = json.dumps({
         "step": ckpt.step,
         "train_config": asdict(ckpt.train_config),
         "vocab": list(ckpt.params.vocab.tokens),
-        "optimizer": {"step": opt.step, "beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps},
         "rng": ckpt.rng_state,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(meta)) + meta)
-        for vector in (ckpt.params.flat, opt.m_flat, opt.v_flat):
+        for vector in (ckpt.params.flat, ckpt.m, ckpt.v):
             fh.write(vector.astype("<f8", copy=False))
 
 
@@ -217,36 +194,28 @@ def load_checkpoint(path) -> Checkpoint:
     if body > len(raw):
         raise FormatError(f"{path}: meta runs to byte {body}, past the end of the file "
                           f"({len(raw)} bytes)")
+    from .config import _build  # config imports this module, so not at the top
+
     try:
         meta = json.loads(raw[16:body])
-        tc = dict(meta["train_config"])
-        tc["encoder"] = EncoderConfig(**tc["encoder"])
-        tc["loss"] = LossConfig(**tc["loss"])
-        train_config = TrainConfig(**tc)
+        train_config = _build(TrainConfig, meta["train_config"], "train_config.")
         vocab = TextVocab(tokens=tuple(meta["vocab"]))
-        shapes = param_shapes(train_config.encoder, vocab)
-        step = int(meta["step"])
-        opt_meta = meta["optimizer"]
-        opt_step = int(opt_meta["step"])
-        beta1, beta2, eps = (float(opt_meta[key]) for key in ("beta1", "beta2", "eps"))
+        size = param_count(train_config.encoder, vocab)
+        step = meta["step"]
+        if type(step) is not int or step < 0:
+            raise ValueError(f"step must be an integer >= 0, got {step!r}")
         rng_state = meta["rng"]
         np.random.default_rng().bit_generator.state = rng_state  # a state resume can set
     except (KeyError, TypeError, ValueError, InvalidConfig) as exc:  # bad JSON or UTF-8 too
         raise FormatError(f"{path}: bad meta: {exc!r}") from exc
-    ends = np.cumsum([math.prod(shape) for shape in shapes.values()]).tolist()
-    if len(raw) - body != 24 * ends[-1]:
+    if len(raw) - body != 24 * size:
         raise FormatError(f"{path}: {len(raw) - body} bytes of vectors, the config and vocab "
-                          f"give {24 * ends[-1]}")
-    # flat, m_flat and v_flat as views into raw: ModelParams and OptimizerState pack copies
-    vectors = np.frombuffer(raw, "<f8", 3 * ends[-1], body).reshape(3, -1)
-    arrays, m, v = ({name: vec[start:stop].reshape(shapes[name])
-                     for name, start, stop in zip(shapes, [0, *ends], ends)}
-                    for vec in vectors)
-    tensors = {name: T.parameter(name, arr) for name, arr in arrays.items()}
-    params = ModelParams(config=train_config.encoder, vocab=vocab, tensors=tensors)
-    optimizer = OptimizerState(m=m, v=v, step=opt_step, beta1=beta1, beta2=beta2, eps=eps)
-    return Checkpoint(params=params, train_config=train_config, optimizer=optimizer, step=step,
-                      rng_state=rng_state)
+                          f"give {24 * size}")
+    # one native copy per vector, so that holding the parameters keeps neither raw nor the moments
+    flat, m, v = (vec.astype(np.float64) for vec in np.frombuffer(raw, "<f8", 3 * size, body)
+                  .reshape(3, -1))
+    return Checkpoint(ModelParams(train_config.encoder, vocab, flat), train_config, m, v, step,
+                      rng_state)
 
 
 # -- training loop ---------------------------------------------------------------
@@ -328,7 +297,7 @@ def _start(config: TrainConfig, primary, temporal) -> Checkpoint:
     """The step-0 state; the batch stream is seeded apart from the weight init stream."""
     config, params = init_run(config, primary, temporal)
     rng_state = np.random.default_rng([config.seed, 1]).bit_generator.state
-    return Checkpoint(params, config, init_optimizer(params), 0, rng_state)
+    return Checkpoint(params, config, *np.zeros((2, params.flat.size)), 0, rng_state)
 
 
 def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
@@ -337,7 +306,7 @@ def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
     its earlier lines and every step's line, and checkpoints at its own
     config's cadence, stamped with that config."""
     primary_pool, temporal_pool = pools
-    params, opt = state.params, state.optimizer
+    params = state.params
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
     warmup_loss = dc_replace(config.loss, lambda_l=0.0)
@@ -356,7 +325,7 @@ def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
             loss_cfg = warmup_loss if step < config.order_loss_start_step else config.loss
             breakdown = train_loss(emb, loss_cfg, params["log_temperature"])
             grads = T.backward(breakdown.l_train, params.trainable())
-            adam_step(params, grads, opt, lr)
+            adam_step(params, grads, state.m, state.v, step + 1, lr)
             line = _metric_line(step, lr, breakdown) + "\n"
             for (out_dir, run_config, _), log in zip(runs, logs):
                 log.write(line)
@@ -388,10 +357,11 @@ def train(
     out_dir = Path(out_dir)
     if resume_from is None:
         state, earlier_lines = _start(config, primary, temporal), ""
-    else:  # a value is copied: ModelParams and OptimizerState pack their arrays anew
+    else:  # a value's three vectors are copied, so it is left as it was
         state = (load_checkpoint(resume_from) if not isinstance(resume_from, Checkpoint) else
-                 dc_replace(resume_from, params=dc_replace(resume_from.params),
-                            optimizer=dc_replace(resume_from.optimizer)))
+                 dc_replace(resume_from, params=dc_replace(resume_from.params,
+                                                           flat=resume_from.params.flat.copy()),
+                            m=resume_from.m.copy(), v=resume_from.v.copy()))
         earlier_lines = _metric_lines_before(out_dir / "metrics.jsonl", state.step)
     config = _with_vocab(config, state.params.vocab)  # resolved as init_run does
     if config.encoder != state.params.config:

@@ -205,14 +205,25 @@ def _extra_token(meta):
     meta["train_config"]["encoder"]["vocab_size"] += 1  # consistent meta, short vectors
 
 
+def _float_hidden_dim(meta):
+    encoder = meta["train_config"]["encoder"]
+    encoder["hidden_dim"] = float(encoder["hidden_dim"])
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (_meta_not_utf8, r"bad meta: UnicodeDecodeError\("),
         (_edit_meta(lambda meta: meta.pop("step")), r"bad meta: KeyError\('step'\)"),
-        (_edit_meta(lambda meta: meta["optimizer"].pop("step")), r"bad meta: KeyError\('step'\)"),
-        (_edit_meta(lambda meta: meta["optimizer"].update(beta1="fast")),
-         r"bad meta: ValueError\(\"could not convert string to float: 'fast'\"\)"),
+        (_edit_meta(lambda meta: meta.update(step="2")),
+         r"bad meta: ValueError\(\"step must be an integer >= 0, got '2'\"\)"),
+        (_edit_meta(lambda meta: meta.update(step=True)),
+         r"bad meta: ValueError\('step must be an integer >= 0, got True'\)"),
+        (_edit_meta(lambda meta: meta.update(step=-3)),
+         r"bad meta: ValueError\('step must be an integer >= 0, got -3'\)"),
+        (_edit_meta(_float_hidden_dim),
+         r"bad meta: InvalidConfig\(\"config key 'train_config\.encoder\.hidden_dim' must be "
+         r"an integer, got \d+\.0\"\)"),
         (_edit_meta(lambda meta: meta.update(rng={})),
          r"bad meta: ValueError\('state must be for a PCG64 RNG'\)"),
         (_edit_vectors(lambda vectors: vectors[:-8]), SIZE_MISMATCH),
@@ -221,8 +232,9 @@ def _extra_token(meta):
          r"meta runs to byte \d+, past the end of the file \(\d+ bytes\)"),
         (_edit_meta(_extra_token), SIZE_MISMATCH),
     ],
-    ids=["meta-not-utf8", "no-step", "no-optimizer-step", "beta1-not-a-number", "rng-not-a-state",
-         "vectors-one-short", "vectors-one-long", "meta-length-past-end", "vocab-extra-token"],
+    ids=["meta-not-utf8", "no-step", "step-a-string", "step-true", "step-negative",
+         "hidden-dim-a-float", "rng-not-a-state", "vectors-one-short", "vectors-one-long",
+         "meta-length-past-end", "vocab-extra-token"],
 )
 def test_corrupt_checkpoint_is_format_error_and_exits_two(edit, message, tiny_config,
                                                           trained_dir, capsys):
@@ -234,6 +246,19 @@ def test_corrupt_checkpoint_is_format_error_and_exits_two(edit, message, tiny_co
     argv = ["eval", "--config", str(tiny_config), "--checkpoint", str(bad), "--out", str(trained_dir)]
     assert cli.main(argv) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_checkpoint_meta_with_an_optimizer_entry_loads_the_same_state(trained_dir):
+    # files written while Adam kept its own step and constants carry them in
+    # an `optimizer` entry of the meta, which the loader ignores
+    good = trained_dir / "train" / "final.tckp"
+    old = trained_dir / "old.tckp"
+    optimizer = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-08, "step": tr.load_checkpoint(good).step}
+    old.write_bytes(_edit_meta(lambda meta: meta.update(optimizer=optimizer))(good.read_bytes()))
+    a, b = tr.load_checkpoint(good), tr.load_checkpoint(old)
+    assert a.step == b.step and a.train_config == b.train_config and a.rng_state == b.rng_state
+    for x, y in ((a.params.flat, b.params.flat), (a.m, b.m), (a.v, b.v)):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_version_one_checkpoint_exits_two(tiny_config, trained_dir, capsys):
@@ -279,8 +304,10 @@ def _edit_line(line_no, change):
          "bad catalog reference or seed: need at least 2 classes"),
         (_edit_line(2, lambda row, lines: row.update(id=json.loads(lines[1])["id"])),
          "record ids must be unique"),
+        (_edit_line(0, lambda h, _: h.update(seed=True)), "seed must be an integer, got True"),
     ],
-    ids=["seed-abc", "seed-null", "catalog-seed-negative", "one-class", "duplicate-id"],
+    ids=["seed-abc", "seed-null", "catalog-seed-negative", "one-class", "duplicate-id",
+         "seed-true"],
 )
 def test_bad_manifest_header_or_ids_are_format_errors(edit, message, tiny_config, trained_dir,
                                                       capsys):

@@ -7,6 +7,7 @@ byte-for-byte because downstream determinism claims depend on it.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -531,3 +532,36 @@ def test_missing_manifest_file(tmp_path):
 
 def test_catalog_for_rebuilds_generator_catalog(small_corpus, catalog):
     assert C.catalog_for(small_corpus) == catalog
+
+
+@pytest.mark.parametrize(
+    "kind, line_no, change, message",
+    [
+        ("paired", 1, lambda h: h.update(seed=True), "seed must be an integer, got True"),
+        ("paired", 1, lambda h: h.update(seed=h["seed"] + 0.5), "seed must be an integer"),
+        ("paired", 1, lambda h: h["catalog"].update(n_classes=20.9),
+         "catalog n_classes must be an integer, got 20.9"),
+        ("paired", 2, lambda row: row.update(id=str(row["id"])), "id must be an integer, got '0'"),
+        ("paired", 2, lambda row: row.update(id=row["id"] + 0.7), "id must be an integer, got 0.7"),
+        ("paired", 3, lambda row: row.update(frames_per_event=str(row["frames_per_event"])),
+         "frames_per_event must be an integer, got '4'"),
+        ("paired", 3, lambda row: row.update(events=[e + 0.9 for e in row["events"]]),
+         "event id must be an integer"),
+        ("paired", 3, lambda row: row.update(noise_sigma=str(row["noise_sigma"])),
+         "noise_sigma must be a number, got '0.2'"),
+        ("paired", 3, lambda row: row.update(noise_sigma=True), "noise_sigma must be a number"),
+        ("labeled", 2, lambda row: row.update(label=str(row["label"])), "label must be an integer"),
+    ],
+    ids=["seed-true", "seed-half", "n-classes-float", "id-string", "id-float",
+         "frames-per-event-string", "events-float", "noise-sigma-string", "noise-sigma-true",
+         "label-string"],
+)
+def test_manifest_numbers_must_have_their_json_type(tmp_path, small_corpus, catalog, kind, line_no,
+                                                    change, message):
+    # a coerced number would load a record, or a whole catalog, other than the one written
+    path = tmp_path / "corpus.jsonl"
+    C.save_manifest(small_corpus if kind == "paired" else
+                    C.build_labeled_clips(catalog, 4, 3, 0.1, seed=1), path)
+    rewrite_row(path, line_no, change)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}, line {line_no}: .*{message}"):
+        C.load_manifest(path)
