@@ -5,7 +5,8 @@ is a concatenation of per-event frame blocks, and its caption lists the event
 names joined by forward-order connector phrases. The temporal negative of a
 record reverses the event order in the caption (and optionally in the clip,
 reusing the same per-event noise), giving hard negatives that differ only in
-order.
+order. The reversed caption is derived from the caption whenever a record is
+built, so it is never stored.
 
 All frame data lives on the float32 grid so on-disk round-trips are lossless;
 generation is keyed per record: one generator, rng(seed, record_index), draws
@@ -305,19 +306,22 @@ def negate_caption(caption: Caption) -> Caption:
 
 @dataclass(frozen=True)
 class DatasetRecord:
+    """A clip and its caption; caption_neg, the caption reversed, is derived from it."""
+
     record_id: int
     clip: AudioClip
     spec: ClipSpec
     caption_pos: Caption
-    caption_neg: Caption | None = None
+    caption_neg: Caption = field(init=False)
     clip_neg: AudioClip | None = None
 
     def __post_init__(self):
-        if self.caption_neg is not None:
-            if self.caption_neg.event_ids != tuple(reversed(self.caption_pos.event_ids)):
-                raise InvalidConfig(
-                    f"record {self.record_id}: caption_neg must list reversed event ids"
-                )
+        if self.caption_pos.event_ids != self.spec.event_ids:
+            raise InvalidConfig(
+                f"record {self.record_id}: caption events {self.caption_pos.event_ids} "
+                f"differ from clip events {self.spec.event_ids}"
+            )
+        object.__setattr__(self, "caption_neg", negate_caption(self.caption_pos))
 
 
 @dataclass(frozen=True)
@@ -389,14 +393,12 @@ def build_mixed_dataset(
         connector = GENERATION_CONNECTORS[int(rng.integers(len(GENERATION_CONNECTORS)))]
         blocks = synth_clip_blocks(ids, catalog, frames_per_event, noise_sigma, rng)
         spec = ClipSpec(event_ids=ids, frames_per_event=frames_per_event, noise_sigma=noise_sigma)
-        caption_pos = render_caption(ids, catalog, connector)
         records.append(
             DatasetRecord(
                 record_id=idx,
                 clip=AudioClip(frames=blocks.reshape(-1, catalog.frame_dim)),
                 spec=spec,
-                caption_pos=caption_pos,
-                caption_neg=negate_caption(caption_pos),
+                caption_pos=render_caption(ids, catalog, connector),
                 clip_neg=(
                     AudioClip(frames=blocks[::-1].reshape(-1, catalog.frame_dim))
                     if with_negative_clips
@@ -442,8 +444,9 @@ def build_labeled_clips(
 # record, and <stem>.frames.npy, one float32 array holding every clip (then
 # its reversed copy, if any) in record order. A row names each of its clips
 # by its [start, stop) row span in the array; the spans of a file tile the
-# array. Paired rows store event ids and connector, from which the captions
-# are rebuilt on load and checked against the stored text.
+# array. Paired rows store event ids and connector, from which the caption
+# is rebuilt on load and checked against the stored text; the reversed
+# caption is derived from it and not stored.
 
 
 def _frames_path(path: Path) -> Path:
@@ -458,7 +461,6 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     """Write the manifest and its frame array; paired records must carry
     generator captions (one connector, as render_caption makes them)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": manifest.kind,
@@ -487,18 +489,24 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         if manifest.kind == "labeled":
             row = {"id": rec.record_id, "label": rec.label_id, "clip": span(rec.clip)}
         else:
+            connectors = rec.caption_pos.connectors
+            if connectors[0] not in GENERATION_CONNECTORS or len(set(connectors)) != 1:
+                raise InvalidConfig(
+                    f"record {rec.record_id}: caption connectors {connectors} are not one "
+                    f"of {GENERATION_CONNECTORS} repeated"
+                )
             row = {
                 "id": rec.record_id,
                 "events": list(rec.spec.event_ids),
                 "frames_per_event": rec.spec.frames_per_event,
                 "noise_sigma": rec.spec.noise_sigma,
-                "connector": rec.caption_pos.connectors[0],
+                "connector": connectors[0],
                 "caption_pos": rec.caption_pos.text,
-                "caption_neg": rec.caption_neg.text if rec.caption_neg else None,
                 "clip": span(rec.clip),
                 "clip_neg": span(rec.clip_neg),
             }
         lines.append(_dump(row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(_frames_path(path), "wb") as fh:
         np.save(fh, np.concatenate(blocks).astype(FRAME_DTYPE, copy=False), allow_pickle=False)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -562,6 +570,11 @@ def load_manifest(path) -> DatasetManifest:
     frames = _load_frames(path, ref.frame_dim)
     kind = header.get("kind", "paired")
     n_expected = header.get("n_records")
+    if n_expected is not None:
+        try:
+            _json_value(n_expected, "n_records")
+        except TypeError as exc:
+            fail(1, f"bad record count: {exc}")
     records = []
     next_row = 0
 
@@ -576,11 +589,6 @@ def load_manifest(path) -> DatasetManifest:
             fail(line_no, f"clip span {span} does not start at row {next_row} (gap or overlap)")
         next_row = stop
         return AudioClip(frames=frames[start:stop])
-
-    def checked(caption: Caption, text, line_no: int, field_name: str) -> Caption:
-        if text != caption.text:
-            fail(line_no, f"{field_name} {text!r} disagrees with its events ({caption.text!r})")
-        return caption
 
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -607,22 +615,16 @@ def load_manifest(path) -> DatasetManifest:
                     frames_per_event=_json_value(row["frames_per_event"], "frames_per_event"),
                     noise_sigma=float(_json_value(row["noise_sigma"], "noise_sigma", (int, float))),
                 )
-                caption_pos = checked(
-                    render_caption(spec.event_ids, catalog, row["connector"]),
-                    row["caption_pos"], line_no, "caption_pos",
-                )
-                caption_neg = (
-                    checked(negate_caption(caption_pos), row["caption_neg"], line_no, "caption_neg")
-                    if row["caption_neg"] is not None
-                    else None
-                )
+                caption_pos = render_caption(spec.event_ids, catalog, row["connector"])
+                if row["caption_pos"] != caption_pos.text:
+                    fail(line_no, f"caption_pos {row['caption_pos']!r} disagrees with its "
+                                  f"events ({caption_pos.text!r})")
                 records.append(
                     DatasetRecord(
                         record_id=_json_value(row["id"], "id"),
                         clip=clip_at(row["clip"], line_no),
                         spec=spec,
                         caption_pos=caption_pos,
-                        caption_neg=caption_neg,
                         clip_neg=(
                             clip_at(row["clip_neg"], line_no)
                             if row["clip_neg"] is not None

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import EmptyInput, InvalidConfig, MissingNegative, SequenceTooLong
+from .errors import EmptyInput, InvalidConfig, SequenceTooLong
 
 UNK_TOKEN = "<unk>"
 INIT_STD = 0.02
@@ -89,21 +89,14 @@ class TextVocab:
 
 
 def build_vocab(manifests) -> TextVocab:
-    """Every caption token (positives then the record's negative), in first-occurrence order."""
+    """Every caption token, in first-occurrence order; a reversed caption has
+    its caption's tokens, so it adds none."""
     manifests = list(manifests)
     if not manifests:
         raise InvalidConfig("build_vocab needs at least one manifest")
-    seen: dict[str, None] = {}
-    n_tokens = 0
-    for manifest in manifests:
-        for rec in manifest.records:
-            for cap in (getattr(rec, "caption_pos", None), getattr(rec, "caption_neg", None)):
-                if cap is None:
-                    continue
-                for tok in cap.tokens:
-                    n_tokens += 1
-                    seen.setdefault(tok, None)
-    if n_tokens == 0:
+    seen = dict.fromkeys(tok for manifest in manifests for rec in manifest.records
+                         if hasattr(rec, "caption_pos") for tok in rec.caption_pos.tokens)
+    if not seen:
         raise InvalidConfig("corpus has no caption tokens to build a vocab from")
     return TextVocab(tokens=(UNK_TOKEN, *seen.keys()))
 
@@ -222,10 +215,6 @@ def forward_batch(params: ModelParams, records, temporal_mask) -> BatchEmbedding
     if len(mask) != len(records):
         raise InvalidConfig(f"mask length {len(mask)} != batch size {len(records)}")
     temporal_rows = tuple(i for i, flag in enumerate(mask) if flag)
-    for i in temporal_rows:
-        if records[i].caption_neg is None:
-            raise MissingNegative(f"batch row {i} is flagged temporal but has no caption_neg")
-
     seqs = [params.vocab.encode(r.caption_pos.tokens) for r in records]
     seqs += [params.vocab.encode(records[i].caption_neg.tokens) for i in temporal_rows]
     text = _encode_groups(params, "text", seqs)

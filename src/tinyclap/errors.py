@@ -49,10 +49,6 @@ class FormatError(DataError):
     pass
 
 
-class MissingNegative(DataError):
-    pass
-
-
 class SequenceTooLong(DataError):
     pass
 

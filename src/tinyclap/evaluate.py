@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import ModelParams, encode_audio_batch, encode_text_batch
-from .errors import InvalidConfig, IoError, MissingNegative
+from .errors import InvalidConfig, IoError
 
 REPORT_SCHEMA_VERSION = 1
 DEFAULT_KS = (1, 5, 10)
@@ -123,9 +123,6 @@ def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
     records = list(records)
     if not records:
         raise InvalidConfig("cannot score an empty record set")
-    missing = [i for i, r in enumerate(records) if r.caption_neg is None]
-    if missing:
-        raise MissingNegative(f"records {missing} have no reversed caption")
     captions = [r.caption_pos.tokens for r in records] + [r.caption_neg.tokens for r in records]
     text = encode_text_batch(params, captions).data
     text, text_neg = text[: len(records)], text[len(records) :]

@@ -211,9 +211,12 @@ def load_checkpoint(path) -> Checkpoint:
     if len(raw) - body != 24 * size:
         raise FormatError(f"{path}: {len(raw) - body} bytes of vectors, the config and vocab "
                           f"give {24 * size}")
+    vectors = np.frombuffer(raw, "<f8", 3 * size, body).reshape(3, -1)
+    for name, vec in zip(("flat", "m", "v"), vectors):
+        if not np.isfinite(vec).all():
+            raise FormatError(f"{path}: non-finite values in the {name} vector")
     # one native copy per vector, so that holding the parameters keeps neither raw nor the moments
-    flat, m, v = (vec.astype(np.float64) for vec in np.frombuffer(raw, "<f8", 3 * size, body)
-                  .reshape(3, -1))
+    flat, m, v = (vec.astype(np.float64) for vec in vectors)
     return Checkpoint(ModelParams(train_config.encoder, vocab, flat), train_config, m, v, step,
                       rng_state)
 
@@ -232,7 +235,7 @@ def _with_vocab(config: TrainConfig, vocab: TextVocab) -> TrainConfig:
 
 
 def init_run(config: TrainConfig, primary, temporal=None) -> tuple[TrainConfig, ModelParams]:
-    """Vocab from both corpora (negatives included), fresh parameters.
+    """Vocab from both corpora, fresh parameters.
 
     This is exactly the step-0 state of train(); kept separate so an
     untrained baseline can be built without running the loop.
@@ -287,9 +290,6 @@ def _pools(config: TrainConfig, primary_manifest, temporal_manifest):
     if temporal is None and math.floor(config.batch_size * config.temporal_fraction + 1e-9) > 0:
         raise EmptyPool("temporal_fraction > 0 but no order-negative manifest given")
     temporal_pool = list(temporal.records) if temporal is not None else []
-    for rec in temporal_pool:
-        if rec.caption_neg is None:
-            raise InvalidConfig(f"temporal record {rec.record_id} lacks a negative caption")
     return primary, temporal, (list(primary.records), temporal_pool)
 
 

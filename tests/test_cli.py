@@ -192,6 +192,16 @@ def _edit_vectors(change):
     return edit
 
 
+def _non_finite_in(k, value):
+    """Sets one f64 in the middle of the k-th of the three vectors (flat, m, v)."""
+    def change(vectors):
+        numbers = np.frombuffer(vectors, "<f8").copy()
+        numbers[k * (numbers.size // 3) + numbers.size // 6] = value
+        return numbers.tobytes()
+
+    return _edit_vectors(change)
+
+
 def _meta_not_utf8(raw):
     meta, vectors = checkpoint_parts(raw)
     return checkpoint_bytes(raw, b"\xff" + json.dumps(meta).encode(), vectors)
@@ -231,10 +241,13 @@ def _float_hidden_dim(meta):
         (lambda raw: raw[:8] + struct.pack("<Q", len(raw)) + raw[16:],
          r"meta runs to byte \d+, past the end of the file \(\d+ bytes\)"),
         (_edit_meta(_extra_token), SIZE_MISMATCH),
+        (_non_finite_in(0, np.nan), "non-finite values in the flat vector$"),
+        (_non_finite_in(1, np.nan), "non-finite values in the m vector$"),
+        (_non_finite_in(2, -np.inf), "non-finite values in the v vector$"),
     ],
     ids=["meta-not-utf8", "no-step", "step-a-string", "step-true", "step-negative",
          "hidden-dim-a-float", "rng-not-a-state", "vectors-one-short", "vectors-one-long",
-         "meta-length-past-end", "vocab-extra-token"],
+         "meta-length-past-end", "vocab-extra-token", "nan-in-flat", "nan-in-m", "inf-in-v"],
 )
 def test_corrupt_checkpoint_is_format_error_and_exits_two(edit, message, tiny_config,
                                                           trained_dir, capsys):
@@ -305,9 +318,11 @@ def _edit_line(line_no, change):
         (_edit_line(2, lambda row, lines: row.update(id=json.loads(lines[1])["id"])),
          "record ids must be unique"),
         (_edit_line(0, lambda h, _: h.update(seed=True)), "seed must be an integer, got True"),
+        (_edit_line(0, lambda h, _: h.update(n_records=str(h["n_records"]))),
+         "line 1: bad record count: n_records must be an integer, got '12'"),
     ],
     ids=["seed-abc", "seed-null", "catalog-seed-negative", "one-class", "duplicate-id",
-         "seed-true"],
+         "seed-true", "n-records-string"],
 )
 def test_bad_manifest_header_or_ids_are_format_errors(edit, message, tiny_config, trained_dir,
                                                       capsys):

@@ -8,6 +8,7 @@ byte-for-byte because downstream determinism claims depend on it.
 import json
 import math
 import re
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -258,8 +259,7 @@ def test_mixed_dataset_counts_and_negatives(catalog):
     man = C.build_mixed_dataset(catalog, 100, 2, 3, 0.1, False, seed=3)
     assert len(man.records) == 100
     for rec in man.records:
-        assert rec.caption_neg is not None
-        assert rec.caption_neg.event_ids == tuple(reversed(rec.caption_pos.event_ids))
+        assert rec.caption_neg == C.negate_caption(rec.caption_pos)
         assert rec.clip_neg is None
 
 
@@ -303,18 +303,22 @@ def test_mixed_dataset_validates_arguments(catalog):
         C.build_mixed_dataset(small, 3, 2, 2, 0.1, False, seed=0)
 
 
-def test_record_rejects_mismatched_negative(catalog):
-    cap = C.render_caption((0, 1, 2), catalog, "and then")
-    bad_neg = C.render_caption((1, 0, 2), catalog, "and then")
+def test_record_rejects_caption_disagreeing_with_its_events(catalog):
+    reversed_cap = C.render_caption((2, 1, 0), catalog, "and then")
     clip = C.AudioClip(np.concatenate(_prototype_blocks(catalog, (0, 1, 2), 2)))
-    with pytest.raises(InvalidConfig):
-        C.DatasetRecord(
-            record_id=0,
-            clip=clip,
-            spec=C.ClipSpec((0, 1, 2), 2, 0.0),
-            caption_pos=cap,
-            caption_neg=bad_neg,
-        )
+    with pytest.raises(InvalidConfig, match=r"record 7: caption events \(2, 1, 0\) differ"):
+        C.DatasetRecord(record_id=7, clip=clip, spec=C.ClipSpec((0, 1, 2), 2, 0.0),
+                        caption_pos=reversed_cap)
+
+
+def test_record_derives_its_reversed_caption(small_corpus, catalog):
+    rec = small_corpus.records[0]
+    with pytest.raises(TypeError):
+        C.DatasetRecord(record_id=0, clip=rec.clip, spec=rec.spec, caption_pos=rec.caption_pos,
+                        caption_neg=rec.caption_neg)
+    swapped = "and then" if rec.caption_pos.connectors[0] == "followed by" else "followed by"
+    changed = dc_replace(rec, caption_pos=C.render_caption(rec.spec.event_ids, catalog, swapped))
+    assert changed.caption_neg == C.negate_caption(changed.caption_pos) != rec.caption_neg
 
 
 def test_labeled_clips_shapes_and_determinism(catalog):
@@ -424,15 +428,45 @@ def _swap_connector(row):
     [
         _swap_connector,
         lambda row: row.update(events=row["events"][::-1]),
-        lambda row: row.update(caption_neg=row["caption_pos"]),
         lambda row: row.update(caption_pos=row["caption_pos"] + " "),
     ],
-    ids=["connector", "events", "caption_neg", "caption_pos"],
+    ids=["connector", "events", "caption_pos"],
 )
 def test_caption_disagreeing_with_events_rejected(saved, change):
     rewrite_row(saved, 3, change)
     with pytest.raises(FormatError, match="line 3.*disagrees"):
         C.load_manifest(saved)
+
+
+def test_rows_store_no_reversed_caption(saved):
+    rows = [json.loads(line) for line in saved.read_text().splitlines()[1:]]
+    assert all("caption_neg" not in row for row in rows)
+
+
+@pytest.mark.parametrize("value", ["text", None], ids=["string", "null"])
+def test_older_rows_with_a_reversed_caption_load(saved, small_corpus, value):
+    # rows written before the reversed caption was derived carry it; the key is ignored
+    lines = saved.read_text().splitlines()
+    rows = [json.loads(line) for line in lines[1:]]
+    for row, rec in zip(rows, small_corpus.records):
+        row["caption_neg"] = value and rec.caption_neg.text
+    saved.write_text("\n".join(lines[:1] + [json.dumps(r, sort_keys=True) for r in rows]) + "\n")
+    assert C.load_manifest(saved) == small_corpus
+
+
+@pytest.mark.parametrize(
+    "connectors", [("followed by", "and then"), ("after", "after")], ids=["mixed", "parser-only"]
+)
+def test_save_rejects_non_generator_captions_before_writing(tmp_path, small_corpus, connectors):
+    rec = small_corpus.records[0]
+    cap = rec.caption_pos
+    parts = [(eid, cap.tokens[a:b]) for eid, (a, b) in cap.segments]
+    odd = dc_replace(rec, caption_pos=C._assemble_caption(parts, list(connectors)))
+    manifest = dc_replace(small_corpus, records=(odd,) + small_corpus.records[1:])
+    target = tmp_path / "out" / "corpus.jsonl"
+    with pytest.raises(InvalidConfig, match=f"record {rec.record_id}: caption connectors"):
+        C.save_manifest(manifest, target)
+    assert not target.parent.exists()
 
 
 def test_manifest_unknown_event_rejected(saved):
@@ -541,6 +575,10 @@ def test_catalog_for_rebuilds_generator_catalog(small_corpus, catalog):
         ("paired", 1, lambda h: h.update(seed=h["seed"] + 0.5), "seed must be an integer"),
         ("paired", 1, lambda h: h["catalog"].update(n_classes=20.9),
          "catalog n_classes must be an integer, got 20.9"),
+        ("paired", 1, lambda h: h.update(n_records=str(h["n_records"])),
+         "n_records must be an integer, got '300'"),
+        ("paired", 1, lambda h: h.update(n_records=True), "n_records must be an integer, got True"),
+        ("paired", 1, lambda h: h.update(n_records=1.5), "n_records must be an integer, got 1.5"),
         ("paired", 2, lambda row: row.update(id=str(row["id"])), "id must be an integer, got '0'"),
         ("paired", 2, lambda row: row.update(id=row["id"] + 0.7), "id must be an integer, got 0.7"),
         ("paired", 3, lambda row: row.update(frames_per_event=str(row["frames_per_event"])),
@@ -552,7 +590,8 @@ def test_catalog_for_rebuilds_generator_catalog(small_corpus, catalog):
         ("paired", 3, lambda row: row.update(noise_sigma=True), "noise_sigma must be a number"),
         ("labeled", 2, lambda row: row.update(label=str(row["label"])), "label must be an integer"),
     ],
-    ids=["seed-true", "seed-half", "n-classes-float", "id-string", "id-float",
+    ids=["seed-true", "seed-half", "n-classes-float", "n-records-string", "n-records-true",
+         "n-records-float", "id-string", "id-float",
          "frames-per-event-string", "events-float", "noise-sigma-string", "noise-sigma-true",
          "label-string"],
 )

@@ -10,10 +10,11 @@ import pytest
 import tinyclap.tensor as T
 from tinyclap import corpus as C
 from tinyclap import encoders as E
+from tinyclap.cli import cmd_synth
+from tinyclap.config import run_config_from_dict
 from tinyclap.errors import (
     EmptyInput,
     InvalidConfig,
-    MissingNegative,
     SequenceTooLong,
     ShapeError,
 )
@@ -61,6 +62,15 @@ def test_build_vocab_first_occurrence_order():
     # every caption token is encodable without falling back to unk
     for rec in man.records:
         assert 0 not in vocab.encode(rec.caption_pos.tokens)
+
+
+def test_build_vocab_over_captions_equals_one_over_captions_and_reversals(tmp_path):
+    # a reversal has exactly its caption's tokens, so it adds none and moves none
+    pieces = cmd_synth(run_config_from_dict({}), tmp_path)
+    manifests = [pieces["train_primary"], pieces["train_temporal"]]
+    both = dict.fromkeys(tok for man in manifests for rec in man.records
+                         for cap in (rec.caption_pos, rec.caption_neg) for tok in cap.tokens)
+    assert E.build_vocab(manifests).tokens == (E.UNK_TOKEN, *both)
 
 
 def test_build_vocab_rejects_empty():
@@ -254,12 +264,3 @@ def test_forward_batch_validates(tiny_batch):
         E.forward_batch(params, [], [])
     with pytest.raises(InvalidConfig):
         E.forward_batch(params, records, [True])
-    stripped = records[0].__class__(
-        record_id=99,
-        clip=records[0].clip,
-        spec=records[0].spec,
-        caption_pos=records[0].caption_pos,
-        caption_neg=None,
-    )
-    with pytest.raises(MissingNegative):
-        E.forward_batch(params, [stripped], [True])

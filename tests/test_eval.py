@@ -11,7 +11,7 @@ from tinyclap import evaluate as ev
 from tinyclap import trainer as tr
 from tinyclap.corpus import build_catalog, build_labeled_clips, build_mixed_dataset
 from tinyclap.encoders import EncoderConfig, encode_audio_batch, encode_text_batch
-from tinyclap.errors import InvalidConfig, IoError, MissingNegative
+from tinyclap.errors import InvalidConfig, IoError
 from tinyclap.losses import similarity_matrix
 
 
@@ -173,14 +173,6 @@ def test_t_classify_without_reversed_clips(setup):
     assert res.a2t_accuracy is None and res.n_a2t == 0
     emb = ev.embed_test_set(params, plain.records)
     assert emb.audio_neg is None and emb.neg_rows.size == 0
-
-
-def test_t_classify_requires_reversed_captions(setup):
-    catalog, _, params, _ = setup
-    records = build_mixed_dataset(catalog, 6, 2, 3, 0.1, True, seed=41).records
-    records = [records[0], dc_replace(records[1], caption_neg=None), *records[2:]]
-    with pytest.raises(MissingNegative):
-        ev.t_classify(params, records)
 
 
 def test_t_classify_matches_per_direction_encodes(setup):

@@ -682,16 +682,6 @@ def test_train_rejects_catalog_mismatch(corpora, tiny_encoder, tmp_path):
         tr.train(cfg, primary, other, out_dir=tmp_path)
 
 
-def test_train_rejects_temporal_records_without_negatives(corpora, tiny_encoder, tmp_path):
-    primary, temporal = corpora
-    stripped = dc_replace(
-        temporal, records=tuple(dc_replace(r, caption_neg=None) for r in temporal.records)
-    )
-    cfg = tiny_config(tiny_encoder)
-    with pytest.raises(InvalidConfig, match="negative caption"):
-        tr.train(cfg, primary, stripped, out_dir=tmp_path)
-
-
 def test_init_run_fills_vocab_size(corpora):
     primary, temporal = corpora
     enc = EncoderConfig(
