@@ -90,10 +90,14 @@ class EventClass:
 
 @dataclass(frozen=True)
 class EventCatalog:
+    """Event classes; derived once: name -> id, read-only float32 prototypes, name tokens."""
+
     classes: tuple[EventClass, ...]
     frame_dim: int
     seed: int
     _name_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    _prototypes: np.ndarray = field(init=False, repr=False, compare=False)
+    _name_tokens: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = {}
@@ -116,15 +120,25 @@ class EventCatalog:
                 raise InvalidConfig(f"duplicate prototype for {ev.name!r}")
             seen_protos.add(key)
             names[ev.name] = i
+        protos = np.array([c.prototype for c in self.classes], FRAME_DTYPE.base)
+        protos.setflags(write=False)
         object.__setattr__(self, "_name_to_id", names)
+        object.__setattr__(self, "_prototypes", protos)  # n_classes x frame_dim
+        object.__setattr__(self, "_name_tokens", tuple(tuple(c.name.split()) for c in self.classes))
 
     def __len__(self) -> int:
         return len(self.classes)
 
     def name_of(self, event_id: int) -> str:
-        if not 0 <= event_id < len(self.classes):
-            raise UnknownEvent(f"event id {event_id} not in catalog of {len(self)} classes")
-        return self.classes[event_id].name
+        return self.classes[self.checked_ids((event_id,))[0]].name
+
+    def checked_ids(self, event_ids) -> tuple[int, ...]:
+        """The ids as a tuple; UnknownEvent names the first outside [0, n_classes)."""
+        ids = tuple(event_ids)
+        for eid in ids:
+            if not 0 <= eid < len(self.classes):
+                raise UnknownEvent(f"event id {eid} not in catalog of {len(self)} classes")
+        return ids
 
     def id_of(self, name: str) -> int | None:
         return self._name_to_id.get(name)
@@ -177,7 +191,7 @@ class AudioClip:
     def __post_init__(self):
         if self.frames.ndim != 2:
             raise InvalidConfig(f"clip frames must be T x F, got shape {self.frames.shape}")
-        if not np.all(np.isfinite(self.frames)):
+        if not np.isfinite(self.frames).all():
             raise InvalidConfig("clip frames contain non-finite values")
 
     def __eq__(self, other):
@@ -187,18 +201,19 @@ class AudioClip:
 def synth_clip_blocks(
     event_ids, catalog: EventCatalog, n_frames: int, noise_sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """E x n_frames x F blocks, one per event in order: the prototype plus
-    sigma-scaled gaussian noise per frame, the whole clip's noise drawn in one
-    call. A clip is its blocks in order and its reversal the blocks reversed."""
+    """E x n_frames x F float32 blocks, one per event in order: its prototype, one gather
+    from the catalog's table, plus sigma-scaled gaussian noise per frame, summed in float64;
+    one call draws the whole clip's noise. A clip is its blocks, its reversal them reversed."""
     if n_frames < 1:
         raise InvalidConfig(f"n_frames must be >= 1, got {n_frames}")
     if noise_sigma < 0:
         raise InvalidConfig(f"noise_sigma must be >= 0, got {noise_sigma}")
-    base = np.stack([np.tile(catalog.classes[eid].prototype, (n_frames, 1)) for eid in event_ids])
+    protos = catalog._prototypes[list(catalog.checked_ids(event_ids)), None, :]  # E x 1 x F
     if noise_sigma == 0:
-        return base
-    noise = noise_sigma * rng.standard_normal(base.shape)
-    return (base.astype(np.float64) + noise).astype(FRAME_DTYPE.base)
+        return np.repeat(protos, n_frames, axis=1)
+    noise = noise_sigma * rng.standard_normal((len(protos), n_frames, catalog.frame_dim))
+    noise += protos
+    return noise.astype(FRAME_DTYPE.base)
 
 
 # -- captions ------------------------------------------------------------------
@@ -236,10 +251,10 @@ def render_caption(event_ids, catalog: EventCatalog, connector: str) -> Caption:
         raise UnknownConnector(
             f"connector {connector!r} not in generation set {GENERATION_CONNECTORS}"
         )
-    ids = tuple(event_ids)
+    ids = catalog.checked_ids(event_ids)
     if len(ids) < 2:
         raise TooFewEvents(f"caption needs at least 2 events, got {len(ids)}")
-    parts = [(eid, tuple(catalog.name_of(eid).split())) for eid in ids]
+    parts = [(eid, catalog._name_tokens[eid]) for eid in ids]
     return _assemble_caption(parts, [connector] * (len(ids) - 1))
 
 
@@ -384,9 +399,7 @@ def build_mixed_dataset(
     for idx in range(n_records):
         rng = np.random.default_rng([seed, idx])
         while True:
-            ids = tuple(
-                int(v) for v in rng.choice(len(catalog), size=events_per_clip, replace=False)
-            )
+            ids = tuple(rng.choice(len(catalog), size=events_per_clip, replace=False).tolist())
             if frozenset(ids) not in seen_sets:
                 break
         seen_sets.add(frozenset(ids))
@@ -567,8 +580,10 @@ def load_manifest(path) -> DatasetManifest:
         seed = _json_value(header.get("seed", 0), "seed")
     except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         fail(1, f"bad catalog reference or seed: {exc}")
+    kind, split = header.get("kind", "paired"), header.get("split", "train")
+    if kind not in ("paired", "labeled") or not isinstance(split, str):
+        fail(1, f"kind must be 'paired' or 'labeled' and split a string, got {kind!r}, {split!r}")
     frames = _load_frames(path, ref.frame_dim)
-    kind = header.get("kind", "paired")
     n_expected = header.get("n_records")
     if n_expected is not None:
         try:
@@ -646,7 +661,7 @@ def load_manifest(path) -> DatasetManifest:
         )
     try:
         return DatasetManifest(records=tuple(records), catalog_ref=ref,
-                               split=header.get("split", "train"), seed=seed, kind=kind)
+                               split=split, seed=seed, kind=kind)
     except InvalidConfig as exc:  # duplicate record ids
         raise FormatError(f"{path}: {exc}") from exc
 

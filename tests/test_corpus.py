@@ -160,6 +160,74 @@ def test_zero_noise_negative_clip_reverses_blocks(catalog):
         np.testing.assert_array_equal(rec.clip_neg.frames, np.concatenate(blocks[::-1]))
 
 
+def _replayed_blocks(catalog, rng, event_ids, n_frames, sigma):
+    """The textbook recipe: tiled prototypes, then noise drawn in one call and
+    added to the prototypes in float64."""
+    base = np.stack(_prototype_blocks(catalog, event_ids, n_frames))
+    if sigma == 0:
+        return base
+    noise = sigma * rng.standard_normal(base.shape)
+    return (base.astype(np.float64) + noise).astype(np.float32)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.0])
+@pytest.mark.parametrize("with_negative_clips", [False, True], ids=["forward", "reversed"])
+def test_paired_synthesis_bits_equal_the_replayed_recipe(catalog, sigma, with_negative_clips):
+    # each record's draws, replayed from its own generator in the same order
+    seed, n_events, n_frames = 4, 3, 5
+    man = C.build_mixed_dataset(catalog, 200, n_events, n_frames, sigma, with_negative_clips, seed)
+    seen = set()
+    for idx, rec in enumerate(man.records):
+        rng = np.random.default_rng([seed, idx])
+        while True:
+            ids = tuple(int(v) for v in rng.choice(len(catalog), size=n_events, replace=False))
+            if frozenset(ids) not in seen:
+                break
+        seen.add(frozenset(ids))
+        connector = C.GENERATION_CONNECTORS[int(rng.integers(len(C.GENERATION_CONNECTORS)))]
+        blocks = _replayed_blocks(catalog, rng, ids, n_frames, sigma)
+        assert rec.spec.event_ids == ids and rec.caption_pos.connectors[0] == connector
+        assert rec.clip.frames.dtype == blocks.dtype == np.float32
+        np.testing.assert_array_equal(rec.clip.frames.view(np.uint32),
+                                      blocks.reshape(-1, 16).view(np.uint32))
+        if with_negative_clips:
+            np.testing.assert_array_equal(rec.clip_neg.frames.view(np.uint32),
+                                          blocks[::-1].reshape(-1, 16).view(np.uint32))
+        else:
+            assert rec.clip_neg is None
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.0])
+def test_labeled_synthesis_bits_equal_the_replayed_recipe(catalog, sigma):
+    seed, n_frames = 6, 4
+    man = C.build_labeled_clips(catalog, 200, n_frames, sigma, seed)
+    for idx, rec in enumerate(man.records):
+        rng = np.random.default_rng([seed, idx])
+        label = int(rng.integers(len(catalog)))
+        blocks = _replayed_blocks(catalog, rng, (label,), n_frames, sigma)
+        assert rec.label_id == label and rec.clip.frames.dtype == np.float32
+        np.testing.assert_array_equal(rec.clip.frames.view(np.uint32), blocks[0].view(np.uint32))
+
+
+@pytest.mark.parametrize("bad_id", [-1, 20], ids=["minus-one", "n-classes"])
+def test_out_of_range_event_ids_fail_by_name(catalog, bad_id):
+    # a table gather would wrap -1 to the last class and fail 20 with a bare IndexError
+    with pytest.raises(UnknownEvent, match=f"event id {bad_id} not in catalog of 20 classes"):
+        C.synth_clip_blocks((bad_id, 3), catalog, 2, 0.0, np.random.default_rng(0))
+    with pytest.raises(UnknownEvent, match=f"event id {bad_id} not in catalog of 20 classes"):
+        C.synth_clip_blocks((3, bad_id), catalog, 2, 0.5, np.random.default_rng(0))
+    with pytest.raises(UnknownEvent, match=f"event id {bad_id} not in catalog of 20 classes"):
+        C.render_caption((3, bad_id), catalog, "and then")
+
+
+def test_catalog_prototype_table_is_read_only(catalog):
+    blocks = C.synth_clip_blocks((3, 7), catalog, 2, 0.0, np.random.default_rng(0))
+    blocks[:] = 0  # the caller owns its blocks; the catalog's table is untouched
+    np.testing.assert_array_equal(catalog._prototypes[3], catalog.classes[3].prototype)
+    with pytest.raises(ValueError):
+        catalog._prototypes[0, 0] = 1.0
+
+
 # -- caption grammar ----------------------------------------------------------------
 
 
@@ -467,6 +535,23 @@ def test_save_rejects_non_generator_captions_before_writing(tmp_path, small_corp
     with pytest.raises(InvalidConfig, match=f"record {rec.record_id}: caption connectors"):
         C.save_manifest(manifest, target)
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "change, shown",
+    [
+        (lambda h: h.update(kind=7), "got 7, 'train'"),
+        (lambda h: h.update(kind="pairs"), "got 'pairs', 'train'"),
+        (lambda h: h.update(split=["x"]), "got 'paired', ['x']"),
+    ],
+    ids=["kind-a-number", "kind-unknown", "split-a-list"],
+)
+def test_header_kind_and_split_are_checked(saved, change, shown):
+    # unchecked, any kind but "labeled" reads the rows as paired and is written back as given
+    rewrite_row(saved, 1, change)
+    with pytest.raises(FormatError, match=f"line 1: kind must be 'paired' or 'labeled' and split "
+                                          f"a string, {re.escape(shown)}"):
+        C.load_manifest(saved)
 
 
 def test_manifest_unknown_event_rejected(saved):
