@@ -129,9 +129,6 @@ class EventCatalog:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def name_of(self, event_id: int) -> str:
-        return self.classes[self.checked_ids((event_id,))[0]].name
-
     def checked_ids(self, event_ids) -> tuple[int, ...]:
         """The ids as a tuple; UnknownEvent names the first outside [0, n_classes)."""
         ids = tuple(event_ids)
@@ -168,21 +165,6 @@ def build_catalog(n_classes: int, frame_dim: int, seed: int) -> EventCatalog:
 
 
 # -- clips ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClipSpec:
-    event_ids: tuple[int, ...]
-    frames_per_event: int
-    noise_sigma: float
-
-    def __post_init__(self):
-        if len(self.event_ids) < 1:
-            raise InvalidConfig("clip needs at least one event")
-        if self.frames_per_event < 1:
-            raise InvalidConfig(f"frames_per_event must be >= 1, got {self.frames_per_event}")
-        if self.noise_sigma < 0:
-            raise InvalidConfig(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -321,20 +303,24 @@ def negate_caption(caption: Caption) -> Caption:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """A clip and its caption; caption_neg, the caption reversed, is derived from it."""
+    """A clip and its caption; the clip's events are caption_pos.event_ids, distinct.
+    caption_neg, the caption reversed, is derived from it; clip_neg, if any, is the
+    clip's event blocks reversed, so it has the clip's shape."""
 
     record_id: int
     clip: AudioClip
-    spec: ClipSpec
     caption_pos: Caption
     caption_neg: Caption = field(init=False)
     clip_neg: AudioClip | None = None
 
     def __post_init__(self):
-        if self.caption_pos.event_ids != self.spec.event_ids:
+        ids = self.caption_pos.event_ids
+        if len(set(ids)) != len(ids):
+            raise InvalidConfig(f"record {self.record_id}: event ids {ids} repeat")
+        if self.clip_neg is not None and self.clip_neg.frames.shape != self.clip.frames.shape:
             raise InvalidConfig(
-                f"record {self.record_id}: caption events {self.caption_pos.event_ids} "
-                f"differ from clip events {self.spec.event_ids}"
+                f"record {self.record_id}: reversed clip shape {self.clip_neg.frames.shape} "
+                f"differs from clip shape {self.clip.frames.shape}"
             )
         object.__setattr__(self, "caption_neg", negate_caption(self.caption_pos))
 
@@ -405,12 +391,10 @@ def build_mixed_dataset(
         seen_sets.add(frozenset(ids))
         connector = GENERATION_CONNECTORS[int(rng.integers(len(GENERATION_CONNECTORS)))]
         blocks = synth_clip_blocks(ids, catalog, frames_per_event, noise_sigma, rng)
-        spec = ClipSpec(event_ids=ids, frames_per_event=frames_per_event, noise_sigma=noise_sigma)
         records.append(
             DatasetRecord(
                 record_id=idx,
                 clip=AudioClip(frames=blocks.reshape(-1, catalog.frame_dim)),
-                spec=spec,
                 caption_pos=render_caption(ids, catalog, connector),
                 clip_neg=(
                     AudioClip(frames=blocks[::-1].reshape(-1, catalog.frame_dim))
@@ -457,9 +441,10 @@ def build_labeled_clips(
 # record, and <stem>.frames.npy, one float32 array holding every clip (then
 # its reversed copy, if any) in record order. A row names each of its clips
 # by its [start, stop) row span in the array; the spans of a file tile the
-# array. Paired rows store event ids and connector, from which the caption
-# is rebuilt on load and checked against the stored text; the reversed
-# caption is derived from it and not stored.
+# array. A paired row stores its event ids and connector and no caption
+# text: the caption is rendered from them on load, and the reversed caption
+# derived from it. Keys that older rows carry beside these (caption_pos,
+# caption_neg, frames_per_event, noise_sigma) are ignored.
 
 
 def _frames_path(path: Path) -> Path:
@@ -510,11 +495,8 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
                 )
             row = {
                 "id": rec.record_id,
-                "events": list(rec.spec.event_ids),
-                "frames_per_event": rec.spec.frames_per_event,
-                "noise_sigma": rec.spec.noise_sigma,
+                "events": list(rec.caption_pos.event_ids),
                 "connector": connectors[0],
-                "caption_pos": rec.caption_pos.text,
                 "clip": span(rec.clip),
                 "clip_neg": span(rec.clip_neg),
             }
@@ -542,11 +524,10 @@ def _load_frames(path: Path, frame_dim: int) -> np.ndarray:
     return frames
 
 
-def _json_value(value, key: str, kinds: tuple = (int,)):
-    """The value as JSON gave it, if its type is one of kinds (a bool is not an int here)."""
-    if type(value) not in kinds:
-        raise TypeError(f"{key} must be {'an integer' if kinds == (int,) else 'a number'}, "
-                        f"got {value!r}")
+def _json_value(value, key: str) -> int:
+    """The value as JSON gave it, if it is an integer (a bool is not one here)."""
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
     return value
 
 
@@ -625,21 +606,12 @@ def load_manifest(path) -> DatasetManifest:
                     )
                 )
             else:
-                spec = ClipSpec(
-                    event_ids=tuple(_json_value(e, "event id") for e in row["events"]),
-                    frames_per_event=_json_value(row["frames_per_event"], "frames_per_event"),
-                    noise_sigma=float(_json_value(row["noise_sigma"], "noise_sigma", (int, float))),
-                )
-                caption_pos = render_caption(spec.event_ids, catalog, row["connector"])
-                if row["caption_pos"] != caption_pos.text:
-                    fail(line_no, f"caption_pos {row['caption_pos']!r} disagrees with its "
-                                  f"events ({caption_pos.text!r})")
+                events = [_json_value(e, "event id") for e in row["events"]]
                 records.append(
                     DatasetRecord(
                         record_id=_json_value(row["id"], "id"),
                         clip=clip_at(row["clip"], line_no),
-                        spec=spec,
-                        caption_pos=caption_pos,
+                        caption_pos=render_caption(events, catalog, row["connector"]),
                         clip_neg=(
                             clip_at(row["clip_neg"], line_no)
                             if row["clip_neg"] is not None

@@ -75,7 +75,8 @@ def test_criterion_2_loss_closed_forms():
 
 def test_criterion_3_corpus_algebra():
     catalog = build_catalog(110, 8, seed=17)
-    corpus = build_mixed_dataset(catalog, 5000, 2, 2, 0.1, True, seed=18)
+    frames_per_event = 2
+    corpus = build_mixed_dataset(catalog, 5000, 2, frames_per_event, 0.1, True, seed=18)
     involution_hits = 0
     round_trip_hits = 0
     swap_hits = 0
@@ -83,9 +84,9 @@ def test_criterion_3_corpus_algebra():
         if negate_caption(negate_caption(rec.caption_pos)) == rec.caption_pos:
             involution_hits += 1
         ids, _ = parse_caption(rec.caption_pos.text, catalog)
-        if ids == rec.spec.event_ids:
+        if ids == rec.caption_pos.event_ids:
             round_trip_hits += 1
-        f = rec.spec.frames_per_event
+        f = frames_per_event
         swapped = np.vstack([rec.clip.frames[f:], rec.clip.frames[:f]])
         if np.array_equal(rec.clip_neg.frames, swapped):
             swap_hits += 1

@@ -229,7 +229,7 @@ def test_prompt_tokens():
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_zero_shot_mechanics(setup):
     catalog, _, params, labeled = setup
-    names = tuple(catalog.name_of(i) for i in range(len(catalog)))
+    names = tuple(c.name for c in catalog.classes)
     res = ev.zero_shot_classify(params, labeled.records, names)
     assert res.n_samples == len(labeled.records)
     assert res.label_set == names
@@ -241,13 +241,13 @@ def test_zero_shot_mechanics(setup):
 def test_zero_shot_single_label_is_trivially_right(setup):
     catalog, _, params, labeled = setup
     records = [dc_replace(r, label_id=0) for r in labeled.records]
-    res = ev.zero_shot_classify(params, records, (catalog.name_of(0),))
+    res = ev.zero_shot_classify(params, records, (catalog.classes[0].name,))
     assert res.accuracy == 100.0
 
 
 def test_zero_shot_warns_on_unknown_prompt_tokens(setup):
     catalog, _, params, labeled = setup
-    names = tuple(catalog.name_of(i) for i in range(len(catalog)))
+    names = tuple(c.name for c in catalog.classes)
     # the prompt prefix never occurs in captions, so it maps to <unk>
     with pytest.warns(UserWarning, match="<unk>"):
         ev.zero_shot_classify(params, labeled.records, names)
@@ -256,7 +256,7 @@ def test_zero_shot_warns_on_unknown_prompt_tokens(setup):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_zero_shot_validation(setup):
     catalog, _, params, labeled = setup
-    names = tuple(catalog.name_of(i) for i in range(len(catalog)))
+    names = tuple(c.name for c in catalog.classes)
     with pytest.raises(InvalidConfig, match="label set is empty"):
         ev.zero_shot_classify(params, labeled.records, ())
     with pytest.raises(InvalidConfig, match="empty record set"):
