@@ -303,9 +303,10 @@ def negate_caption(caption: Caption) -> Caption:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """A clip and its caption; the clip's events are caption_pos.event_ids, distinct.
-    caption_neg, the caption reversed, is derived from it; clip_neg, if any, is the
-    clip's event blocks reversed, so it has the clip's shape."""
+    """A clip and its caption; the clip's events are caption_pos.event_ids, distinct,
+    one block of equal length each. caption_neg, the caption reversed, is derived
+    from it; clip_neg, if any, is the clip's event blocks reversed, so it has the
+    clip's shape."""
 
     record_id: int
     clip: AudioClip
@@ -317,6 +318,9 @@ class DatasetRecord:
         ids = self.caption_pos.event_ids
         if len(set(ids)) != len(ids):
             raise InvalidConfig(f"record {self.record_id}: event ids {ids} repeat")
+        if len(self.clip.frames) % len(ids):
+            raise InvalidConfig(f"record {self.record_id}: a clip of {len(self.clip.frames)} rows "
+                                f"does not split into {len(ids)} equal event blocks")
         if self.clip_neg is not None and self.clip_neg.frames.shape != self.clip.frames.shape:
             raise InvalidConfig(
                 f"record {self.record_id}: reversed clip shape {self.clip_neg.frames.shape} "

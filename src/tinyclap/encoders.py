@@ -13,15 +13,20 @@ hidden layer (once per distinct (token, position) cell for text, once per
 frame for audio), pools each sequence, applies the output layer and
 normalizes. The text output carries the reversed captions after the N
 captions, and `losses.train_loss` reads both outputs whole, so a training
-step is tower, tower, `clap_loss`. Training and evaluation share
-this forward pass. Every parameter's data is a view of one float64 vector,
-`ModelParams.flat`.
+step is tower, tower, `clap_loss`. Every encode goes through one array
+entry, `encode_sequences`, so training and evaluation share this forward
+pass. Records are encoded once per pool (`encode_pool`: each caption and
+reversal as token ids, lengths and clip shapes checked there), and a batch
+is a gather from those arrays (`forward_pool`); `forward_batch` is the same
+path over a pool of just its records. Every parameter's data is a view of
+one float64 vector, `ModelParams.flat`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -85,7 +90,7 @@ class TextVocab:
         return len(self.tokens)
 
     def encode(self, tokens) -> list[int]:
-        return [self._ids.get(tok, 0) for tok in tokens]
+        return list(map(self._ids.get, tokens, repeat(0)))
 
 
 def build_vocab(manifests) -> TextVocab:
@@ -163,38 +168,78 @@ def init_params(config: EncoderConfig, vocab: TextVocab, seed: int) -> ModelPara
     return params
 
 
-def _encode_groups(params: ModelParams, tower: str, inputs: list) -> T.Tensor:
-    """Shared batched tower: inputs are token-id lists (text) or T x F arrays (audio).
-
-    All inputs go back to back into one `tower` op, as one array of token
-    ids into `text.embed` or as frame rows against `audio.proj`; `tower`
-    checks the ids' range. Rows come out in input order.
-    """
-    cfg = params.config
-    if not inputs:
+def _checked_lengths(cfg: EncoderConfig, tower: str, lengths) -> np.ndarray:
+    """Sequence lengths as int64, each in [1, max_positions]: one array check per bound."""
+    lens = np.asarray(lengths, dtype=np.int64)
+    if lens.size == 0:
         raise EmptyInput(f"{tower} batch is empty")
-    for i, item in enumerate(inputs):
-        if tower == "audio" and (item.ndim != 2 or item.shape[1] != cfg.frame_dim):
-            raise InvalidConfig(f"clip must be T x {cfg.frame_dim}, got shape {item.shape}")
-        if not 1 <= len(item) <= cfg.max_positions:
-            error = EmptyInput if len(item) < 1 else SequenceTooLong
-            raise error(f"{tower} input {i} has {len(item)} positions, max is {cfg.max_positions}")
-    if tower == "text":
-        table = params["text.embed"]
-        rows = np.concatenate([np.asarray(item, dtype=np.int64) for item in inputs])
-    else:
-        table = params["audio.proj"]
-        rows = np.concatenate(inputs, axis=0)
+    for bad, error in ((lens < 1, EmptyInput), (lens > cfg.max_positions, SequenceTooLong)):
+        if bad.any():
+            i = int(bad.argmax())
+            raise error(f"{tower} input {i} has {lens[i]} positions, max is {cfg.max_positions}")
+    return lens
+
+
+def _token_ids(params: ModelParams, token_seqs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Token sequences as one array of params.vocab ids, in the smallest unsigned
+    integer type that holds them, and their checked lengths."""
+    lens = _checked_lengths(params.config, "text", [len(toks) for toks in token_seqs])
+    ids = params.vocab.encode(chain.from_iterable(token_seqs))
+    return np.array(ids, dtype=np.min_scalar_type(len(params.vocab) - 1)), lens
+
+
+def _clip_lengths(cfg: EncoderConfig, clips) -> np.ndarray:
+    """Each clip's length, checked; every clip must be T x frame_dim."""
+    bad = next((c.shape for c in clips if c.ndim != 2 or c.shape[1] != cfg.frame_dim), None)
+    if bad is not None:
+        raise InvalidConfig(f"clip must be T x {cfg.frame_dim}, got shape {bad}")
+    return _checked_lengths(cfg, "audio", [len(c) for c in clips])
+
+
+def encode_sequences(params: ModelParams, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
+    """The one forward entry of both towers: sequences packed back to back, as
+    integer token ids of `text.embed` rows or float64 frame rows against
+    `audio.proj`, one `tower` op. Callers check the lengths and clip shapes;
+    `tower` checks that the lengths split the rows and the ids' range. Rows
+    come out in input order."""
+    table = params["text.embed" if tower == "text" else "audio.proj"]
     layers = (params[f"{tower}.{name}"] for name in ("pos", "w1", "b1", "w2", "b2"))
-    return T.tower(rows, table, *layers, [len(item) for item in inputs])
+    return T.tower(rows, table, *layers, lengths)
 
 
 def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:
-    return _encode_groups(params, "text", [params.vocab.encode(toks) for toks in token_seqs])
+    return encode_sequences(params, "text", *_token_ids(params, list(token_seqs)))
 
 
 def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
-    return _encode_groups(params, "audio", [np.asarray(c) for c in clips])
+    clips = [np.asarray(c) for c in clips]
+    lens = _clip_lengths(params.config, clips)
+    return encode_sequences(params, "audio", np.concatenate(clips, dtype=np.float64), lens)
+
+
+@dataclass(frozen=True)
+class PoolArrays:
+    """R records as the towers take them, encoded and checked once.
+
+    Sequence k < R is record k's caption and sequence R + k its reversed
+    caption; sequence j's token ids are ids[starts[j]:][:lens[j]].
+    Clips stay the records' own float32 arrays, cast per batch.
+    """
+
+    ids: np.ndarray  # unsigned, as narrow as the vocab allows: a pool holds ~30 ids a record
+    starts: np.ndarray
+    lens: np.ndarray
+    clips: tuple[np.ndarray, ...]
+    clip_lens: np.ndarray
+
+
+def encode_pool(params: ModelParams, records) -> PoolArrays:
+    """Every record's caption and reversed caption as token ids in params.vocab,
+    each length checked against max_positions, and every clip's shape checked."""
+    captions = [r.caption_pos.tokens for r in records] + [r.caption_neg.tokens for r in records]
+    ids, lens = _token_ids(params, captions)
+    clips = tuple(r.clip.frames for r in records)
+    return PoolArrays(ids, np.cumsum(lens) - lens, lens, clips, _clip_lengths(params.config, clips))
 
 
 @dataclass
@@ -204,19 +249,31 @@ class BatchEmbeddings:
     temporal_rows: tuple[int, ...]  # batch row of each reversed caption, in mask order
 
 
+def forward_pool(params: ModelParams, pool: PoolArrays, batch: np.ndarray,
+                 temporal_rows: np.ndarray) -> BatchEmbeddings:
+    """Embed the pool's records at indices `batch`, one tower op each for text
+    and audio: the text output holds their N captions, then the reversed
+    caption of each of `temporal_rows` (rising batch rows). The token ids are
+    one gather and the frames one concatenate."""
+    seqs = np.concatenate((batch, batch[temporal_rows] + len(pool.clips)))
+    lens = pool.lens[seqs]
+    ends = np.cumsum(lens)
+    ids = pool.ids[np.repeat(pool.starts[seqs] - (ends - lens), lens) + np.arange(ends[-1])]
+    text = encode_sequences(params, "text", ids, lens)
+    frames = np.concatenate([pool.clips[i] for i in batch.tolist()], dtype=np.float64)
+    audio = encode_sequences(params, "audio", frames, pool.clip_lens[batch])
+    return BatchEmbeddings(audio=audio, text=text, temporal_rows=tuple(temporal_rows.tolist()))
+
+
 def forward_batch(params: ModelParams, records, temporal_mask) -> BatchEmbeddings:
-    """Embed a batch of records, one tower op each for text and audio; rows
-    flagged in temporal_mask also embed their order-reversed caption, after
-    the N captions in the text output."""
+    """Embed a batch of records through `forward_pool`; rows flagged in
+    temporal_mask also embed their order-reversed caption, after the N
+    captions in the text output."""
     records = list(records)
-    mask = list(temporal_mask)
+    mask = np.asarray(list(temporal_mask), dtype=bool)
     if not records:
         raise EmptyInput("forward_batch got an empty batch")
     if len(mask) != len(records):
         raise InvalidConfig(f"mask length {len(mask)} != batch size {len(records)}")
-    temporal_rows = tuple(i for i, flag in enumerate(mask) if flag)
-    seqs = [params.vocab.encode(r.caption_pos.tokens) for r in records]
-    seqs += [params.vocab.encode(records[i].caption_neg.tokens) for i in temporal_rows]
-    text = _encode_groups(params, "text", seqs)
-    audio = _encode_groups(params, "audio", [r.clip.frames for r in records])
-    return BatchEmbeddings(audio=audio, text=text, temporal_rows=temporal_rows)
+    return forward_pool(params, encode_pool(params, records), np.arange(len(records)),
+                        np.flatnonzero(mask))

@@ -123,14 +123,15 @@ def _slab_stage(x, lens, w1_folded, pos_b1):
     order = np.argsort(lens, kind="stable")
     ranked = lens[order]
     rows = np.concatenate(([0], np.cumsum(ranked)))  # each sequence's first row, sorted
-    if (np.diff(lens) < 0).any():  # each row moves as far as its sequence's start does
+    rising = not (np.diff(lens) < 0).any()  # then no row moves and a piece's sequences are a slice
+    if not rising:  # each row moves as far as its sequence's start does
         x = x[np.arange(x.shape[0]) + np.repeat(np.cumsum(lens)[order] - rows[1:], ranked)]
     sizes, firsts = np.unique(ranked, return_index=True)  # each length's first sequence
     per = max(1, _PIECE_BYTES // (x.itemsize * h))  # hidden rows per piece
     cuts = [i for n, a, b in zip(sizes, firsts, np.append(firsts[1:], lens.size))
             for i in range(a, b, max(1, per // n))] + [lens.size]
-    pieces = [(int(ranked[a]), order[a:b], slice(rows[a], rows[b]))  # whole sequences of one length
-              for a, b in zip(cuts, cuts[1:])]
+    pieces = [(int(ranked[a]), slice(a, b) if rising else order[a:b], slice(rows[a], rows[b]))
+              for a, b in zip(cuts, cuts[1:])]  # whole sequences of one length
 
     pooled = np.empty((lens.size, h))
     active = np.empty((x.shape[0], h), dtype=bool)
@@ -140,7 +141,9 @@ def _slab_stage(x, lens, w1_folded, pos_b1):
         slab = z.reshape(-1, n, h)
         slab += pos_b1[:n]
         np.maximum(slab, 0.0, out=slab)
-        pooled[seqs] = slab.mean(axis=1)
+        mean = np.add.reduce(slab, axis=1)  # what slab.mean(axis=1) computes, without its wrapper
+        mean /= n
+        pooled[seqs] = mean
         np.greater(z, 0.0, out=active[part])  # relu(z) > 0 exactly where z > 0
 
     def bw(g_seq):
@@ -150,7 +153,7 @@ def _slab_stage(x, lens, w1_folded, pos_b1):
             gpre = buf[: part.stop - part.start]
             np.copyto(gpre.reshape(-1, n, h), g_seq[seqs][:, None])
             gpre *= active[part]
-            g_pos_b1[:n] += gpre.reshape(-1, n, h).sum(axis=0)
+            g_pos_b1[:n] += np.add.reduce(gpre.reshape(-1, n, h), axis=0)
             g_folded += x[part].T @ gpre
         return g_folded, g_pos_b1
 

@@ -2,11 +2,16 @@
 
 Each batch draws floor(batch_size * temporal_fraction) records from the
 order-negative pool (mask true) and the rest from the primary pool, without
-replacement within a batch, then shuffles. Training state is a pure function
-of (config, data, seed), and a `Checkpoint` holds each of its facts once: the
-flat parameters and Adam moments in the layout `param_shapes` gives, the step,
-and the batch generator's bit state. So an interrupted run resumed at a
-checkpoint boundary reproduces the uninterrupted run bit for bit.
+replacement within a batch, then shuffles. A pipeline (`train` or
+`train_fork`) encodes and checks every record once, before its first step;
+a step draws record indices, gathers the batch's token ids and frames from
+those arrays, and runs tower, tower, loss, backward and Adam.
+
+Training state is a pure function of (config, data, seed), and a
+`Checkpoint` holds each of its facts once: the flat parameters and Adam
+moments in the layout `param_shapes` gives, the step, and the batch
+generator's bit state. So an interrupted run resumed at a checkpoint
+boundary reproduces the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from .encoders import (
     ModelParams,
     TextVocab,
     build_vocab,
-    forward_batch,
+    encode_pool,
+    forward_pool,
     init_params,
     param_count,
 )
@@ -92,18 +98,12 @@ def compose_batch(primary_pool, temporal_pool, batch_size, temporal_fraction, rn
         )
     if n_primary > len(primary_pool):
         raise EmptyPool(f"batch needs {n_primary} primary records, pool has {len(primary_pool)}")
-    picks: list = []
-    mask: list[bool] = []
-    if n_temporal:
-        for i in rng.choice(len(temporal_pool), size=n_temporal, replace=False):
-            picks.append(temporal_pool[int(i)])
-            mask.append(True)
-    if n_primary:
-        for i in rng.choice(len(primary_pool), size=n_primary, replace=False):
-            picks.append(primary_pool[int(i)])
-            mask.append(False)
+    draws = [rng.choice(len(pool), size=n, replace=False) if n else np.empty(0, np.int64)
+             for pool, n in ((temporal_pool, n_temporal), (primary_pool, n_primary))]
     perm = rng.permutation(batch_size)
-    return [picks[int(i)] for i in perm], [mask[int(i)] for i in perm]
+    mask = (perm < n_temporal).tolist()
+    return [(temporal_pool if flag else primary_pool)[i]
+            for i, flag in zip(np.concatenate(draws)[perm].tolist(), mask)], mask
 
 
 def lr_schedule(step: int, config: TrainConfig) -> float:
@@ -281,16 +281,23 @@ def _metric_lines_before(path: Path, step: int) -> str:
     return "".join(kept)
 
 
-def _pools(config: TrainConfig, primary_manifest, temporal_manifest):
-    """Both manifests and their record pools, checked against the batch mix."""
+def _manifests(config: TrainConfig, primary_manifest, temporal_manifest):
+    """Both manifests, checked against each other and the batch mix."""
     primary = _as_manifest(primary_manifest)
     temporal = _as_manifest(temporal_manifest) if temporal_manifest is not None else None
     if temporal is not None and temporal.catalog_ref != primary.catalog_ref:
         raise InvalidConfig("primary and temporal manifests reference different catalogs")
     if temporal is None and math.floor(config.batch_size * config.temporal_fraction + 1e-9) > 0:
         raise EmptyPool("temporal_fraction > 0 but no order-negative manifest given")
-    temporal_pool = list(temporal.records) if temporal is not None else []
-    return primary, temporal, (list(primary.records), temporal_pool)
+    return primary, temporal
+
+
+def _pools(params: ModelParams, primary, temporal):
+    """Every training record encoded once, primary then order-negative, and
+    each pool as the range of its records' indices there."""
+    records = primary.records + (temporal.records if temporal is not None else ())
+    n = len(primary.records)
+    return encode_pool(params, records), range(n), range(n, len(records))
 
 
 def _start(config: TrainConfig, primary, temporal) -> Checkpoint:
@@ -305,7 +312,7 @@ def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
     (out_dir, config, earlier metrics lines) triple, gets a metrics log of
     its earlier lines and every step's line, and checkpoints at its own
     config's cadence, stamped with that config."""
-    primary_pool, temporal_pool = pools
+    pool, primary_pool, temporal_pool = pools
     params = state.params
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
@@ -318,10 +325,10 @@ def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
             logs[-1].write(earlier_lines)
         for step in range(state.step, stop):
             lr = lr_schedule(step, config)
-            records, mask = compose_batch(
+            picks, mask = compose_batch(
                 primary_pool, temporal_pool, config.batch_size, config.temporal_fraction, rng
             )
-            emb = forward_batch(params, records, mask)
+            emb = forward_pool(params, pool, np.array(picks), np.flatnonzero(mask))
             loss_cfg = warmup_loss if step < config.order_loss_start_step else config.loss
             breakdown = train_loss(emb, loss_cfg, params["log_temperature"])
             grads = T.backward(breakdown.l_train, params.trainable())
@@ -336,6 +343,21 @@ def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
                                                rng_state=rng.bit_generator.state),
                                     out_dir / f"step{step + 1:06d}.tckp")
     state.step, state.rng_state = max(state.step, stop), rng.bit_generator.state
+
+
+def _copy(state: Checkpoint) -> Checkpoint:
+    """The state with its own three vectors, so training it leaves `state` as it was."""
+    return dc_replace(state, params=dc_replace(state.params, flat=state.params.flat.copy()),
+                      m=state.m.copy(), v=state.v.copy())
+
+
+def _continue(config: TrainConfig, pools, state: Checkpoint, out_dir: Path,
+              earlier_lines: str) -> Checkpoint:
+    """train() from `state` on, over pools encoded with its vocab."""
+    _run_steps(config, pools, state, config.steps, [(out_dir, config, earlier_lines)])
+    state.train_config = config
+    save_checkpoint(state, out_dir / "final.tckp")
+    return state
 
 
 def train(
@@ -353,24 +375,20 @@ def train(
     steps before the checkpoint and appends the rest; the result is
     bit-identical to the uninterrupted run.
     """
-    primary, temporal, pools = _pools(config, primary_manifest, temporal_manifest)
+    primary, temporal = _manifests(config, primary_manifest, temporal_manifest)
     out_dir = Path(out_dir)
     if resume_from is None:
         state, earlier_lines = _start(config, primary, temporal), ""
-    else:  # a value's three vectors are copied, so it is left as it was
-        state = (load_checkpoint(resume_from) if not isinstance(resume_from, Checkpoint) else
-                 dc_replace(resume_from, params=dc_replace(resume_from.params,
-                                                           flat=resume_from.params.flat.copy()),
-                            m=resume_from.m.copy(), v=resume_from.v.copy()))
+    else:
+        state = (_copy(resume_from) if isinstance(resume_from, Checkpoint) else
+                 load_checkpoint(resume_from))
         earlier_lines = _metric_lines_before(out_dir / "metrics.jsonl", state.step)
     config = _with_vocab(config, state.params.vocab)  # resolved as init_run does
     if config.encoder != state.params.config:
         raise InvalidConfig(f"the config's encoder {config.encoder} differs from the "
                             f"checkpoint's {state.params.config}")
-    _run_steps(config, pools, state, config.steps, [(out_dir, config, earlier_lines)])
-    state.train_config = config
-    save_checkpoint(state, out_dir / "final.tckp")
-    return state
+    return _continue(config, _pools(state.params, primary, temporal), state, out_dir,
+                     earlier_lines)
 
 
 def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int) -> list[Checkpoint]:
@@ -378,12 +396,13 @@ def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int) ->
 
     `branches` holds (config, out_dir) pairs whose configs differ at most in
     `order_loss_start_step` and `loss.lambda_l`, and train with lambda_l = 0
-    before fork_step. The shared steps write their metrics lines, and their
-    checkpoints stamped with each branch's config, into every out_dir; then
-    each branch resumes from the shared state. Each out_dir ends up
-    byte-identical to a standalone train() with its config.
+    before fork_step. The records are encoded once for all runs. The shared
+    steps write their metrics lines, and their checkpoints stamped with each
+    branch's config, into every out_dir; then each branch goes on from its
+    own copy of the shared state. Each out_dir ends up byte-identical to a
+    standalone train() with its config.
     """
-    primary, temporal, pools = _pools(branches[0][0], primary_manifest, temporal_manifest)
+    primary, temporal = _manifests(branches[0][0], primary_manifest, temporal_manifest)
     state = _start(branches[0][0], primary, temporal)
     lead = state.train_config
     runs = [(Path(out_dir), _with_vocab(config, state.params.vocab), "")
@@ -394,6 +413,8 @@ def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int) ->
         if same != lead or not 0 <= fork_step <= config.steps or (
                 config.lambda_l and config.order_loss_start_step < fork_step):
             raise InvalidConfig(f"branch configs do not share their first {fork_step} steps")
+    pools = _pools(state.params, primary, temporal)
     _run_steps(lead, pools, state, fork_step, runs)
-    return [train(config, primary, temporal, out_dir, resume_from=state)
+    return [_continue(config, pools, _copy(state), out_dir,
+                      _metric_lines_before(out_dir / "metrics.jsonl", state.step))
             for out_dir, config, _ in runs]

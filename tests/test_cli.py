@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -537,6 +539,24 @@ def test_train_resume_with_default_vocab_size_is_byte_identical(tmp_path):
     assert cli.main(["train", *common, "--resume", str(run_dir / "step000002.tckp")]) == 0
     for name, blob in full.items():
         assert (run_dir / name).read_bytes() == blob, name
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the README's determinism contract: one and two OpenBLAS threads were measured to
+    # give the same bytes; a run in a fresh process is the only way to set the count
+    assert cli.main(["synth", "--out", str(tmp_path / "1")]) == 0
+    shutil.copytree(tmp_path / "1" / "data", tmp_path / "2" / "data")
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tinyclap.cli", "train", "--out", str(tmp_path / threads),
+             "--steps", "30"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("final.tckp", "metrics.jsonl"):
+        assert (tmp_path / "1" / "train" / name).read_bytes() == (
+            tmp_path / "2" / "train" / name
+        ).read_bytes(), name
 
 
 # -- repro ---------------------------------------------------------------------------

@@ -482,19 +482,42 @@ def _shorten_last_reversed_clip(path):
     np.save(frames_file(path), np.load(frames_file(path))[:-1])
 
 
+def _widen_last_clip(path):
+    # 3 events over 13 rows have no common block length; the reversed clip is as wide,
+    # and the spans still tile the array, which gains one row for each clip
+    def widen(row):
+        start = row["clip"][0]
+        row.update(clip=[start, start + 13], clip_neg=[start + 13, start + 26])
+
+    rewrite_row(path, 301, widen)
+    frames = np.load(frames_file(path))
+    np.save(frames_file(path), np.concatenate([frames, frames[-2:]]))
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
         (_repeat_first_event, r"line 3: bad record: record 1: event ids \((\d+), \1, \1\) repeat"),
         (_shorten_last_reversed_clip, r"line 301: bad record: record 299: reversed clip shape "
                                       r"\(11, 16\) differs from clip shape \(12, 16\)"),
+        (_widen_last_clip, r"line 301: bad record: record 299: a clip of 13 rows does not split "
+                           r"into 3 equal event blocks"),
     ],
-    ids=["repeated-event", "short-reversed-clip"],
+    ids=["repeated-event", "short-reversed-clip", "uneven-event-blocks"],
 )
 def test_malformed_paired_rows_rejected(saved, change, message):
     change(saved)
     with pytest.raises(FormatError, match=message):
         C.load_manifest(saved)
+
+
+@pytest.mark.parametrize("events, frames, negatives", [(2, 1, True), (3, 4, False), (5, 8, True),
+                                                     (4, 7, False)])
+def test_every_synthesized_corpus_loads(tmp_path, catalog, events, frames, negatives):
+    # each synthesized clip is its events' blocks of one length, so no check rejects it
+    man = C.build_mixed_dataset(catalog, 25, events, frames, 0.3, negatives, seed=events + frames)
+    C.save_manifest(man, tmp_path / "corpus.jsonl")
+    assert C.load_manifest(tmp_path / "corpus.jsonl") == man
 
 
 def test_rows_store_no_reversed_caption(saved):

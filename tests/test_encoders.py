@@ -156,7 +156,7 @@ def test_too_long_inputs_rejected(params):
 def test_token_id_outside_vocab_rejected(params, bad_id):
     # `tower` rejects it: as an index, a negative id would wrap around to the last table row
     with pytest.raises(ShapeError, match="token ids"):
-        E._encode_groups(params, "text", [[1, 2], [3, bad_id]])
+        E.encode_sequences(params, "text", np.array([1, 2, 3, bad_id]), [2, 2])
 
 
 # -- order sensitivity ---------------------------------------------------------------
@@ -264,3 +264,31 @@ def test_forward_batch_validates(tiny_batch):
         E.forward_batch(params, [], [])
     with pytest.raises(InvalidConfig):
         E.forward_batch(params, records, [True])
+
+
+# -- pools encoded once ------------------------------------------------------------------
+
+
+def test_pool_ids_are_each_caption_and_its_reversal_encoded(tiny_batch):
+    params, records = tiny_batch
+    pool = E.encode_pool(params, records)
+    seqs = [r.caption_pos.tokens for r in records] + [r.caption_neg.tokens for r in records]
+    assert pool.ids.dtype == np.uint8 and len(pool.clips) == len(records)  # vocab under 256
+    for j, tokens in enumerate(seqs):
+        assert pool.ids[pool.starts[j] :][: pool.lens[j]].tolist() == params.vocab.encode(tokens)
+    assert pool.starts[-1] + pool.lens[-1] == pool.ids.size
+    # clips stay the records' float32 arrays: no pool-sized copy
+    assert all(clip is r.clip.frames for clip, r in zip(pool.clips, records))
+    assert pool.clip_lens.tolist() == [len(r.clip.frames) for r in records]
+
+
+def test_forward_pool_gathers_what_forward_batch_encodes(tiny_batch):
+    params, records = tiny_batch
+    pool = E.encode_pool(params, records)
+    batch, mask = np.array([4, 0, 5, 2]), [False, True, False, True]
+    got = E.forward_pool(params, pool, batch, np.flatnonzero(mask))
+    want = E.forward_batch(params, [records[i] for i in batch], mask)
+    assert got.temporal_rows == want.temporal_rows == (1, 3)
+    for a, b in ((got.text, want.text), (got.audio, want.audio)):
+        assert a.data.tobytes() == b.data.tobytes()
+

@@ -19,10 +19,17 @@ from tinyclap.encoders import (
     ModelParams,
     TextVocab,
     build_vocab,
+    forward_batch,
     init_params,
     param_count,
 )
-from tinyclap.errors import EmptyPool, FormatError, InvalidConfig, NumericError
+from tinyclap.errors import (
+    EmptyPool,
+    FormatError,
+    InvalidConfig,
+    NumericError,
+    SequenceTooLong,
+)
 from tinyclap.losses import LossConfig
 
 
@@ -114,6 +121,21 @@ def test_compose_batch_deterministic_given_rng():
     a = tr.compose_batch(prim, temp, 10, 0.3, np.random.default_rng(5))
     b = tr.compose_batch(prim, temp, 10, 0.3, np.random.default_rng(5))
     assert a == b
+
+
+@pytest.mark.parametrize("batch_size, fraction", [(10, 0.3), (8, 0.0), (4, 1.0), (9, 0.25)])
+def test_compose_batch_draws_temporal_then_primary_then_shuffles(batch_size, fraction):
+    # the draws as a loop over the picks: the batch stream every checkpoint's bits rest on
+    prim, temp = pools(12, 6)
+    got = tr.compose_batch(prim, temp, batch_size, fraction, np.random.default_rng(6))
+    rng = np.random.default_rng(6)
+    n_temporal = math.floor(batch_size * fraction + 1e-9)
+    picks = [(temp[i], True) for i in (rng.choice(6, n_temporal, replace=False)
+                                       if n_temporal else [])]
+    picks += [(prim[i], False) for i in (rng.choice(12, batch_size - n_temporal, replace=False)
+                                         if batch_size > n_temporal else [])]
+    shuffled = [picks[i] for i in rng.permutation(batch_size)]
+    assert got == ([rec for rec, _ in shuffled], [flag for _, flag in shuffled])
 
 
 # -- learning-rate schedule -----------------------------------------------------------
@@ -319,7 +341,7 @@ def test_training_step_graph_is_two_towers_and_one_loss(corpora, tiny_encoder, m
             _log.append((args, _op(*args, **kwargs)))
             return _log[-1][1]
         monkeypatch.setattr(T, op, spy)
-    breakdown = tr.train_loss(tr.forward_batch(params, records, mask), LossConfig(),
+    breakdown = tr.train_loss(forward_batch(params, records, mask), LossConfig(),
                               params["log_temperature"])
     (text_args, text), (audio_args, audio) = calls["tower"]
     for args, tower, table in ((text_args, "text", "embed"), (audio_args, "audio", "proj")):
@@ -353,7 +375,7 @@ def test_dropped_parameters_are_freed_without_the_cycle_collector(corpora, tiny_
         for make in (lambda: tr.load_checkpoint(tmp_path / "a.tckp").params,
                      lambda: init_params(tiny_encoder, params.vocab, seed=1)):
             fresh = make()
-            breakdown = tr.train_loss(tr.forward_batch(fresh, records, mask), LossConfig(),
+            breakdown = tr.train_loss(forward_batch(fresh, records, mask), LossConfig(),
                                       fresh["log_temperature"])
             T.backward(breakdown.l_train, fresh.trainable())
             flat = weakref.ref(fresh.flat)
@@ -691,3 +713,60 @@ def test_init_run_fills_vocab_size(corpora):
     assert cfg.encoder.vocab_size == len(params.vocab)
     assert params["text.embed"].data.shape == (len(params.vocab), 8)
     assert params["log_temperature"].data == pytest.approx(math.log(1 / 0.07))
+
+
+def test_array_step_matches_the_record_level_loop(corpora, tiny_encoder, tmp_path):
+    # train() encodes its pools once and gathers each batch from the arrays; a loop
+    # over the record-level API must give the same log and the same three vectors
+    primary, temporal = corpora
+    cfg = tiny_config(tiny_encoder, steps=30, warmup_steps=5, order_loss_start_step=12)
+    got = tr.train(cfg, primary, temporal, out_dir=tmp_path)
+    cfg, params = tr.init_run(cfg, primary, temporal)
+    m, v = zero_moments(params)
+    rng = np.random.default_rng([cfg.seed, 1])
+    lines = []
+    for step in range(cfg.steps):
+        lr = tr.lr_schedule(step, cfg)
+        records, mask = tr.compose_batch(list(primary.records), list(temporal.records),
+                                         cfg.batch_size, cfg.temporal_fraction, rng)
+        loss_cfg = cfg.loss if step >= cfg.order_loss_start_step else LossConfig(lambda_l=0.0)
+        out = tr.train_loss(forward_batch(params, records, mask), loss_cfg,
+                            params["log_temperature"])
+        tr.adam_step(params, T.backward(out.l_train, params.trainable()), m, v, step + 1, lr)
+        lines.append(json.dumps({"step": step, "lr": lr, "l_c": out.l_c.item(),
+                                 "l_t": out.l_t.item(), "l_train": out.l_train.item(),
+                                 "temporal_count": out.temporal_count},
+                                sort_keys=True, separators=(",", ":")) + "\n")
+    rows = [json.loads(line) for line in lines]
+    assert all((r["l_train"] != r["l_c"]) == (r["step"] >= 12) for r in rows)  # order term on
+    assert (tmp_path / "metrics.jsonl").read_text(encoding="utf-8") == "".join(lines)
+    for name, vec, want in (("flat", got.params.flat, params.flat), ("m", got.m, m),
+                            ("v", got.v, v)):
+        assert vec.tobytes() == want.tobytes(), name
+
+
+def test_pools_are_encoded_once_per_pipeline(corpora, tiny_encoder, tmp_path, monkeypatch):
+    primary, temporal = corpora
+    calls = []
+    encode = tr.encode_pool
+    monkeypatch.setattr(tr, "encode_pool", lambda *args: calls.append(args) or encode(*args))
+    tr.train(tiny_config(tiny_encoder), primary, temporal, out_dir=tmp_path / "one")
+    assert len(calls) == 1 and len(calls[0][1]) == len(primary.records) + len(temporal.records)
+    control = tiny_config(tiny_encoder, loss=LossConfig(lambda_l=0.0))
+    order = tiny_config(tiny_encoder, order_loss_start_step=3)
+    tr.train_fork([(order, tmp_path / "order"), (control, tmp_path / "control")],
+                  primary, temporal, 3)
+    assert len(calls) == 2
+
+
+def test_pool_checks_run_before_any_step(corpora, tiny_encoder, tmp_path):
+    primary, temporal = corpora
+    # a five-event caption has at least nine tokens; its five-row clip fits
+    long = build_mixed_dataset(build_catalog(12, 8, seed=3), 16, 5, 1, 0.15, False, seed=6)
+    short = dc_replace(tiny_encoder, vocab_size=0, max_positions=8)
+    with pytest.raises(SequenceTooLong, match=r"text input \d+ has \d+ positions, max is 8"):
+        tr.train(tiny_config(short), long, long, out_dir=tmp_path / "long")
+    narrow = dc_replace(tiny_encoder, frame_dim=6)
+    with pytest.raises(InvalidConfig, match=r"clip must be T x 6, got shape \(6, 8\)"):
+        tr.train(tiny_config(narrow), primary, temporal, out_dir=tmp_path / "narrow")
+    assert not any(tmp_path.iterdir())  # no metrics log was opened
