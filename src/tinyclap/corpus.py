@@ -1,12 +1,13 @@
 """Synthetic audio-event corpus: clips, ordered captions, temporal negatives.
 
 Audio events are prototype-plus-noise frame sequences, not waveforms; a clip
-is a concatenation of per-event frame blocks, and its caption lists the event
-names joined by forward-order connector phrases. The temporal negative of a
-record reverses the event order in the caption (and optionally in the clip,
+is a concatenation of per-event frame blocks, and its caption is its events,
+their catalog names and one forward-order connector phrase; its tokens and
+text are derived from those. The temporal negative of a record reverses the
+events and names in the caption (and optionally the blocks of the clip,
 reusing the same per-event noise), giving hard negatives that differ only in
-order. The reversed caption is derived from the caption whenever a record is
-built, so it is never stored.
+order. The reversed caption is derived from the caption on read, so it is
+never stored.
 
 All frame data lives on the float32 grid so on-disk round-trips are lossless;
 generation is keyed per record: one generator, rng(seed, record_index), draws
@@ -200,44 +201,40 @@ def synth_clip_blocks(
 
 # -- captions ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Caption:
-    tokens: tuple[str, ...]
-    segments: tuple[tuple[int, tuple[int, int]], ...]  # (event_id, (start, stop)) token spans
-    connectors: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
-    @property
-    def event_ids(self) -> tuple[int, ...]:
-        return tuple(eid for eid, _ in self.segments)
-
-
-def _assemble_caption(parts: list[tuple[int, tuple[str, ...]]], connectors: list[str]) -> Caption:
-    tokens: list[str] = []
-    segments = []
-    for i, (eid, words) in enumerate(parts):
-        if i > 0:
-            tokens.extend(connectors[i - 1].split())
-        start = len(tokens)
-        tokens.extend(words)
-        segments.append((eid, (start, len(tokens))))
-    return Caption(tokens=tuple(tokens), segments=tuple(segments), connectors=tuple(connectors))
-
-
-def render_caption(event_ids, catalog: EventCatalog, connector: str) -> Caption:
-    """Join event names with one forward-order connector: "a <conn> b <conn> c"."""
+def _check_connector(connector: str) -> None:
     if connector not in GENERATION_CONNECTORS:
         raise UnknownConnector(
             f"connector {connector!r} not in generation set {GENERATION_CONNECTORS}"
         )
+
+
+@dataclass(frozen=True)
+class Caption:
+    """Events in temporal order, their catalog name tokens and one connector: "a <conn> b"."""
+
+    event_ids: tuple[int, ...]
+    names: tuple[tuple[str, ...], ...]
+    connector: str
+
+    def __post_init__(self):
+        _check_connector(self.connector)
+        if len(self.event_ids) < 2:
+            raise TooFewEvents(f"caption needs at least 2 events, got {len(self.event_ids)}")
+
+    @property
+    def text(self) -> str:
+        return f" {self.connector} ".join(map(" ".join, self.names))
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(self.text.split())  # no name or connector word holds a space
+
+
+def render_caption(event_ids, catalog: EventCatalog, connector: str) -> Caption:
+    """A caption of catalog events; checks the connector, then each event id, then the count."""
+    _check_connector(connector)
     ids = catalog.checked_ids(event_ids)
-    if len(ids) < 2:
-        raise TooFewEvents(f"caption needs at least 2 events, got {len(ids)}")
-    parts = [(eid, catalog._name_tokens[eid]) for eid in ids]
-    return _assemble_caption(parts, [connector] * (len(ids) - 1))
+    return Caption(ids, tuple(catalog._name_tokens[eid] for eid in ids), connector)
 
 
 def _match_connector(tokens: tuple[str, ...], pos: int) -> tuple[str, ...] | None:
@@ -247,14 +244,14 @@ def _match_connector(tokens: tuple[str, ...], pos: int) -> tuple[str, ...] | Non
     return None
 
 
-def parse_caption(text, catalog: EventCatalog) -> tuple[tuple[int, ...], tuple[str, ...]]:
+def parse_caption(text: str, catalog: EventCatalog) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """Split on longest-match connector phrases; segments must be catalog names.
 
     Returns (event ids in temporal order, surface connectors). Forward
     connectors keep surface order; "after" inverts its pair ("x after y" puts
     y immediately before x).
     """
-    tokens = tuple(text.split()) if isinstance(text, str) else tuple(text)
+    tokens = tuple(text.split())
     segment_tokens: list[list[str]] = [[]]
     connectors: list[str] = []
     i = 0
@@ -290,13 +287,8 @@ def parse_caption(text, catalog: EventCatalog) -> tuple[tuple[int, ...], tuple[s
 
 
 def negate_caption(caption: Caption) -> Caption:
-    """Reverse the event segments (and the connector list); an involution."""
-    if len(caption.segments) < 2:
-        raise TooFewEvents(f"cannot negate a caption with {len(caption.segments)} segment(s)")
-    parts = [
-        (eid, caption.tokens[start:stop]) for eid, (start, stop) in reversed(caption.segments)
-    ]
-    return _assemble_caption(parts, list(reversed(caption.connectors)))
+    """The same events, names and connector, in reverse order; an involution."""
+    return Caption(caption.event_ids[::-1], caption.names[::-1], caption.connector)
 
 
 # -- dataset records -------------------------------------------------------------
@@ -311,7 +303,6 @@ class DatasetRecord:
     record_id: int
     clip: AudioClip
     caption_pos: Caption
-    caption_neg: Caption = field(init=False)
     clip_neg: AudioClip | None = None
 
     def __post_init__(self):
@@ -326,7 +317,10 @@ class DatasetRecord:
                 f"record {self.record_id}: reversed clip shape {self.clip_neg.frames.shape} "
                 f"differs from clip shape {self.clip.frames.shape}"
             )
-        object.__setattr__(self, "caption_neg", negate_caption(self.caption_pos))
+
+    @property
+    def caption_neg(self) -> Caption:
+        return negate_caption(self.caption_pos)
 
 
 @dataclass(frozen=True)
@@ -445,10 +439,11 @@ def build_labeled_clips(
 # record, and <stem>.frames.npy, one float32 array holding every clip (then
 # its reversed copy, if any) in record order. A row names each of its clips
 # by its [start, stop) row span in the array; the spans of a file tile the
-# array. A paired row stores its event ids and connector and no caption
-# text: the caption is rendered from them on load, and the reversed caption
-# derived from it. Keys that older rows carry beside these (caption_pos,
-# caption_neg, frames_per_event, noise_sigma) are ignored.
+# array. A paired row stores its caption's event ids and connector, which with
+# the catalog's names are the whole caption, and no caption text: the caption
+# is rendered from them on load, and the reversed caption derived from it.
+# Keys that older rows carry beside these (caption_pos, caption_neg,
+# frames_per_event, noise_sigma) are ignored.
 
 
 def _frames_path(path: Path) -> Path:
@@ -460,8 +455,7 @@ def _dump(obj) -> str:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    """Write the manifest and its frame array; paired records must carry
-    generator captions (one connector, as render_caption makes them)."""
+    """Write the manifest and its frame array."""
     path = Path(path)
     header = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -491,16 +485,10 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         if manifest.kind == "labeled":
             row = {"id": rec.record_id, "label": rec.label_id, "clip": span(rec.clip)}
         else:
-            connectors = rec.caption_pos.connectors
-            if connectors[0] not in GENERATION_CONNECTORS or len(set(connectors)) != 1:
-                raise InvalidConfig(
-                    f"record {rec.record_id}: caption connectors {connectors} are not one "
-                    f"of {GENERATION_CONNECTORS} repeated"
-                )
             row = {
                 "id": rec.record_id,
                 "events": list(rec.caption_pos.event_ids),
-                "connector": connectors[0],
+                "connector": rec.caption_pos.connector,
                 "clip": span(rec.clip),
                 "clip_neg": span(rec.clip_neg),
             }
@@ -623,8 +611,6 @@ def load_manifest(path) -> DatasetManifest:
                         ),
                     )
                 )
-        except FormatError:
-            raise
         except (KeyError, TypeError, ValueError, InvalidConfig, UnknownEvent) as exc:
             fail(line_no, f"bad record: {exc}")
     if n_expected is not None and len(records) != n_expected:

@@ -81,6 +81,8 @@ class TextVocab:
             raise InvalidConfig(f"vocab must start with {UNK_TOKEN!r}")
         ids = {}
         for i, tok in enumerate(self.tokens):
+            if not isinstance(tok, str):
+                raise InvalidConfig(f"vocab token {i} is {tok!r}, not a string")
             if tok in ids:
                 raise InvalidConfig(f"duplicate vocab token {tok!r}")
             ids[tok] = i

@@ -50,7 +50,6 @@ class LossBreakdown:
     l_c: T.Tensor
     l_t: T.Tensor
     l_train: T.Tensor
-    batch_size: int
     temporal_count: int
 
 
@@ -101,4 +100,4 @@ def train_loss(batch, config: LossConfig, log_temperature) -> LossBreakdown:
     l_train, l_c, l_t = T.clap_loss(batch.audio, batch.text, log_t, batch.temporal_rows,
                                     config.lambda_l, config.lt_reduction,
                                     config.use_temperature_in_lt)
-    return LossBreakdown(l_c, l_t, l_train, batch.audio.shape[0], len(batch.temporal_rows))
+    return LossBreakdown(l_c, l_t, l_train, len(batch.temporal_rows))

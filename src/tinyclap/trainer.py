@@ -369,19 +369,17 @@ def train(
 ) -> Checkpoint:
     """Run the loop; writes metrics.jsonl and final.tckp under out_dir.
 
-    resume_from is a checkpoint file or a `Checkpoint` value; a value is left
-    as it was, and its train_config may differ from `config`, which governs
-    the steps that follow. The run keeps the metrics log's lines for the
-    steps before the checkpoint and appends the rest; the result is
-    bit-identical to the uninterrupted run.
+    resume_from is a checkpoint file; its train_config may differ from
+    `config`, which governs the steps that follow. The run keeps the metrics
+    log's lines for the steps before the checkpoint and appends the rest; the
+    result is bit-identical to the uninterrupted run.
     """
     primary, temporal = _manifests(config, primary_manifest, temporal_manifest)
     out_dir = Path(out_dir)
     if resume_from is None:
         state, earlier_lines = _start(config, primary, temporal), ""
     else:
-        state = (_copy(resume_from) if isinstance(resume_from, Checkpoint) else
-                 load_checkpoint(resume_from))
+        state = load_checkpoint(resume_from)
         earlier_lines = _metric_lines_before(out_dir / "metrics.jsonl", state.step)
     config = _with_vocab(config, state.params.vocab)  # resolved as init_run does
     if config.encoder != state.params.config:

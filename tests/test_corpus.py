@@ -170,23 +170,29 @@ def _replayed_blocks(catalog, rng, event_ids, n_frames, sigma):
     return (base.astype(np.float64) + noise).astype(np.float32)
 
 
-@pytest.mark.parametrize("sigma", [0.3, 0.0])
-@pytest.mark.parametrize("with_negative_clips", [False, True], ids=["forward", "reversed"])
-def test_paired_synthesis_bits_equal_the_replayed_recipe(catalog, sigma, with_negative_clips):
-    # each record's draws, replayed from its own generator in the same order
-    seed, n_events, n_frames = 4, 3, 5
-    man = C.build_mixed_dataset(catalog, 200, n_events, n_frames, sigma, with_negative_clips, seed)
+def _replayed_draws(catalog, seed, n_records, n_events):
+    """Each record's generator, replayed through its event and connector draws in the
+    same order, with those draws."""
     seen = set()
-    for idx, rec in enumerate(man.records):
+    for idx in range(n_records):
         rng = np.random.default_rng([seed, idx])
         while True:
             ids = tuple(int(v) for v in rng.choice(len(catalog), size=n_events, replace=False))
             if frozenset(ids) not in seen:
                 break
         seen.add(frozenset(ids))
-        connector = C.GENERATION_CONNECTORS[int(rng.integers(len(C.GENERATION_CONNECTORS)))]
+        yield rng, ids, C.GENERATION_CONNECTORS[int(rng.integers(len(C.GENERATION_CONNECTORS)))]
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.0])
+@pytest.mark.parametrize("with_negative_clips", [False, True], ids=["forward", "reversed"])
+def test_paired_synthesis_bits_equal_the_replayed_recipe(catalog, sigma, with_negative_clips):
+    seed, n_events, n_frames = 4, 3, 5
+    man = C.build_mixed_dataset(catalog, 200, n_events, n_frames, sigma, with_negative_clips, seed)
+    draws = _replayed_draws(catalog, seed, len(man.records), n_events)
+    for rec, (rng, ids, connector) in zip(man.records, draws, strict=True):
         blocks = _replayed_blocks(catalog, rng, ids, n_frames, sigma)
-        assert rec.caption_pos.event_ids == ids and rec.caption_pos.connectors[0] == connector
+        assert rec.caption_pos.event_ids == ids and rec.caption_pos.connector == connector
         assert rec.clip.frames.dtype == blocks.dtype == np.float32
         np.testing.assert_array_equal(rec.clip.frames.view(np.uint32),
                                       blocks.reshape(-1, 16).view(np.uint32))
@@ -240,7 +246,8 @@ def test_render_two_events(catalog):
 def test_render_three_events_repeats_connector(catalog):
     cap = C.render_caption((1, 3, 5), catalog, "and then")
     assert cap.text == "thunder and then applause and then rain"
-    assert cap.connectors == ("and then", "and then")
+    assert cap.tokens == ("thunder", "and", "then", "applause", "and", "then", "rain")
+    assert cap.connector == "and then"
 
 
 def test_render_rejects_parse_only_connector(catalog):
@@ -298,10 +305,35 @@ def test_negate_reverses_segments(catalog):
     assert neg.event_ids == (1, 0)
 
 
-def test_negate_rejects_single_segment():
-    single = C.Caption(tokens=("thunder",), segments=((1, (0, 1)),), connectors=())
-    with pytest.raises(TooFewEvents):
-        C.negate_caption(single)
+@pytest.mark.parametrize("connector", ["before", "after"])
+def test_no_caption_holds_a_parse_only_connector(catalog, connector):
+    # so every caption is one a manifest row can store
+    message = f"connector '{connector}' not in generation set"
+    with pytest.raises(UnknownConnector, match=message):
+        C.render_caption((0, 1), catalog, connector)
+    with pytest.raises(UnknownConnector, match=message):
+        C.Caption((0, 1), (("dog", "barking"), ("thunder",)), connector)
+
+
+@pytest.mark.parametrize("ids", [(1,), ()], ids=["one", "none"])
+def test_no_caption_holds_fewer_than_two_events(catalog, ids):
+    # so no caption lacks a reversal
+    message = f"caption needs at least 2 events, got {len(ids)}"
+    with pytest.raises(TooFewEvents, match=message):
+        C.render_caption(ids, catalog, "and then")
+    with pytest.raises(TooFewEvents, match=message):
+        C.Caption(ids, tuple(catalog._name_tokens[e] for e in ids), "followed by")
+
+
+@pytest.mark.parametrize(
+    "ids, connector, error",
+    [((20,), "after", UnknownConnector), ((20,), "and then", UnknownEvent),
+     ((1,), "and then", TooFewEvents)],
+    ids=["connector-first", "events-second", "count-last"],
+)
+def test_render_checks_connector_then_events_then_count(catalog, ids, connector, error):
+    with pytest.raises(error):
+        C.render_caption(ids, catalog, connector)
 
 
 def test_grammar_properties_over_generated_corpus(small_corpus, catalog):
@@ -312,12 +344,48 @@ def test_grammar_properties_over_generated_corpus(small_corpus, catalog):
         # parse inverts render
         ids, conns = C.parse_caption(cap.text, catalog)
         assert ids == cap.event_ids
-        assert conns == cap.connectors
+        assert conns == (cap.connector,) * (len(ids) - 1)
         # negation changes meaning (event sets are sampled without replacement,
         # so no caption is a palindrome)
         neg_ids, _ = C.parse_caption(neg.text, catalog)
         assert neg_ids == tuple(reversed(ids))
         assert neg_ids != ids
+
+
+def _replayed_caption(parts, connectors):
+    """The recipe that built captions when they stored their token spans: the name
+    tokens joined by one connector per gap, each event's span taken from the lengths
+    so far."""
+    tokens, spans = [], []
+    for i, (eid, words) in enumerate(parts):
+        if i:
+            tokens.extend(connectors[i - 1].split())
+        spans.append((eid, (len(tokens), len(tokens) + len(words))))
+        tokens.extend(words)
+    return tuple(tokens), tuple(spans)
+
+
+def _replayed_reversal(tokens, spans, connectors):
+    """The recipe's reversal: the spans' tokens and the connectors, in reverse order."""
+    return _replayed_caption([(eid, tokens[a:b]) for eid, (a, b) in reversed(spans)],
+                             connectors[::-1])
+
+
+@pytest.mark.parametrize("seed, n_events", [(2, 3), (3, 4)])
+def test_captions_equal_the_replayed_recipe(tmp_path, catalog, seed, n_events):
+    man = C.build_mixed_dataset(catalog, 300, n_events, 2, 0.1, False, seed)
+    C.save_manifest(man, tmp_path / "corpus.jsonl")
+    for records in (man.records, C.load_manifest(tmp_path / "corpus.jsonl").records):
+        draws = _replayed_draws(catalog, seed, len(records), n_events)
+        for rec, (_, ids, connector) in zip(records, draws, strict=True):
+            connectors = [connector] * (n_events - 1)
+            names = [(eid, tuple(catalog.classes[eid].name.split())) for eid in ids]
+            tokens, spans = _replayed_caption(names, connectors)
+            neg_tokens, neg_spans = _replayed_reversal(tokens, spans, connectors)
+            cap, neg = rec.caption_pos, rec.caption_neg
+            assert (cap.tokens, cap.text, cap.event_ids) == (tokens, " ".join(tokens), ids)
+            assert (neg.tokens, neg.text, neg.event_ids) == (
+                neg_tokens, " ".join(neg_tokens), tuple(eid for eid, _ in neg_spans))
 
 
 # -- dataset construction -------------------------------------------------------------
@@ -376,7 +444,7 @@ def test_record_derives_its_reversed_caption(small_corpus, catalog):
     with pytest.raises(TypeError):
         C.DatasetRecord(record_id=0, clip=rec.clip, caption_pos=rec.caption_pos,
                         caption_neg=rec.caption_neg)
-    swapped = "and then" if rec.caption_pos.connectors[0] == "followed by" else "followed by"
+    swapped = "and then" if rec.caption_pos.connector == "followed by" else "followed by"
     ids = rec.caption_pos.event_ids
     changed = dc_replace(rec, caption_pos=C.render_caption(ids, catalog, swapped))
     assert changed.caption_neg == C.negate_caption(changed.caption_pos) != rec.caption_neg
@@ -539,18 +607,17 @@ def test_older_rows_with_a_reversed_caption_load(saved, small_corpus, value):
 
 
 @pytest.mark.parametrize(
-    "connectors", [("followed by", "and then"), ("after", "after")], ids=["mixed", "parser-only"]
+    "change, message",
+    [
+        (lambda row: row.update(connector="after"), "connector 'after' not in generation set"),
+        (lambda row: row.update(events=row["events"][:1]), "caption needs at least 2 events"),
+    ],
+    ids=["parse-only-connector", "one-event"],
 )
-def test_save_rejects_non_generator_captions_before_writing(tmp_path, small_corpus, connectors):
-    rec = small_corpus.records[0]
-    cap = rec.caption_pos
-    parts = [(eid, cap.tokens[a:b]) for eid, (a, b) in cap.segments]
-    odd = dc_replace(rec, caption_pos=C._assemble_caption(parts, list(connectors)))
-    manifest = dc_replace(small_corpus, records=(odd,) + small_corpus.records[1:])
-    target = tmp_path / "out" / "corpus.jsonl"
-    with pytest.raises(InvalidConfig, match=f"record {rec.record_id}: caption connectors"):
-        C.save_manifest(manifest, target)
-    assert not target.parent.exists()
+def test_rows_of_no_caption_rejected(saved, change, message):
+    rewrite_row(saved, 4, change)
+    with pytest.raises(FormatError, match=f"line 4: bad record: {message}"):
+        C.load_manifest(saved)
 
 
 @pytest.mark.parametrize(

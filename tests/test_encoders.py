@@ -4,6 +4,8 @@ Order sensitivity is the property the whole experiment rests on, so it gets
 a 100-seed sweep per tower rather than a single example.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,13 @@ def test_vocab_requires_unk_first():
 def test_vocab_rejects_duplicates():
     with pytest.raises(InvalidConfig):
         E.TextVocab(tokens=(E.UNK_TOKEN, "dog", "dog"))
+
+
+@pytest.mark.parametrize("token", [7, None, ["dog"]], ids=["number", "null", "list"])
+def test_vocab_rejects_tokens_that_are_not_strings(token):
+    with pytest.raises(InvalidConfig, match=f"vocab token 2 is {re.escape(repr(token))}, "
+                                            f"not a string"):
+        E.TextVocab(tokens=(E.UNK_TOKEN, "dog", token))
 
 
 def test_build_vocab_first_occurrence_order():

@@ -501,6 +501,26 @@ def test_checkpoint_truncated(corpora, tiny_encoder, tmp_path):
     del ckpt
 
 
+@pytest.mark.parametrize("word", [7, None], ids=["number", "null"])
+def test_checkpoint_vocab_must_hold_strings(corpora, tiny_encoder, tmp_path, word):
+    # a vocab entry that is no string would map every use of its word to <unk>
+    primary, temporal = corpora
+    cfg, params = tr.init_run(tiny_config(tiny_encoder), primary, temporal)
+    path = tmp_path / "a.tckp"
+    tr.save_checkpoint(tr.Checkpoint(params, cfg, *zero_moments(params), 0,
+                                     np.random.default_rng(0).bit_generator.state), path)
+    assert tr.load_checkpoint(path).params.vocab == params.vocab
+    raw = path.read_bytes()
+    body = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    meta = json.loads(raw[16:body])
+    meta["vocab"][1] = word
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[body:])
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: bad meta: .*vocab token 1 "
+                                          f"is {word!r}, not a string"):
+        tr.load_checkpoint(path)
+
+
 # -- training loop ------------------------------------------------------------------
 
 
@@ -606,26 +626,6 @@ def test_resume_rejects_corrupt_metrics_line(corpora, tiny_encoder, tmp_path):
         log.write_text(line + "\n")
         with pytest.raises(FormatError, match=f"{re.escape(str(log))}: bad metrics line"):
             tr.train(cfg, primary, temporal, out_dir=tmp_path, resume_from=mid)
-
-
-def test_resume_from_checkpoint_value_leaves_it_unchanged(corpora, tiny_encoder, tmp_path):
-    # the value comes from a 3-step run, so its train_config differs from the 6-step one
-    primary, temporal = corpora
-    cfg = tiny_config(tiny_encoder, steps=6)
-    tr.train(cfg, primary, temporal, out_dir=tmp_path / "full")
-    value = tr.train(dc_replace(cfg, steps=3), primary, temporal, out_dir=tmp_path / "half")
-    before = {name: t.data.copy() for name, t in value.params.named().items()}
-    moments = value.m.copy(), value.v.copy()
-    for run in ("a", "b"):
-        tr.train(cfg, primary, temporal, out_dir=tmp_path / run, resume_from=value)
-        assert (tmp_path / run / "final.tckp").read_bytes() == (
-            tmp_path / "full" / "final.tckp"
-        ).read_bytes()
-    assert value.step == 3 and value.train_config.steps == 3
-    for name, data in before.items():
-        np.testing.assert_array_equal(value.params[name].data, data)
-    for got, want in zip((value.m, value.v), moments):
-        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize(
