@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .corpus import GENERATION_CONNECTORS, event_name
 from .encoders import EncoderConfig
 from .errors import InvalidConfig
 from .losses import LossConfig
@@ -49,16 +51,13 @@ class CorpusConfig:
             raise InvalidConfig(f"events_per_clip must be >= 2, got {self.events_per_clip}")
         if self.frames_per_event < 1:
             raise InvalidConfig(f"frames_per_event must be >= 1, got {self.frames_per_event}")
-        if self.noise_sigma < 0:
-            raise InvalidConfig(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.labeled_frames_per_event < 0:
             raise InvalidConfig(
                 f"labeled_frames_per_event must be >= 0, got {self.labeled_frames_per_event}"
             )
-        if self.labeled_noise_sigma < 0:
-            raise InvalidConfig(
-                f"labeled_noise_sigma must be >= 0, got {self.labeled_noise_sigma}"
-            )
+        for name in ("noise_sigma", "labeled_noise_sigma"):
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @property
     def labeled_frames(self) -> int:
@@ -95,7 +94,9 @@ class RunConfig:
                 f"clips span {max(clip_len, self.corpus.labeled_frames)} frames but "
                 f"encoder.max_positions is {enc.max_positions}"
             )
-        caption_len = 4 * self.corpus.events_per_clip - 2  # 2-token names and connectors
+        longest_name = max(len(event_name(i).split()) for i in range(self.corpus.n_classes))
+        connector = max(len(c.split()) for c in GENERATION_CONNECTORS)
+        caption_len = self.corpus.events_per_clip * (longest_name + connector) - connector
         if caption_len > enc.max_positions:
             raise InvalidConfig(
                 f"captions span {caption_len} tokens but encoder.max_positions is "

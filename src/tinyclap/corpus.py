@@ -1,13 +1,13 @@
 """Synthetic audio-event corpus: clips, ordered captions, temporal negatives.
 
 Audio events are prototype-plus-noise frame sequences, not waveforms; a clip
-is a concatenation of per-event frame blocks, and its caption is its events,
-their catalog names and one forward-order connector phrase; its tokens and
-text are derived from those. The temporal negative of a record reverses the
-events and names in the caption (and optionally the blocks of the clip,
-reusing the same per-event noise), giving hard negatives that differ only in
-order. The reversed caption is derived from the caption on read, so it is
-never stored.
+is a concatenation of per-event frame blocks, and its caption is its events
+and one forward-order connector phrase; its tokens and text are derived from
+those and the one name table every catalog shares. The temporal negative of
+a record reverses the events in the caption (and optionally the blocks of
+the clip, reusing the same per-event noise), giving hard negatives that
+differ only in order. The reversed caption is derived from the caption on
+read, so it is never stored.
 
 All frame data lives on the float32 grid so on-disk round-trips are lossless;
 generation is keyed per record: one generator, rng(seed, record_index), draws
@@ -91,14 +91,13 @@ class EventClass:
 
 @dataclass(frozen=True)
 class EventCatalog:
-    """Event classes; derived once: name -> id, read-only float32 prototypes, name tokens."""
+    """Event classes; derived once: name -> id, read-only float32 prototypes."""
 
     classes: tuple[EventClass, ...]
     frame_dim: int
     seed: int
     _name_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _prototypes: np.ndarray = field(init=False, repr=False, compare=False)
-    _name_tokens: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = {}
@@ -125,7 +124,6 @@ class EventCatalog:
         protos.setflags(write=False)
         object.__setattr__(self, "_name_to_id", names)
         object.__setattr__(self, "_prototypes", protos)  # n_classes x frame_dim
-        object.__setattr__(self, "_name_tokens", tuple(tuple(c.name.split()) for c in self.classes))
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -149,6 +147,18 @@ def event_name(index: int) -> str:
     return f"{EVENT_PHRASES[slot]} {cycle + 1}"
 
 
+class _NameTable(dict):
+    """event_name by event id, each computed once on first use (a memo of a pure function):
+    the names of every catalog's events and every caption's."""
+
+    def __missing__(self, index: int) -> str:
+        name = self[index] = event_name(index)
+        return name
+
+
+_EVENT_NAMES = _NameTable()
+
+
 def build_catalog(n_classes: int, frame_dim: int, seed: int) -> EventCatalog:
     """Seeded catalog: unit-norm gaussian prototypes, names from the built-in list."""
     if n_classes < 2:
@@ -160,7 +170,7 @@ def build_catalog(n_classes: int, frame_dim: int, seed: int) -> EventCatalog:
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
     protos = protos.astype(FRAME_DTYPE.base)
     classes = tuple(
-        EventClass(id=i, name=event_name(i), prototype=protos[i]) for i in range(n_classes)
+        EventClass(id=i, name=_EVENT_NAMES[i], prototype=protos[i]) for i in range(n_classes)
     )
     return EventCatalog(classes=classes, frame_dim=frame_dim, seed=seed)
 
@@ -210,10 +220,10 @@ def _check_connector(connector: str) -> None:
 
 @dataclass(frozen=True)
 class Caption:
-    """Events in temporal order, their catalog name tokens and one connector: "a <conn> b"."""
+    """Events in temporal order and one connector: "a <conn> b", each event by the name
+    `event_name` gives its id, as in every catalog (`build_catalog`)."""
 
     event_ids: tuple[int, ...]
-    names: tuple[tuple[str, ...], ...]
     connector: str
 
     def __post_init__(self):
@@ -223,7 +233,7 @@ class Caption:
 
     @property
     def text(self) -> str:
-        return f" {self.connector} ".join(map(" ".join, self.names))
+        return f" {self.connector} ".join(map(_EVENT_NAMES.__getitem__, self.event_ids))
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -233,8 +243,7 @@ class Caption:
 def render_caption(event_ids, catalog: EventCatalog, connector: str) -> Caption:
     """A caption of catalog events; checks the connector, then each event id, then the count."""
     _check_connector(connector)
-    ids = catalog.checked_ids(event_ids)
-    return Caption(ids, tuple(catalog._name_tokens[eid] for eid in ids), connector)
+    return Caption(catalog.checked_ids(event_ids), connector)
 
 
 def _match_connector(tokens: tuple[str, ...], pos: int) -> tuple[str, ...] | None:
@@ -287,8 +296,8 @@ def parse_caption(text: str, catalog: EventCatalog) -> tuple[tuple[int, ...], tu
 
 
 def negate_caption(caption: Caption) -> Caption:
-    """The same events, names and connector, in reverse order; an involution."""
-    return Caption(caption.event_ids[::-1], caption.names[::-1], caption.connector)
+    """The same events and connector, the events in reverse order; an involution."""
+    return Caption(caption.event_ids[::-1], caption.connector)
 
 
 # -- dataset records -------------------------------------------------------------
@@ -439,9 +448,9 @@ def build_labeled_clips(
 # record, and <stem>.frames.npy, one float32 array holding every clip (then
 # its reversed copy, if any) in record order. A row names each of its clips
 # by its [start, stop) row span in the array; the spans of a file tile the
-# array. A paired row stores its caption's event ids and connector, which with
-# the catalog's names are the whole caption, and no caption text: the caption
-# is rendered from them on load, and the reversed caption derived from it.
+# array. A paired row stores its caption's event ids and connector, which are
+# the whole caption, and no caption text: the caption is rendered from them on
+# load, and the reversed caption derived from it.
 # Keys that older rows carry beside these (caption_pos, caption_neg,
 # frames_per_event, noise_sigma) are ignored.
 

@@ -18,8 +18,8 @@ entry, `encode_sequences`, so training and evaluation share this forward
 pass. Records are encoded once per pool (`encode_pool`: each caption and
 reversal as token ids, lengths and clip shapes checked there), and a batch
 is a gather from those arrays (`forward_pool`); `forward_batch` is the same
-path over a pool of just its records. Every parameter's data is a view of
-one float64 vector, `ModelParams.flat`.
+path over a pool of just its records. Every parameter's data and gradient
+buffer are views of two float64 vectors, `ModelParams.flat` and `.grad`.
 """
 
 from __future__ import annotations
@@ -110,11 +110,12 @@ def build_vocab(manifests) -> TextVocab:
 
 @dataclass
 class ModelParams:
-    """Named parameters whose data are views of `flat`, cut in the layout param_shapes gives."""
+    """Named parameters: data views of `flat`, gradient buffers the same cuts of `grad`."""
 
     config: EncoderConfig
     vocab: TextVocab
     flat: np.ndarray = field(repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
     tensors: dict[str, T.Tensor] = field(init=False)
 
     def __post_init__(self):
@@ -123,8 +124,10 @@ class ModelParams:
         if getattr(self.flat, "dtype", None) != np.float64 or np.shape(self.flat) != (ends[-1],):
             raise InvalidConfig(f"flat must be one float64 vector of {ends[-1]} numbers, got "
                                 f"{getattr(self.flat, 'dtype', None)} {np.shape(self.flat)}")
-        self.tensors = {name: T.parameter(name, part.reshape(shape)) for (name, shape), part
-                        in zip(shapes.items(), np.split(self.flat, ends[:-1]))}
+        self.grad = np.zeros(ends[-1])
+        parts = zip(shapes.items(), np.split(self.flat, ends[:-1]), np.split(self.grad, ends[:-1]))
+        self.tensors = {name: T.parameter(name, data.reshape(shape), g.reshape(shape))
+                        for (name, shape), data, g in parts}
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self.tensors[name]

@@ -8,11 +8,11 @@ the hidden layer once per distinct (token, position) cell; and one
 NaN/Inf and raises NumericError on the spot, so a poisoned value can never
 travel.
 
-Gradient convention: an op's output holds one closure that maps its adjoint
-to (parameter, gradient) pairs, pulled from its inputs by `_pull`. A
-parameter holds the mark _LEAF, as a closure over itself would be a
-reference cycle that outlives `del` until the cyclic collector runs; a
-constant holds neither. ``backward`` is one call plus a per-parameter sum.
+Gradient convention: a parameter holds a gradient buffer, `grad` (for a
+parameter set, views of one flat vector cut like its data), and an op's
+output one closure that maps its adjoint to its inputs' and passes each to
+`_send`: into a parameter's buffer in place, on to an op's closure, or
+nowhere for a constant. ``backward`` zeroes the buffers and sends 1.0 in.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ _FD_ROUNDOFF = 1e-14  # bound on the rounding error of one loss value
 _FD_EPS_MIN = 1e-10  # smallest step a kink shrinks the central difference to
 _NORM_EPS = 1e-8  # zero guard of the unit-row scaling
 _PIECE_BYTES = 512 * 1024  # most hidden-row or count-row bytes `tower` works on at once, in L2
-_LEAF = object()  # a parameter's `_grads`
 
 
 class Tensor:
-    """A numpy payload; a parameter or an op's output also leads to gradients."""
+    """A numpy payload; a parameter also holds its gradient buffer, an op's output its closure."""
 
-    __slots__ = ("data", "name", "_grads")
+    __slots__ = ("data", "name", "grad", "_grads")
 
     def __init__(self, data, name: str | None = None):
         arr = np.asarray(data, dtype=DEFAULT_DTYPE)
@@ -45,11 +44,11 @@ class Tensor:
             raise NumericError(f"non-finite values in tensor {name or '<anon>'}")
         self.data = arr
         self.name = name
-        self._grads = None  # _LEAF, an op's closure, or None for a constant
+        self.grad = self._grads = None  # a parameter's buffer; an op's closure
 
     @property
     def requires_grad(self) -> bool:
-        return self._grads is not None
+        return self.grad is not None or self._grads is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,14 +57,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
 
-
-def parameter(name: str, data) -> Tensor:
+def parameter(name: str, data, grad: np.ndarray | None = None) -> Tensor:
+    """A leaf whose gradients add into `grad`, shaped like its data; its own zeros if not given."""
     leaf = Tensor(data, name=name)
-    leaf._grads = _LEAF
+    leaf.grad = np.zeros(leaf.shape) if grad is None else grad
     return leaf
 
 
@@ -73,21 +69,17 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], grads, op: str) -> Tens
     if not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite result from {op}")
     out = Tensor.__new__(Tensor)
-    out.data, out.name = data, None
+    out.data, out.name, out.grad = data, None, None
     out._grads = grads if any(p.requires_grad for p in parents) else None
     return out
 
 
-def _pull(*inputs: tuple[Tensor, np.ndarray]) -> list[tuple[Tensor, np.ndarray]]:
-    """(parameter, gradient) pairs behind each (input, adjoint): the input itself
-    if it is a parameter, its closure's pairs if it is an op's output."""
-    pairs = []
-    for node, g in inputs:
-        if node._grads is _LEAF:
-            pairs.append((node, g))
-        elif node._grads is not None:
-            pairs += node._grads(g)
-    return pairs
+def _send(node: Tensor, g) -> None:
+    """Adds adjoint g into a parameter's buffer, or runs an op's closure on it."""
+    if node.grad is not None:
+        node.grad += g
+    elif node._grads is not None:
+        node._grads(g)
 
 
 def _need_2d(x: Tensor, op: str) -> None:
@@ -246,9 +238,12 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
         g_folded, g_top = hidden_bw((go @ w2.data.T) / lens[:, None])  # per hidden row
         g_pos_b1 = np.zeros((pos.shape[0], h))  # adjoint of all of pos @ w1 + b1
         g_pos_b1[: len(g_top)] = g_top
-        return _pull((b2, go.sum(axis=0)), (w2, pooled.T @ go), (b1, g_pos_b1.sum(axis=0)),
-                     (w1, table.data.T @ g_folded + pos.data.T @ g_pos_b1),
-                     (table, g_folded @ w1.data.T), (pos, g_pos_b1 @ w1.data.T))
+        _send(b2, go.sum(axis=0))
+        _send(w2, pooled.T @ go)
+        _send(b1, g_pos_b1.sum(axis=0))
+        _send(w1, table.data.T @ g_folded + pos.data.T @ g_pos_b1)
+        _send(table, g_folded @ w1.data.T)
+        _send(pos, g_pos_b1 @ w1.data.T)
 
     return _result(out_data, (table, pos, w1, b1, w2, b2), grads, "tower")
 
@@ -320,7 +315,9 @@ def clap_loss(audio: Tensor, text: Tensor, log_temperature: Tensor,
             g_audio[rows] += g_dot * (pos[rows] - neg)
             g_text[rows] += g_dot * a_r
             g_text[n:] = -g_dot * a_r
-        return _pull((audio, g_audio), (text, g_text), (log_temperature, np.asarray(g_lt)))
+        _send(audio, g_audio)
+        _send(text, g_text)
+        _send(log_temperature, g_lt)
 
     l_train = _result(np.asarray(l_c + l_t * lambda_l), (audio, text, log_temperature), grads,
                       "clap_loss")
@@ -330,24 +327,19 @@ def clap_loss(audio: Tensor, text: Tensor, log_temperature: Tensor,
 # -- backward pass ------------------------------------------------------------
 
 def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss for every named parameter.
-
-    One call of the loss's closure yields a (parameter, gradient) pair per path
-    from the loss to a parameter: a node reached along two paths runs its
-    closure once per path, and a parameter's gradients add up in path order.
-    Parameters the loss does not reach get zeros.
+    """Gradients of a scalar loss for every named parameter: its buffer, zeroed and
+    then added into along each path from the loss, in path order (a node reached
+    along two paths runs its closure twice). Valid until the next backward over it.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    sums: dict[int, np.ndarray] = {}
-    for p, g in _pull((loss, np.asarray(1.0))):
-        sums[id(p)] = sums[id(p)] + g if id(p) in sums else g
-    grads: dict[str, np.ndarray] = {}
+    params = list(params)
     for p in params:
-        if p.name is None:
-            raise ShapeError("backward: parameters must be named")
-        grads[p.name] = sums[id(p)] if id(p) in sums else np.zeros_like(p.data)
-    return grads
+        if p.name is None or p.grad is None:
+            raise ShapeError(f"backward: {p.name!r} is not a named parameter")
+        p.grad[...] = 0.0
+    _send(loss, np.asarray(1.0))
+    return {p.name: p.grad for p in params}
 
 
 # -- finite-difference oracle ---------------------------------------------------

@@ -114,27 +114,26 @@ def lr_schedule(step: int, config: TrainConfig) -> float:
     return config.base_lr * min(1.0, (step + 1) / config.warmup_steps)
 
 
-def adam_step(params: ModelParams, grads, m, v, t: int, lr: float) -> None:
-    """In-place Adam update number t (from 1) over the flat parameters and moments m and v,
-    in the textbook formula's operation order; log_temperature clamped afterwards."""
+def adam_step(params: ModelParams, grad, m, v, t: int, lr: float) -> None:
+    """In-place Adam update number t (from 1) of params.flat from the flat gradient, which it
+    leaves as it is, and moments m and v, in the textbook formula's operation order;
+    log_temperature clamped afterwards."""
+    if np.shape(grad) != params.flat.shape:
+        raise InvalidConfig(f"gradient of shape {np.shape(grad)} for {params.flat.size} parameters")
+    if not np.isfinite(grad).all():
+        ends = np.cumsum([p.data.size for p in params.tensors.values()])
+        bad = np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right")
+        raise NumericError(f"non-finite gradient for parameter {list(params.tensors)[bad]!r} "
+                           f"at step {t}")
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    named = params.named()
-    for name, p in named.items():
-        if np.shape(grads[name]) != p.data.shape:
-            raise InvalidConfig(f"gradient shape {np.shape(grads[name])} != {p.data.shape} "
-                                f"for {name!r}")
-    g = np.concatenate([np.asarray(grads[name], dtype=np.float64).ravel() for name in named])
-    if not np.isfinite(g).all():
-        bad = next(name for name in named if not np.isfinite(grads[name]).all())
-        raise NumericError(f"non-finite gradient for parameter {bad!r} at step {t}")
-    buf = np.empty_like(g)
+    buf, tmp = np.empty_like(params.flat), np.empty_like(params.flat)
     m *= ADAM_BETA1
-    m += np.multiply(1.0 - ADAM_BETA1, g, out=buf)
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=buf)
     v *= ADAM_BETA2
-    v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=g), out=g)
+    v += np.multiply(1.0 - ADAM_BETA2, np.multiply(grad, grad, out=tmp), out=tmp)
     np.multiply(lr, np.divide(m, bc1, out=buf), out=buf)
-    buf /= np.add(np.sqrt(np.divide(v, bc2, out=g), out=g), ADAM_EPS, out=g)
+    buf /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), ADAM_EPS, out=tmp)
     params.flat -= buf
     lt = params["log_temperature"].data
     np.clip(lt, LOG_TEMPERATURE_MIN, LOG_TEMPERATURE_MAX, out=lt)
@@ -249,14 +248,8 @@ def init_run(config: TrainConfig, primary, temporal=None) -> tuple[TrainConfig, 
 
 
 def _metric_line(step, lr, breakdown) -> str:
-    rec = {
-        "step": step,
-        "lr": lr,
-        "l_c": float(breakdown.l_c.data),
-        "l_t": float(breakdown.l_t.data),
-        "l_train": float(breakdown.l_train.data),
-        "temporal_count": breakdown.temporal_count,
-    }
+    rec = {"step": step, "lr": lr, "l_c": breakdown.l_c.item(), "l_t": breakdown.l_t.item(),
+           "l_train": breakdown.l_train.item(), "temporal_count": breakdown.temporal_count}
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
@@ -331,8 +324,8 @@ def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
             emb = forward_pool(params, pool, np.array(picks), np.flatnonzero(mask))
             loss_cfg = warmup_loss if step < config.order_loss_start_step else config.loss
             breakdown = train_loss(emb, loss_cfg, params["log_temperature"])
-            grads = T.backward(breakdown.l_train, params.trainable())
-            adam_step(params, grads, state.m, state.v, step + 1, lr)
+            T.backward(breakdown.l_train, params.trainable())
+            adam_step(params, params.grad, state.m, state.v, step + 1, lr)
             line = _metric_line(step, lr, breakdown) + "\n"
             for (out_dir, run_config, _), log in zip(runs, logs):
                 log.write(line)
@@ -360,13 +353,8 @@ def _continue(config: TrainConfig, pools, state: Checkpoint, out_dir: Path,
     return state
 
 
-def train(
-    config: TrainConfig,
-    primary_manifest,
-    temporal_manifest=None,
-    out_dir=".",
-    resume_from=None,
-) -> Checkpoint:
+def train(config: TrainConfig, primary_manifest, temporal_manifest=None, out_dir=".",
+          resume_from=None) -> Checkpoint:
     """Run the loop; writes metrics.jsonl and final.tckp under out_dir.
 
     resume_from is a checkpoint file; its train_config may differ from

@@ -17,7 +17,12 @@ import tinyclap.tensor as T
 from tinyclap import cli
 from tinyclap import evaluate as ev
 from tinyclap import trainer as tr
-from tinyclap.config import run_config_from_dict, run_config_to_dict, split_seed
+from tinyclap.config import (
+    load_run_config,
+    run_config_from_dict,
+    run_config_to_dict,
+    split_seed,
+)
 from tinyclap.corpus import catalog_for, load_manifest
 from tinyclap.encoders import encode_audio_batch, encode_text_batch, forward_batch
 from tinyclap.errors import FormatError, InvalidConfig
@@ -821,6 +826,27 @@ def test_run_config_cross_validation():
 def test_config_value_of_wrong_type_named_in_error(data, key):
     with pytest.raises(InvalidConfig, match=f"config key '{re.escape(key)}' must be"):
         run_config_from_dict(data)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("key", ["noise_sigma", "labeled_noise_sigma"])
+def test_non_finite_noise_level_is_named_when_the_config_loads(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"corpus": {{"{key}": {value}}}}}', encoding="utf-8")
+    with pytest.raises(InvalidConfig, match=f"^{key} must be finite and >= 0"):
+        load_run_config(path)
+
+
+def test_caption_bound_counts_the_suffix_of_names_past_the_built_in_list():
+    # class 64 on is named with a numeric suffix ("dog barking 2"), one token
+    # more: two 3-token names and a 2-token connector span 8 positions
+    doc = json.loads(json.dumps(TINY))
+    doc["corpus"].update(n_classes=80, events_per_clip=2)
+    doc["train"]["encoder"]["max_positions"] = 6
+    with pytest.raises(InvalidConfig, match="captions span 8 tokens"):
+        run_config_from_dict(doc)
+    doc["corpus"]["n_classes"] = 64
+    assert run_config_from_dict(doc).corpus.n_classes == 64
 
 
 def test_float_config_fields_take_json_integers():

@@ -312,7 +312,7 @@ def test_no_caption_holds_a_parse_only_connector(catalog, connector):
     with pytest.raises(UnknownConnector, match=message):
         C.render_caption((0, 1), catalog, connector)
     with pytest.raises(UnknownConnector, match=message):
-        C.Caption((0, 1), (("dog", "barking"), ("thunder",)), connector)
+        C.Caption((0, 1), connector)
 
 
 @pytest.mark.parametrize("ids", [(1,), ()], ids=["one", "none"])
@@ -322,7 +322,7 @@ def test_no_caption_holds_fewer_than_two_events(catalog, ids):
     with pytest.raises(TooFewEvents, match=message):
         C.render_caption(ids, catalog, "and then")
     with pytest.raises(TooFewEvents, match=message):
-        C.Caption(ids, tuple(catalog._name_tokens[e] for e in ids), "followed by")
+        C.Caption(ids, "followed by")
 
 
 @pytest.mark.parametrize(
@@ -485,6 +485,21 @@ def saved(tmp_path, small_corpus):
 
 def test_manifest_round_trip_path_refs(saved, small_corpus):
     assert C.load_manifest(saved) == small_corpus
+
+
+def test_hand_built_captions_load_as_they_were_saved(tmp_path, small_corpus):
+    # a caption is its events and connector, so one built without render_caption
+    # names its events as the catalog does and saves as itself
+    recs = [dc_replace(rec, caption_pos=C.Caption(rec.caption_pos.event_ids[::-1], "and then"))
+            for rec in small_corpus.records[:6]]
+    man = dc_replace(small_corpus, records=tuple(recs))
+    C.save_manifest(man, tmp_path / "corpus.jsonl")
+    loaded = C.load_manifest(tmp_path / "corpus.jsonl")
+    assert loaded == man
+    names = [ev.name for ev in C.catalog_for(man).classes]
+    for rec in loaded.records:
+        ids = rec.caption_pos.event_ids
+        assert rec.caption_pos.text == " and then ".join(names[e] for e in ids)
 
 
 def test_manifest_round_trip_without_negative_clips(tmp_path, catalog):

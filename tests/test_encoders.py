@@ -214,7 +214,7 @@ def test_audio_batch_matches_single_encodes(params):
 
 def sum_node(x):
     """Test-local readout: the sum of every entry of x, as a graph node."""
-    return T._result(np.asarray(x.data.sum()), (x,), lambda g: T._pull((x, np.full(x.shape, g))),
+    return T._result(np.asarray(x.data.sum()), (x,), lambda g: T._send(x, np.full(x.shape, g)),
                      "sum")
 
 
@@ -222,7 +222,7 @@ def test_batch_gradients_match_single_gradients(params):
     # packing ragged sequences into one tower op must not change what the graph computes
     seqs = [["dog", "barking"], ["rain", "thunder"], ["thunder", "and", "rain"]]
     loss_b = sum_node(E.encode_text_batch(params, seqs))
-    grads_b = T.backward(loss_b, params.trainable())
+    grads_b = {name: g.copy() for name, g in T.backward(loss_b, params.trainable()).items()}
     total = {name: np.zeros_like(t.data) for name, t in params.named().items()}
     for toks in seqs:
         g = T.backward(sum_node(E.encode_text_batch(params, [toks])), params.trainable())

@@ -22,6 +22,11 @@ def leaf(name, data):
     return T.parameter(name, np.asarray(data, dtype=np.float64))
 
 
+def gradients(loss, leaves):
+    """backward's arrays, copied: the next backward over the same leaves refills them."""
+    return {name: g.copy() for name, g in T.backward(loss, leaves).items()}
+
+
 def rand(rng, *shape):
     return rng.standard_normal(shape)
 
@@ -29,19 +34,19 @@ def rand(rng, *shape):
 def sum_node(x, w=None):
     """Test-local readout node: the sum of every entry of x, weighted by w if given."""
     w = np.ones(x.shape) if w is None else w
-    return T._result(np.asarray((x.data * w).sum()), (x,), lambda g: T._pull((x, g * w)), "sum")
+    return T._result(np.asarray((x.data * w).sum()), (x,), lambda g: T._send(x, g * w), "sum")
 
 
 def square_sum(x):
     """Test-local node: the sum of the squares of x's entries."""
     return T._result(np.asarray((x.data * x.data).sum()), (x,),
-                     lambda g: T._pull((x, 2.0 * g * x.data)), "square_sum")
+                     lambda g: T._send(x, 2.0 * g * x.data), "square_sum")
 
 
 def unit_rows_node(x):
     """Test-local node: `tower`'s unit-row scaling, forward and backward, on its own."""
     out, denom = T._unit_rows(x.data, T._NORM_EPS)
-    return T._result(out, (x,), lambda g: T._pull((x, T._unit_rows_bw(x.data, denom, g))),
+    return T._result(out, (x,), lambda g: T._send(x, T._unit_rows_bw(x.data, denom, g)),
                      "unit_rows")
 
 
@@ -126,7 +131,7 @@ def helper_node(helper, x, *args):
     """Test-local node around one of clap_loss's numpy helpers, which return a
     value and its gradient."""
     value, grad = helper(x.data, *args)
-    return T._result(np.asarray(value), (x,), lambda g: T._pull((x, g * grad)), "helper")
+    return T._result(np.asarray(value), (x,), lambda g: T._send(x, g * grad), "helper")
 
 
 @case("log_sum_exp")
@@ -271,7 +276,7 @@ def test_backward_reuses_node_without_double_count():
     inputs, leaves = tower_leaves(np.random.default_rng(8), leaf)
     log_t = leaf("log_t", 0.2)
     out = T.tower(inputs, *leaves, TOWER_LENGTHS)
-    shared = T.backward(T.clap_loss(out, out, log_t, (), 1.0)[0], leaves)
+    shared = gradients(T.clap_loss(out, out, log_t, (), 1.0)[0], leaves)
     twins = [T.tower(inputs, *leaves, TOWER_LENGTHS) for _ in range(2)]
     apart = T.backward(T.clap_loss(*twins, log_t, (), 1.0)[0], leaves)
     for name in TOWER_NAMES:
@@ -298,6 +303,22 @@ def test_backward_requires_named_parameters():
     x = T.parameter(None, [[1.0]])
     with pytest.raises(ShapeError):
         T.backward(sum_node(x), [x])
+
+
+def test_backward_rejects_a_constant_as_a_parameter():
+    # a constant has no buffer to fill, so it cannot stand in a parameter list
+    x, c = leaf("x", [[1.0, 2.0]]), T.Tensor([[3.0]], name="c")
+    with pytest.raises(ShapeError, match="'c'"):
+        T.backward(sum_node(x), [x, c])
+
+
+def test_backward_fills_and_returns_the_parameters_own_buffers():
+    # each call zeroes the buffer before it adds, so a second call gives the same bytes
+    x = leaf("x", [[1.0, -2.0]])
+    for _ in range(2):
+        grads = T.backward(square_sum(x), [x])
+        assert grads["x"] is x.grad
+        np.testing.assert_array_equal(grads["x"], [[2.0, -4.0]])
 
 
 def test_tower_matches_plain_numpy_per_sequence():
@@ -330,7 +351,7 @@ def test_tower_in_pieces_matches_one_piece_per_slab(monkeypatch):
     for budget in (1 << 30, 6 * 6 * 8):
         monkeypatch.setattr(T, "_PIECE_BYTES", budget)
         out = T.tower(inputs, *leaves, lengths)
-        runs.append((out.data, T.backward(readout2d(np.random.default_rng(7), out), leaves)))
+        runs.append((out.data, gradients(readout2d(np.random.default_rng(7), out), leaves)))
     (out_a, grads_a), (out_b, grads_b) = runs
     np.testing.assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-12)
     for name in TOWER_NAMES:
@@ -373,7 +394,7 @@ def test_tower_ids_match_one_hot_rows(monkeypatch):
         ids = rng.integers(0, 5, size=sum(lengths))
         ids[np.cumsum([0] + lengths[:-1])] = 2
         dense = T.tower(onehot(ids, 9), *leaves, lengths)
-        want = T.backward(readout2d(rng, dense), leaves)
+        want = gradients(readout2d(rng, dense), leaves)
         assert not want["table"][5:].any()
         for budget in (1 << 30, 1):
             monkeypatch.setattr(T, "_PIECE_BYTES", budget)
@@ -412,7 +433,7 @@ def test_tower_fold_is_invariant_to_where_the_lookup_happens():
     for inputs, first in ((onehot(ids, 6), table), (table.data[ids], eye)):
         out = T.tower(inputs, first, *rest, TOWER_LENGTHS)
         loss = readout2d(rng, out)
-        results.append((out.data, T.backward(loss, rest)))
+        results.append((out.data, gradients(loss, rest)))
     (out_a, grads_a), (out_b, grads_b) = results
     np.testing.assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-12)
     for name in TOWER_NAMES[1:]:

@@ -22,6 +22,7 @@ from tinyclap.encoders import (
     forward_batch,
     init_params,
     param_count,
+    param_shapes,
 )
 from tinyclap.errors import (
     EmptyPool,
@@ -180,10 +181,9 @@ def tiny_params(values=None, flat=None):
     return params
 
 
-def tiny_grads(params, values):
-    """Zero gradients for every parameter, but the named ones."""
-    return {name: np.asarray(values.get(name, np.zeros_like(t.data)))
-            for name, t in params.named().items()}
+def tiny_grads(values):
+    """A flat gradient on the tiny layout, zero but for the named parameters."""
+    return tiny_params(values).flat
 
 
 def zero_moments(params):
@@ -194,7 +194,7 @@ def test_adam_first_step_moves_by_lr():
     # with g = 1 the bias-corrected moments are exactly 1, so the first
     # update is -lr / (1 + eps)
     params = tiny_params({"text.embed": 0.5})
-    grads = tiny_grads(params, {"text.embed": np.ones((3, 4))})
+    grads = tiny_grads({"text.embed": np.ones((3, 4))})
     tr.adam_step(params, grads, *zero_moments(params), 1, lr=0.1)
     assert np.all(abs(params["text.embed"].data - 0.4) < 1e-8)
     assert not params["audio.w1"].data.any()
@@ -202,7 +202,7 @@ def test_adam_first_step_moves_by_lr():
 
 def test_adam_zero_gradient_is_identity():
     params = tiny_params({"text.embed": 0.7, "log_temperature": 0.3})
-    tr.adam_step(params, tiny_grads(params, {}), *zero_moments(params), 1, lr=0.1)
+    tr.adam_step(params, tiny_grads({}), *zero_moments(params), 1, lr=0.1)
     assert np.all(params["text.embed"].data == 0.7)
     assert params["log_temperature"].data == pytest.approx(0.3)
 
@@ -224,29 +224,39 @@ def test_adam_matches_reference_implementation():
     params = tiny_params({"text.embed": p0})
     moments = zero_moments(params)
     for t, g in enumerate(grad_seq, start=1):
-        tr.adam_step(params, tiny_grads(params, {"text.embed": g}), *moments, t, lr=0.01)
+        tr.adam_step(params, tiny_grads({"text.embed": g}), *moments, t, lr=0.01)
     np.testing.assert_allclose(params["text.embed"].data, expect, atol=1e-12)
 
 
 def test_adam_clamps_log_temperature():
     for start, clamped in ((10.0, math.log(100.0)), (-10.0, -math.log(100.0))):
         params = tiny_params({"log_temperature": start})
-        tr.adam_step(params, tiny_grads(params, {}), *zero_moments(params), 1, lr=0.1)
+        tr.adam_step(params, tiny_grads({}), *zero_moments(params), 1, lr=0.1)
         assert params["log_temperature"].data == pytest.approx(clamped)
 
 
 def test_adam_rejects_non_finite_gradient():
+    # the error names the parameter that holds the first bad number: at the
+    # layout's first and last offsets, inside one, and ahead of a later one
     params = tiny_params()
-    grads = tiny_grads(params, {"text.b1": np.array([0.0, float("nan"), 0.0])})
-    with pytest.raises(NumericError, match=r"'text.b1' at step 4"):
-        tr.adam_step(params, grads, *zero_moments(params), 4, lr=0.1)
+    nan, inf = float("nan"), float("inf")
+    for bad, name in (({"text.b1": np.array([0.0, nan, 0.0])}, "text.b1"),
+                      ({"text.embed": inf}, "text.embed"),
+                      ({"log_temperature": -inf}, "log_temperature"),
+                      ({"audio.b2": nan, "audio.proj": inf}, "audio.proj")):
+        with pytest.raises(NumericError, match=rf"'{name}' at step 4"):
+            tr.adam_step(params, tiny_grads(bad), *zero_moments(params), 4, lr=0.1)
+    assert not params.flat.any()
 
 
 def test_adam_rejects_shape_mismatch():
+    # the gradient is one vector of exactly params.flat's length
     params = tiny_params()
-    grads = tiny_grads(params, {"text.embed": np.zeros((2, 2))})
-    with pytest.raises(InvalidConfig, match="'text.embed'"):
-        tr.adam_step(params, grads, *zero_moments(params), 1, lr=0.1)
+    n = params.flat.size
+    for grads in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+        with pytest.raises(InvalidConfig, match=f"for {n} parameters"):
+            tr.adam_step(params, grads, *zero_moments(params), 1, lr=0.1)
+        assert not params.flat.any()
 
 
 def test_flat_adam_matches_per_name_textbook_formula_bit_for_bit():
@@ -273,7 +283,10 @@ def test_flat_adam_matches_per_name_textbook_formula_bit_for_bit():
 
     moments = zero_moments(params)
     for t, grads in enumerate(steps, start=1):
-        tr.adam_step(params, grads, *moments, t, lr=0.05)
+        flat = tiny_params(grads).flat
+        kept = flat.copy()
+        tr.adam_step(params, flat, *moments, t, lr=0.05)
+        assert flat.tobytes() == kept.tobytes()  # Adam's scratch is its own
     assert params["log_temperature"].data == math.log(100.0)
     got_m, got_v = (tiny_params(flat=x) for x in moments)  # the moments, cut per name
     for name in start:
@@ -324,8 +337,8 @@ def test_parameters_and_moments_live_in_flat_vectors(corpora, tiny_encoder, tmp_
     loaded = tr.load_checkpoint(tmp_path / "order" / "step000002.tckp")
     assert_packed(loaded)
     for t in range(loaded.step + 1, loaded.step + 4):
-        grads = {name: np.ones_like(p.data) for name, p in loaded.params.named().items()}
-        tr.adam_step(loaded.params, grads, loaded.m, loaded.v, t, lr=1e-3)
+        tr.adam_step(loaded.params, np.ones_like(loaded.params.flat), loaded.m, loaded.v, t,
+                     lr=1e-3)
     assert_packed(loaded)
 
 
@@ -350,10 +363,41 @@ def test_training_step_graph_is_two_towers_and_one_loss(corpora, tiny_encoder, m
     [(loss_args, (l_train, _, _))] = calls["clap_loss"]
     assert loss_args[0] is audio and loss_args[1] is text
     assert loss_args[2] is params["log_temperature"] and l_train is breakdown.l_train
-    # each of the 13 parameters belongs to one op, so the loss's closure yields it
-    # once: its gradient is that one array, summed with nothing
-    reached = [p for p, _ in l_train._grads(np.asarray(1.0))]
+    # each of the 13 parameters belongs to one op, so backward sends it one
+    # gradient: its buffer is that one array added to zeros
+    sent = []
+
+    def spy(node, g, _send=T._send):
+        sent.append(node)
+        _send(node, g)
+
+    monkeypatch.setattr(T, "_send", spy)
+    T.backward(l_train, params.trainable())
+    reached = [node for node in sent if node.grad is not None]
     assert sorted(map(id, reached)) == sorted(map(id, params.trainable()))
+
+
+def test_backward_fills_views_of_the_flat_gradient(corpora, tiny_encoder):
+    # backward returns each parameter's cut of params.grad, at the offsets
+    # param_shapes gives, and a second call on the same batch starts from zeros
+    primary, temporal = corpora
+    params = init_params(tiny_encoder, build_vocab(list(corpora)), seed=0)
+    records, mask = tr.compose_batch(list(primary.records), list(temporal.records), 8, 0.25,
+                                     np.random.default_rng(0))
+    flats = []
+    for _ in range(2):
+        breakdown = tr.train_loss(forward_batch(params, records, mask), LossConfig(),
+                                  params["log_temperature"])
+        grads = T.backward(breakdown.l_train, params.trainable())
+        start = 0
+        for (name, shape), g in zip(param_shapes(tiny_encoder, params.vocab).items(),
+                                    grads.values()):
+            assert g.shape == shape and g.base is params.grad, name
+            assert g.ctypes.data == params.grad[start:].ctypes.data, name
+            start += math.prod(shape)
+        assert start == params.grad.size and params.grad.any()
+        flats.append(params.grad.tobytes())
+    assert flats[0] == flats[1]
 
 
 def test_dropped_parameters_are_freed_without_the_cycle_collector(corpora, tiny_encoder,
@@ -732,7 +776,8 @@ def test_array_step_matches_the_record_level_loop(corpora, tiny_encoder, tmp_pat
         loss_cfg = cfg.loss if step >= cfg.order_loss_start_step else LossConfig(lambda_l=0.0)
         out = tr.train_loss(forward_batch(params, records, mask), loss_cfg,
                             params["log_temperature"])
-        tr.adam_step(params, T.backward(out.l_train, params.trainable()), m, v, step + 1, lr)
+        T.backward(out.l_train, params.trainable())
+        tr.adam_step(params, params.grad, m, v, step + 1, lr)
         lines.append(json.dumps({"step": step, "lr": lr, "l_c": out.l_c.item(),
                                  "l_t": out.l_t.item(), "l_train": out.l_train.item(),
                                  "temporal_count": out.temporal_count},
