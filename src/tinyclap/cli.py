@@ -28,7 +28,7 @@ from .corpus import (
     load_manifest,
     save_manifest,
 )
-from .encoders import forward_batch
+from .encoders import encode_audio_batch, encode_text_batch, forward_batch
 from .errors import DataError, InvalidConfig, NumericFailure, TinyClapError
 from .evaluate import (embed_test_set, emit_report, order_scores, recall_at_k, t_classify,
                        zero_shot_classify)
@@ -129,8 +129,9 @@ def cmd_train(cfg: RunConfig, data_dir: Path, out_dir: Path, resume=None) -> int
 
 
 def _paired_similarity(params, records) -> np.ndarray:
-    emb = forward_batch(params, records, [False] * len(records))
-    return similarity_matrix(emb.audio, emb.text).data
+    text = encode_text_batch(params, [r.caption_pos.tokens for r in records])
+    audio = encode_audio_batch(params, [r.clip.frames for r in records])
+    return similarity_matrix(audio, text).data
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: Path, data_dir: Path, out_dir: Path) -> int:
@@ -248,7 +249,7 @@ def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
         emb = embed_test_set(params, test_records)  # one pass serves both tasks
         tc = order_scores(emb)
         t2a, a2t = recall_at_k(similarity_matrix(emb.audio, emb.text).data, cfg.eval.recall_ks)
-        del emb  # kept alive into the next pass, its rows would add to that pass's peak RSS
+        del emb  # plain rows, no closure or mask: kept alive, they would add to the next peak
         zs = zero_shot_classify(params, labeled_records, label_names)
         metrics["t_classify"][name] = tc
         metrics["retrieval"][name] = {"T2A": t2a, "A2T": a2t}

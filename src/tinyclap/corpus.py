@@ -230,6 +230,8 @@ class Caption:
         _check_connector(self.connector)
         if len(self.event_ids) < 2:
             raise TooFewEvents(f"caption needs at least 2 events, got {len(self.event_ids)}")
+        if min(self.event_ids) < 0:  # as an index it would name an event from the list's end
+            raise UnknownEvent(f"caption event id {min(self.event_ids)} is negative")
 
     @property
     def text(self) -> str:
@@ -491,6 +493,9 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         return [n_rows - len(clip.frames), n_rows]
 
     for rec in manifest.records:
+        ids = (rec.label_id,) if manifest.kind == "labeled" else rec.caption_pos.event_ids
+        if not 0 <= min(ids) <= max(ids) < manifest.catalog_ref.n_classes:  # as loading checks
+            raise UnknownEvent(f"record {rec.record_id}: ids {list(ids)} not all in catalog")
         if manifest.kind == "labeled":
             row = {"id": rec.record_id, "label": rec.label_id, "clip": span(rec.clip)}
         else:

@@ -15,11 +15,12 @@ normalizes. The text output carries the reversed captions after the N
 captions, and `losses.train_loss` reads both outputs whole, so a training
 step is tower, tower, `clap_loss`. Every encode goes through one array
 entry, `encode_sequences`, so training and evaluation share this forward
-pass. Records are encoded once per pool (`encode_pool`: each caption and
-reversal as token ids, lengths and clip shapes checked there), and a batch
-is a gather from those arrays (`forward_pool`); `forward_batch` is the same
-path over a pool of just its records. Every parameter's data and gradient
-buffer are views of two float64 vectors, `ModelParams.flat` and `.grad`.
+pass; evaluation's (`encode_text_batch`, `encode_audio_batch`) runs over the same
+layers as constants, so the tower builds no backward. Records are encoded once per
+pool (`encode_pool`: each caption and reversal as token ids, lengths and clip shapes
+checked there), and a batch is a gather from those arrays (`forward_pool`);
+`forward_batch` is the same path over a pool of just its records. Every parameter's
+data and gradient buffer are views of two float64 vectors, `ModelParams.flat` and `.grad`.
 """
 
 from __future__ import annotations
@@ -201,25 +202,31 @@ def _clip_lengths(cfg: EncoderConfig, clips) -> np.ndarray:
     return _checked_lengths(cfg, "audio", [len(c) for c in clips])
 
 
-def encode_sequences(params: ModelParams, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
+def encode_sequences(params: ModelParams | dict, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
     """The one forward entry of both towers: sequences packed back to back, as
     integer token ids of `text.embed` rows or float64 frame rows against
     `audio.proj`, one `tower` op. Callers check the lengths and clip shapes;
     `tower` checks that the lengths split the rows and the ids' range. Rows
-    come out in input order."""
+    come out in input order, with the backward for ModelParams' layers."""
     table = params["text.embed" if tower == "text" else "audio.proj"]
     layers = (params[f"{tower}.{name}"] for name in ("pos", "w1", "b1", "w2", "b2"))
     return T.tower(rows, table, *layers, lengths)
 
 
+def _forward_only(params: ModelParams, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
+    """`encode_sequences` over constants on the tower's same data: no backward state is built."""
+    layers = {n: T.Tensor(t.data) for n, t in params.tensors.items() if n.startswith(tower)}
+    return encode_sequences(layers, tower, rows, lengths)
+
+
 def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:
-    return encode_sequences(params, "text", *_token_ids(params, list(token_seqs)))
+    return _forward_only(params, "text", *_token_ids(params, list(token_seqs)))
 
 
 def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
     clips = [np.asarray(c) for c in clips]
     lens = _clip_lengths(params.config, clips)
-    return encode_sequences(params, "audio", np.concatenate(clips, dtype=np.float64), lens)
+    return _forward_only(params, "audio", np.concatenate(clips, dtype=np.float64), lens)
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,7 @@ def t_classify_from_embeddings(audio, text_pos, text_neg) -> float:
 
 @dataclass(frozen=True)
 class EvalEmbeddings:
-    """One embedding pass over a test set, kept as plain arrays: a live tower
-    output would keep its closure, and with it the relu mask and a piece buffer."""
+    """One forward-only embedding pass over a test set: each tower's rows as plain arrays."""
 
     audio: np.ndarray  # N x D, each record's clip
     text: np.ndarray  # N x D, each record's caption
@@ -116,10 +115,9 @@ class EvalEmbeddings:
 
 
 def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
-    """Every test input through its tower once: the captions and their
-    reversals in one text pass, the clips in one audio pass, then the
-    reversed clips. Each pass keeps only its rows, so one tower output, with
-    the arrays its backward would use, is alive at a time."""
+    """Every test input through its tower once, forward only: the captions and
+    their reversals in one text pass, the clips in one audio pass, then the
+    reversed clips. Each pass keeps only its rows: no closure and no relu mask."""
     records = list(records)
     if not records:
         raise InvalidConfig("cannot score an empty record set")

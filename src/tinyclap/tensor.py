@@ -8,11 +8,11 @@ the hidden layer once per distinct (token, position) cell; and one
 NaN/Inf and raises NumericError on the spot, so a poisoned value can never
 travel.
 
-Gradient convention: a parameter holds a gradient buffer, `grad` (for a
-parameter set, views of one flat vector cut like its data), and an op's
-output one closure that maps its adjoint to its inputs' and passes each to
-`_send`: into a parameter's buffer in place, on to an op's closure, or
-nowhere for a constant. ``backward`` zeroes the buffers and sends 1.0 in.
+Gradient convention: a parameter holds a gradient buffer, `grad` (for a parameter set,
+views of one flat vector cut like its data), and an op's output one closure that maps its
+adjoint to its inputs' and passes each to `_send`: into a parameter's buffer in place, on
+to an op's closure, or nowhere for a constant. An op of constants returns one, and `tower`
+then builds no backward state. ``backward`` zeroes the buffers and sends 1.0 in.
 """
 
 from __future__ import annotations
@@ -101,15 +101,15 @@ def _unit_rows_bw(x: np.ndarray, denom: np.ndarray, g: np.ndarray) -> np.ndarray
     return g / denom[:, None] - x * (dot / denom**3)[:, None]
 
 
-def _slab_stage(x, lens, w1_folded, pos_b1):
-    """Dense rows' hidden layer pooled per sequence, and its backward.
+def _slab_stage(x, lens, w1_folded, pos_b1, grad):
+    """Dense rows' hidden layer pooled per sequence, and its backward if `grad`.
 
-    The rows are laid out by length (a stable sort; none move when the
-    lengths never fall), so each length's sequences are one k x n x h slab.
-    Both directions walk the same pieces of whole sequences of one length,
-    at most _PIECE_BYTES each, through one buffer that stays in L2: the
-    forward builds, pools and masks a piece, the backward writes its adjoint
-    there and adds its per-position sums and its inputs' product with it.
+    The rows are laid out by length (a stable sort; none move when the lengths
+    never fall), so each length's sequences are one k x n x h slab. Both directions
+    walk the same pieces of whole sequences of one length, at most _PIECE_BYTES each,
+    through one buffer that stays in L2: the forward builds, pools and, if `grad`,
+    masks a piece, the backward writes its adjoint there and adds its per-position
+    sums and its inputs' product with it.
     """
     h = w1_folded.shape[1]
     order = np.argsort(lens, kind="stable")
@@ -126,7 +126,7 @@ def _slab_stage(x, lens, w1_folded, pos_b1):
               for a, b in zip(cuts, cuts[1:])]  # whole sequences of one length
 
     pooled = np.empty((lens.size, h))
-    active = np.empty((x.shape[0], h), dtype=bool)
+    active = np.empty((x.shape[0], h), dtype=bool) if grad else None  # read by the backward alone
     buf = np.empty((max(p.stop - p.start for _, _, p in pieces), h))  # holds every piece in turn
     for n, seqs, part in pieces:
         z = np.matmul(x[part], w1_folded, out=buf[: part.stop - part.start])
@@ -136,7 +136,8 @@ def _slab_stage(x, lens, w1_folded, pos_b1):
         mean = np.add.reduce(slab, axis=1)  # what slab.mean(axis=1) computes, without its wrapper
         mean /= n
         pooled[seqs] = mean
-        np.greater(z, 0.0, out=active[part])  # relu(z) > 0 exactly where z > 0
+        if grad:
+            np.greater(z, 0.0, out=active[part])  # relu(z) > 0 exactly where z > 0
 
     def bw(g_seq):
         g_pos_b1 = np.zeros(pos_b1.shape)  # adjoint of pos[:L] @ w1 + b1
@@ -149,11 +150,11 @@ def _slab_stage(x, lens, w1_folded, pos_b1):
             g_folded += x[part].T @ gpre
         return g_folded, g_pos_b1
 
-    return pooled, bw
+    return pooled, bw if grad else None
 
 
-def _cell_stage(ids, lens, w1_folded, pos_b1):
-    """Token ids' hidden layer pooled per sequence, and its backward.
+def _cell_stage(ids, lens, w1_folded, pos_b1, grad):
+    """Token ids' hidden layer pooled per sequence, and its backward if `grad`.
 
     A row's hidden layer relu(w1_folded[id] + pos_b1[place]) is built once per
     distinct (token, place) cell. The forward gathers each sequence's cells,
@@ -173,7 +174,7 @@ def _cell_stage(ids, lens, w1_folded, pos_b1):
     hidden = np.zeros((cells.size + 1, h))  # the last row pads sequences to `top` places
     z = np.add(w1_folded[cell_token], pos_b1[cell_place], out=hidden[:-1])
     np.maximum(z, 0.0, out=z)
-    active = z > 0.0  # relu(z) > 0 exactly where z > 0
+    active = z > 0.0 if grad else None  # relu(z) > 0 exactly where z > 0
     seq_cells = np.full((lens.size, top), cells.size)  # each sequence's cell at each place
     seq_cells[seq, place] = inv
     per = max(1, _PIECE_BYTES // (hidden.itemsize * top * h))  # sequences per piece
@@ -192,7 +193,7 @@ def _cell_stage(ids, lens, w1_folded, pos_b1):
         grid[cell_token, cell_place] = (count.T @ g_seq) * active
         return grid.sum(axis=1), grid.sum(axis=0)
 
-    return pooled, bw
+    return pooled, bw if grad else None
 
 
 def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
@@ -227,9 +228,10 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
 
     w1_folded = table.data @ w1.data
     pos_b1 = pos.data[: lens.max()] @ w1.data + b1.data
+    grad = any(t.requires_grad for t in (table, pos, w1, b1, w2, b2))  # else no mask, no closure
     stage = _cell_stage if ids else _slab_stage
     pooled, hidden_bw = stage(x.astype(np.int64 if ids else DEFAULT_DTYPE, copy=False), lens,
-                              w1_folded, pos_b1)
+                              w1_folded, pos_b1, grad)
     o = pooled @ w2.data + b2.data
     out_data, denom = _unit_rows(o, _NORM_EPS)
 
@@ -331,8 +333,9 @@ def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
     then added into along each path from the loss, in path order (a node reached
     along two paths runs its closure twice). Valid until the next backward over it.
     """
-    if loss.data.ndim != 0:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.data.ndim != 0 or loss._grads is None:  # a constant's gradients would all read 0
+        raise ShapeError(f"backward needs a scalar loss with a closure, got shape {loss.shape} "
+                         f"{'with' if loss._grads else 'without'} one")
     params = list(params)
     for p in params:
         if p.name is None or p.grad is None:
@@ -369,8 +372,9 @@ def finite_diff_check(f: Callable[[dict[str, Tensor]], Tensor], params: dict[str
     """
     if not 1e-7 <= eps <= 1e-2:
         raise ShapeError(f"finite_diff_check eps {eps} outside [1e-7, 1e-2]")
-    center = f(params)
-    analytic = backward(center, params.values())
+    center = f(params)  # a constant has no closure to run: its analytic gradient is zero
+    analytic = (backward(center, params.values()) if center._grads is not None
+                else {name: np.zeros(p.shape) for name, p in params.items()})
     mid = center.item()
 
     coords = [(name, i) for name in sorted(params) for i in range(params[name].data.size)]

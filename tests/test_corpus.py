@@ -502,6 +502,36 @@ def test_hand_built_captions_load_as_they_were_saved(tmp_path, small_corpus):
         assert rec.caption_pos.text == " and then ".join(names[e] for e in ids)
 
 
+def test_caption_rejects_a_negative_event_id():
+    # as an index, -1 would name an event from the end of the name list
+    with pytest.raises(UnknownEvent, match="caption event id -1 is negative"):
+        C.Caption((-1, 3), "and then")
+
+
+@pytest.mark.parametrize("bad_id", [20, 25])
+def test_save_rejects_an_event_outside_the_catalog_and_writes_no_file(tmp_path, small_corpus,
+                                                                       bad_id):
+    # the load would reject it, so the save does, before either file is written
+    last = dc_replace(small_corpus.records[-1], caption_pos=C.Caption((bad_id, 3), "and then"))
+    man = dc_replace(small_corpus, records=small_corpus.records[:-1] + (last,))
+    with pytest.raises(UnknownEvent, match=re.escape(f"record {last.record_id}: ids "
+                                                     f"[{bad_id}, 3] not all in catalog")):
+        C.save_manifest(man, tmp_path / "out" / "corpus.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad_label", [-1, 20])
+def test_save_rejects_a_label_outside_the_catalog_and_writes_no_file(tmp_path, catalog,
+                                                                      bad_label):
+    man = C.build_labeled_clips(catalog, 6, 3, 0.2, seed=6)
+    first = dc_replace(man.records[0], label_id=bad_label)
+    with pytest.raises(UnknownEvent, match=re.escape(f"record {first.record_id}: ids "
+                                                     f"[{bad_label}] not all in catalog")):
+        C.save_manifest(dc_replace(man, records=(first,) + man.records[1:]),
+                        tmp_path / "labeled.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_round_trip_without_negative_clips(tmp_path, catalog):
     man = C.build_mixed_dataset(catalog, 30, 3, 4, 0.2, False, seed=8)
     p = tmp_path / "corpus.jsonl"

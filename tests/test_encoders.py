@@ -218,18 +218,55 @@ def sum_node(x):
                      "sum")
 
 
+def text_node(params, seqs):
+    """The token sequences through the gradient entry, as training encodes them."""
+    return E.encode_sequences(params, "text", *E._token_ids(params, list(seqs)))
+
+
 def test_batch_gradients_match_single_gradients(params):
     # packing ragged sequences into one tower op must not change what the graph computes
     seqs = [["dog", "barking"], ["rain", "thunder"], ["thunder", "and", "rain"]]
-    loss_b = sum_node(E.encode_text_batch(params, seqs))
+    loss_b = sum_node(text_node(params, seqs))
     grads_b = {name: g.copy() for name, g in T.backward(loss_b, params.trainable()).items()}
     total = {name: np.zeros_like(t.data) for name, t in params.named().items()}
     for toks in seqs:
-        g = T.backward(sum_node(E.encode_text_batch(params, [toks])), params.trainable())
+        g = T.backward(sum_node(text_node(params, [toks])), params.trainable())
         for name in total:
             total[name] += g[name]
     for name in total:
         np.testing.assert_allclose(grads_b[name], total[name], atol=1e-12, err_msg=name)
+
+
+# -- forward-only encodes -----------------------------------------------------------------
+
+
+def test_forward_only_encodes_equal_the_gradient_entry_and_hold_no_closure(params, monkeypatch):
+    # small pieces, so each tower walks several; the clip lengths fall, so the
+    # audio rows are reordered, and the captions are of mixed lengths
+    monkeypatch.setattr(T, "_PIECE_BYTES", 8 * 10 * 6)
+    seqs = [["dog", "barking", "and", "then", "rain"], ["rain"], ["thunder", "and", "rain"],
+            ["dog", "barking"], ["then", "thunder", "and", "dog", "rain", "barking"]]
+    rng = np.random.default_rng(5)
+    clips = [rng.standard_normal((n, 6)).astype(np.float32) for n in (9, 4, 4, 2, 7, 12, 1)]
+    pairs = [(E.encode_text_batch(params, seqs), text_node(params, seqs)),
+             (E.encode_audio_batch(params, clips),
+              E.encode_sequences(params, "audio", np.concatenate(clips, dtype=np.float64),
+                                 [len(c) for c in clips]))]
+    for forward_only, gradient in pairs:
+        assert forward_only.data.tobytes() == gradient.data.tobytes()
+        assert forward_only._grads is None and not forward_only.requires_grad
+        assert gradient._grads is not None
+
+
+def test_backward_through_forward_only_encodes_raises(params):
+    # a loss with no closure has no gradient: backward says so instead of
+    # handing back zeroed buffers as if they were the gradient
+    before = params.grad.copy()
+    for loss in (sum_node(E.encode_text_batch(params, [["dog", "barking"]])),
+                 sum_node(E.encode_audio_batch(params, [np.ones((3, 6))])), T.Tensor(4.0)):
+        with pytest.raises(ShapeError, match="closure"):
+            T.backward(loss, params.trainable())
+    assert params.grad.tobytes() == before.tobytes()
 
 
 # -- forward_batch ----------------------------------------------------------------------
