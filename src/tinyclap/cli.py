@@ -230,12 +230,12 @@ def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
     order_cfg = replace(base_train, order_loss_start_step=order_start)
     control_cfg = replace(base_train, loss=replace(base_train.loss, lambda_l=0.0))
     fork_step = min(order_start, base_train.steps)
-    _, untrained = init_run(base_train, primary, temporal)
+    _, untrained = init_run(base_train, primary, temporal)  # built once: the fork trains a copy
     print(f"training with order loss (lambda_l={base_train.loss.lambda_l}) and control "
           f"(lambda_l=0), forked at step {fork_step} ...")
     with_loss, control = train_fork(
         [(order_cfg, out_dir / "run_order"), (control_cfg, out_dir / "run_control")],
-        primary, temporal, fork_step,
+        primary, temporal, fork_step, params=untrained,
     )
 
     variants = (

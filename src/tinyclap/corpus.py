@@ -7,7 +7,7 @@ those and the one name table every catalog shares. The temporal negative of
 a record reverses the events in the caption (and optionally the blocks of
 the clip, reusing the same per-event noise), giving hard negatives that
 differ only in order. The reversed caption is derived from the caption on
-read, so it is never stored.
+first read and kept with the record; it is never stored in a manifest.
 
 All frame data lives on the float32 grid so on-disk round-trips are lossless;
 generation is keyed per record: one generator, rng(seed, record_index), draws
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
 
 MANIFEST_SCHEMA_VERSION = 2
 FRAME_DTYPE = np.dtype("<f4")
+_DECODER = json.JSONDecoder()  # json.loads' decoder, for lines parsed without its wrapping
 
 # Connectors the generator may emit (forward temporal order only).
 GENERATION_CONNECTORS = ("followed by", "and then")
@@ -179,6 +181,8 @@ def build_catalog(n_classes: int, frame_dim: int, seed: int) -> EventCatalog:
 
 @dataclass(frozen=True)
 class AudioClip:
+    """T x F finite frames; `rows` cuts out rows as a clip, a view that needs no check."""
+
     frames: np.ndarray  # T x F float32, row t = frame at time t
 
     def __post_init__(self):
@@ -189,6 +193,11 @@ class AudioClip:
 
     def __eq__(self, other):
         return isinstance(other, AudioClip) and np.array_equal(self.frames, other.frames)
+
+    def rows(self, start: int, stop: int) -> AudioClip:
+        clip = object.__new__(AudioClip)
+        object.__setattr__(clip, "frames", self.frames[start:stop])
+        return clip
 
 
 def synth_clip_blocks(
@@ -237,7 +246,7 @@ class Caption:
     def text(self) -> str:
         return f" {self.connector} ".join(map(_EVENT_NAMES.__getitem__, self.event_ids))
 
-    @property
+    @cached_property  # built on first read, then kept: the dataclass is frozen, not slotted
     def tokens(self) -> tuple[str, ...]:
         return tuple(self.text.split())  # no name or connector word holds a space
 
@@ -308,8 +317,8 @@ def negate_caption(caption: Caption) -> Caption:
 class DatasetRecord:
     """A clip and its caption; the clip's events are caption_pos.event_ids, distinct,
     one block of equal length each. caption_neg, the caption reversed, is derived
-    from it; clip_neg, if any, is the clip's event blocks reversed, so it has the
-    clip's shape."""
+    from it on first read and then kept, never stored in a manifest; clip_neg, if
+    any, is the clip's event blocks reversed, so it has the clip's shape."""
 
     record_id: int
     clip: AudioClip
@@ -329,7 +338,7 @@ class DatasetRecord:
                 f"differs from clip shape {self.clip.frames.shape}"
             )
 
-    @property
+    @cached_property
     def caption_neg(self) -> Caption:
         return negate_caption(self.caption_pos)
 
@@ -513,7 +522,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_frames(path: Path, frame_dim: int) -> np.ndarray:
+def _load_frames(path: Path, frame_dim: int) -> AudioClip:
     target = _frames_path(path)
     try:
         frames = np.load(target, allow_pickle=False)
@@ -527,7 +536,10 @@ def _load_frames(path: Path, frame_dim: int) -> np.ndarray:
             f"{target}: frame array must be {FRAME_DTYPE.str} of shape (rows, {frame_dim}), "
             f"got {frames.dtype.str} {frames.shape}"
         )
-    return frames
+    try:
+        return AudioClip(frames)
+    except InvalidConfig as exc:  # non-finite values
+        raise FormatError(f"{target}: {exc}") from exc
 
 
 def _json_value(value, key: str) -> int:
@@ -538,6 +550,8 @@ def _json_value(value, key: str) -> int:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """The manifest and its frame array, every fact checked once: the array as one clip whose
+    row views are the clips, and each line as JSON; an error names the file and line."""
     path = Path(path)
     if not path.is_file():
         raise FormatError(f"manifest {path} does not exist")
@@ -570,7 +584,7 @@ def load_manifest(path) -> DatasetManifest:
     kind, split = header.get("kind", "paired"), header.get("split", "train")
     if kind not in ("paired", "labeled") or not isinstance(split, str):
         fail(1, f"kind must be 'paired' or 'labeled' and split a string, got {kind!r}, {split!r}")
-    frames = _load_frames(path, ref.frame_dim)
+    whole = _load_frames(path, ref.frame_dim)
     n_expected = header.get("n_records")
     if n_expected is not None:
         try:
@@ -585,20 +599,25 @@ def load_manifest(path) -> DatasetManifest:
         if not (isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)):
             fail(line_no, f"clip span must be [start, stop], got {span!r}")
         start, stop = span
-        if not 0 <= start < stop <= len(frames):
-            fail(line_no, f"clip span {span} out of range for {len(frames)} frame rows")
+        if not 0 <= start < stop <= len(whole.frames):
+            fail(line_no, f"clip span {span} out of range for {len(whole.frames)} frame rows")
         if start != next_row:
             fail(line_no, f"clip span {span} does not start at row {next_row} (gap or overlap)")
         next_row = stop
-        return AudioClip(frames=frames[start:stop])
+        return whole.rows(start, stop)
 
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            fail(line_no, "blank record line")
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            fail(line_no, f"bad record JSON: {exc}")
+        try:  # a line that is one JSON value is parsed once; json.loads names any other's fault
+            row, end = _DECODER.raw_decode(line)
+        except (ValueError, RecursionError):
+            end = None
+        if end != len(line):
+            if not line.strip():
+                fail(line_no, "blank record line")
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                fail(line_no, f"bad record JSON: {exc}")
         try:
             if kind == "labeled":
                 label = _json_value(row["label"], "label")
@@ -631,10 +650,9 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(
             f"{path}: header promises {n_expected} records, found {len(records)} (truncated?)"
         )
-    if next_row != len(frames):
-        raise FormatError(
-            f"{_frames_path(path)}: {len(frames) - next_row} frame rows after the last clip span"
-        )
+    if next_row != len(whole.frames):
+        raise FormatError(f"{_frames_path(path)}: {len(whole.frames) - next_row} frame rows "
+                          "after the last clip span")
     try:
         return DatasetManifest(records=tuple(records), catalog_ref=ref,
                                split=split, seed=seed, kind=kind)

@@ -58,12 +58,12 @@ def _as_matrix(s) -> np.ndarray:
 
 def _ranks_of_diagonal(columns: np.ndarray) -> np.ndarray:
     """columns[:, j] scored against target j; rank 1 = best, lower index wins ties."""
-    n = columns.shape[0]
     target = np.diagonal(columns)
-    better = (columns > target[None, :]).sum(axis=0)
-    idx = np.arange(n)
-    tied_lower = ((columns == target[None, :]) & (idx[:, None] < idx[None, :])).sum(axis=0)
-    return 1 + better + tied_lower
+    ranks = 1 + (columns > target).sum(axis=0)
+    tied = columns == target
+    if np.count_nonzero(tied) > np.count_nonzero(np.diagonal(tied)):  # an off-diagonal tie
+        ranks += np.triu(tied, 1).sum(axis=0)  # row i < column j: a lower index, ranked first
+    return ranks
 
 
 def recall_at_k(s, ks=DEFAULT_KS) -> tuple[RetrievalResult, RetrievalResult]:

@@ -293,9 +293,10 @@ def _pools(params: ModelParams, primary, temporal):
     return encode_pool(params, records), range(n), range(n, len(records))
 
 
-def _start(config: TrainConfig, primary, temporal) -> Checkpoint:
-    """The step-0 state; the batch stream is seeded apart from the weight init stream."""
-    config, params = init_run(config, primary, temporal)
+def _start(config: TrainConfig, primary, temporal, params: ModelParams | None = None) -> Checkpoint:
+    """Step 0 (on a copy of `params`, init_run's, if given); the batch stream has its own seed."""
+    config, params = (init_run(config, primary, temporal) if params is None else (
+        _with_vocab(config, params.vocab), dc_replace(params, flat=params.flat.copy())))
     rng_state = np.random.default_rng([config.seed, 1]).bit_generator.state
     return Checkpoint(params, config, *np.zeros((2, params.flat.size)), 0, rng_state)
 
@@ -377,7 +378,8 @@ def train(config: TrainConfig, primary_manifest, temporal_manifest=None, out_dir
                      earlier_lines)
 
 
-def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int) -> list[Checkpoint]:
+def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int,
+               params: ModelParams | None = None) -> list[Checkpoint]:
     """Trains runs that share their first fork_step steps, doing those steps once.
 
     `branches` holds (config, out_dir) pairs whose configs differ at most in
@@ -386,10 +388,10 @@ def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int) ->
     steps write their metrics lines, and their checkpoints stamped with each
     branch's config, into every out_dir; then each branch goes on from its
     own copy of the shared state. Each out_dir ends up byte-identical to a
-    standalone train() with its config.
+    standalone train() with its config. Given init_run's `params`, it trains a copy.
     """
     primary, temporal = _manifests(branches[0][0], primary_manifest, temporal_manifest)
-    state = _start(branches[0][0], primary, temporal)
+    state = _start(branches[0][0], primary, temporal, params)
     lead = state.train_config
     runs = [(Path(out_dir), _with_vocab(config, state.params.vocab), "")
             for config, out_dir in branches]

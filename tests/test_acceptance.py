@@ -2,12 +2,16 @@
 single pass/fail line with the measured values.
 
 Criteria 4-6 share one full `repro` pipeline run (synthesis, two training
-runs, evaluation) via a session fixture; criterion 7 performs a second run
-to compare artifacts byte for byte.
+runs, evaluation) via a session fixture, which runs it in process. Before it
+starts, the fixture starts criterion 7's second run as a separate process
+with the suite's environment, so the two pipelines run at once; criterion 7
+waits for that process, then compares the two runs' artifacts byte for byte.
 """
 
 import json
 import math
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -33,7 +37,23 @@ def check(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def repro_run(tmp_path_factory):
+def second_repro(tmp_path_factory):
+    """Criterion 7's second `tinyclap repro`, started now in its own process with the
+    suite's environment, as the other subprocess tests run."""
+    out = tmp_path_factory.mktemp("repro-b")
+    with open(tmp_path_factory.mktemp("repro-b-log") / "log", "w+", encoding="utf-8") as log:
+        proc = subprocess.Popen([sys.executable, "-m", "tinyclap.cli", "repro", "--out", str(out)],
+                                stdout=log, stderr=subprocess.STDOUT)
+        try:
+            yield proc, out, log
+        finally:  # a session that never reaches criterion 7 leaves no process behind
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+
+
+@pytest.fixture(scope="session")
+def repro_run(tmp_path_factory, second_repro):
     out = tmp_path_factory.mktemp("repro-a")
     t0 = time.monotonic()
     code = cli.main(["repro", "--out", str(out)])
@@ -187,10 +207,12 @@ def test_criterion_6_zero_shot_transfer(repro_run):
     )
 
 
-def test_criterion_7_determinism_and_resume(repro_run, tmp_path_factory):
+def test_criterion_7_determinism_and_resume(repro_run, second_repro, tmp_path_factory):
     out_a, _, _ = repro_run
-    out_b = tmp_path_factory.mktemp("repro-b")
-    assert cli.main(["repro", "--out", str(out_b)]) == 0
+    proc, out_b, log = second_repro
+    code = proc.wait()
+    log.seek(0)
+    assert code == 0, f"second repro exited {code}: {log.read()[-2000:]}"
     tracked = sorted(
         p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file()
     )

@@ -581,14 +581,17 @@ def test_repro_fork_matches_standalone_runs(train_over, tmp_path, monkeypatch):
     doc["train"].update(train_over)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
-    adam_steps = []
-    adam_step = tr.adam_step
+    adam_steps, inits = [], []
+    adam_step, init_params = tr.adam_step, tr.init_params
     monkeypatch.setattr(tr, "adam_step", lambda *a: adam_steps.append(1) or adam_step(*a))
+    monkeypatch.setattr(tr, "init_params", lambda *a: inits.append(1) or init_params(*a))
     out = tmp_path / "repro"
     assert cli.main(["repro", "--config", str(config_path), "--out", str(out)]) == 0
     steps, switch = doc["train"]["steps"], doc["train"]["steps"] // 2
     assert len(adam_steps) == switch + 2 * (steps - switch)  # the shared steps ran once
+    assert len(inits) == 1  # so did the step-0 draws: the untrained row's are the fork's
     monkeypatch.setattr(tr, "adam_step", adam_step)
+    monkeypatch.setattr(tr, "init_params", init_params)
 
     cfg = run_config_from_dict(doc)
     base = replace(cfg.train, seed=split_seed(cfg.seed, "train"))
@@ -634,9 +637,9 @@ def test_repro_keeps_the_corpus_it_drew(tiny_config, synth_dir, tmp_path, monkey
     used = {}
     train_fork, embed, zero_shot = cli.train_fork, cli.embed_test_set, cli.zero_shot_classify
 
-    def fork(branches, primary, temporal, fork_step):
+    def fork(branches, primary, temporal, fork_step, **step0):
         used.update(train_primary=primary.records, train_temporal=temporal.records)
-        return train_fork(branches, primary, temporal, fork_step)
+        return train_fork(branches, primary, temporal, fork_step, **step0)
 
     def embed_once(params, records):
         used.setdefault("test", records)

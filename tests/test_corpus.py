@@ -141,6 +141,28 @@ def test_clip_blocks_reject_bad_arguments(catalog, n_frames, sigma):
         C.build_labeled_clips(catalog, 3, n_frames, sigma, seed=0)
 
 
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        (np.zeros(16, np.float32), r"must be T x F, got shape \(16,\)"),
+        (np.array([[0.0, np.nan]], np.float32), "non-finite"),
+        (np.array([[np.inf, 0.0]], np.float32), "non-finite"),
+    ],
+    ids=["1-d", "nan", "inf"],
+)
+def test_clip_frames_are_checked(frames, message):
+    with pytest.raises(InvalidConfig, match=message):
+        C.AudioClip(frames)
+
+
+def test_clip_rows_are_views_that_equal_checked_clips():
+    whole = C.AudioClip(np.arange(24, dtype=np.float32).reshape(6, 4))
+    for start, stop in [(0, 6), (1, 3), (5, 6), (2, 2)]:
+        part = whole.rows(start, stop)
+        assert type(part) is C.AudioClip and part == C.AudioClip(whole.frames[start:stop])
+        assert np.shares_memory(part.frames, whole.frames) or stop == start  # a view, no copy
+
+
 def _prototype_blocks(catalog, event_ids, n_frames):
     return [np.tile(catalog.classes[e].prototype, (n_frames, 1)) for e in event_ids]
 
@@ -450,6 +472,19 @@ def test_record_derives_its_reversed_caption(small_corpus, catalog):
     assert changed.caption_neg == C.negate_caption(changed.caption_pos) != rec.caption_neg
 
 
+def test_derived_captions_are_built_once_and_equal_fresh_builds(small_corpus, catalog):
+    for rec in small_corpus.records[:25]:
+        pos = rec.caption_pos
+        fresh = C.render_caption(pos.event_ids, catalog, pos.connector)
+        for _ in range(2):
+            assert rec.caption_neg == C.negate_caption(fresh)
+            assert pos.tokens == fresh.tokens == tuple(fresh.text.split())
+            assert rec.caption_neg.tokens == C.negate_caption(fresh).tokens
+        assert rec.caption_neg is rec.caption_neg and pos.tokens is pos.tokens  # kept
+        # what is kept is no field: a record with it equals one built without it
+        assert rec == C.DatasetRecord(rec.record_id, rec.clip, fresh, rec.clip_neg)
+
+
 def test_labeled_clips_shapes_and_determinism(catalog):
     a = C.build_labeled_clips(catalog, 30, 4, 0.1, seed=2)
     b = C.build_labeled_clips(catalog, 30, 4, 0.1, seed=2)
@@ -582,6 +617,49 @@ def test_corrupt_record_line_reports_line_number(saved):
     saved.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="line 4"):
         C.load_manifest(saved)
+
+
+def _two_rows_on_line_4_and_row_5_split_in_two(lines):
+    # as many lines as rows, and joined by commas the lines are those rows: so only a
+    # per-line parse sees that line 4 holds two rows
+    cut = lines[5].index(',"clip_neg"')
+    lines[3:6] = [lines[3] + "," + lines[4], lines[5][:cut], lines[5][cut + 1:]]
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda lines: lines.__setitem__(3, ""),
+        lambda lines: lines.__setitem__(3, "  \t"),
+        lambda lines: lines.__setitem__(3, lines[3][:-5]),
+        lambda lines: lines.__setitem__(3, lines[3] + lines[3]),
+        lambda lines: lines.__setitem__(3, lines[3] + "," + lines[3]),
+        lambda lines: lines.__setitem__(3, "\ufeff" + lines[3]),
+        _two_rows_on_line_4_and_row_5_split_in_two,
+    ],
+    ids=["blank", "whitespace", "truncated", "two-objects", "two-objects-comma", "bom",
+         "two-rows-and-a-split-row"],
+)
+def test_record_line_faults_name_the_line_as_json_loads_does(saved, fault):
+    lines = saved.read_text().splitlines()
+    fault(lines)
+    saved.write_text("\n".join(lines) + "\n")
+    if lines[3].strip():
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(lines[3])
+        want = f"line 4: bad record JSON: {exc.value}"
+    else:
+        want = "line 4: blank record line"
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{saved}, {want}')}$"):
+        C.load_manifest(saved)
+
+
+def test_record_lines_padded_with_whitespace_load(saved, small_corpus):
+    # json.loads takes a row with whitespace around it, so loading does too
+    lines = saved.read_text().splitlines()
+    lines[1:] = [f" {line}\t" for line in lines[1:]]
+    saved.write_text("\n".join(lines) + "\n")
+    assert C.load_manifest(saved) == small_corpus
 
 
 def _repeat_first_event(path):
@@ -726,6 +804,21 @@ def test_wrong_frame_array_rejected(saved, bad):
     np.save(target, bad(np.load(target)))
     with pytest.raises(FormatError, match="frame array must be <f4"):
         C.load_manifest(saved)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["paired", "labeled"])
+def test_non_finite_frames_rejected_naming_the_frame_file(tmp_path, small_corpus, catalog, kind,
+                                                          value):
+    path = tmp_path / "corpus.jsonl"
+    C.save_manifest(small_corpus if kind == "paired" else
+                    C.build_labeled_clips(catalog, 4, 3, 0.1, seed=1), path)
+    frames = np.load(frames_file(path))
+    frames[-1, 5] = value  # in the last clip
+    np.save(frames_file(path), frames)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(frames_file(path)))}: clip frames "
+                                          f"contain non-finite values$"):
+        C.load_manifest(path)
 
 
 @pytest.mark.parametrize(

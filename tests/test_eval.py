@@ -76,6 +76,17 @@ def test_recall_matches_oracle_with_ties():
     assert a2t.recall_at == want_a2t
 
 
+@pytest.mark.parametrize("row", [2, 7], ids=["lower-index", "higher-index"])
+def test_recall_counts_a_single_off_diagonal_tie(row):
+    # one score equals its column's target: a competitor of lower index ranks first
+    mat = np.random.default_rng(33).standard_normal((10, 10))
+    mat[row, 5] = mat[5, 5] = 5.0
+    ks = tuple(range(1, 11))
+    assert ev._ranks_of_diagonal(mat)[5] == 1 + (row < 5)
+    t2a, a2t = ev.recall_at_k(mat, ks=ks)
+    assert (t2a.recall_at, a2t.recall_at) == oracle_recall(mat, ks)
+
+
 def test_recall_diagonal_dominant_is_perfect():
     rng = np.random.default_rng(32)
     mat = rng.uniform(-0.5, 0.5, size=(8, 8))
