@@ -28,7 +28,7 @@ from .corpus import (
     load_manifest,
     save_manifest,
 )
-from .encoders import encode_audio_batch, encode_text_batch, forward_batch
+from .encoders import encode_audio_batch, encode_caption_batch, forward_batch
 from .errors import DataError, InvalidConfig, NumericFailure, TinyClapError
 from .evaluate import (embed_test_set, emit_report, order_scores, recall_at_k, t_classify,
                        zero_shot_classify)
@@ -129,7 +129,7 @@ def cmd_train(cfg: RunConfig, data_dir: Path, out_dir: Path, resume=None) -> int
 
 
 def _paired_similarity(params, records) -> np.ndarray:
-    text = encode_text_batch(params, [r.caption_pos.tokens for r in records])
+    text = encode_caption_batch(params, [r.caption_pos for r in records])
     audio = encode_audio_batch(params, [r.clip.frames for r in records])
     return similarity_matrix(audio, text).data
 

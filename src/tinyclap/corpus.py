@@ -38,6 +38,7 @@ from .errors import (
 MANIFEST_SCHEMA_VERSION = 2
 FRAME_DTYPE = np.dtype("<f4")
 _DECODER = json.JSONDecoder()  # json.loads' decoder, for lines parsed without its wrapping
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # every manifest line
 
 # Connectors the generator may emit (forward temporal order only).
 GENERATION_CONNECTORS = ("followed by", "and then")
@@ -159,6 +160,12 @@ class _NameTable(dict):
 
 
 _EVENT_NAMES = _NameTable()
+
+
+def piece_words(piece: int | str) -> list[str]:
+    """A caption piece's words (a connector's or an event id's name's): `Caption.tokens`
+    is its pieces' words back to back, name, connector, name, ..."""
+    return (piece if isinstance(piece, str) else _EVENT_NAMES[piece]).split()
 
 
 def build_catalog(n_classes: int, frame_dim: int, seed: int) -> EventCatalog:
@@ -470,10 +477,6 @@ def _frames_path(path: Path) -> Path:
     return path.with_name(path.stem + ".frames.npy")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def save_manifest(manifest: DatasetManifest, path) -> None:
     """Write the manifest and its frame array."""
     path = Path(path)
@@ -489,7 +492,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
             "seed": manifest.catalog_ref.seed,
         },
     }
-    lines = [_dump(header)]
+    lines = [_ENCODER.encode(header)]
     blocks = [np.empty((0, manifest.catalog_ref.frame_dim), FRAME_DTYPE)]
     n_rows = 0
 
@@ -515,7 +518,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
                 "clip": span(rec.clip),
                 "clip_neg": span(rec.clip_neg),
             }
-        lines.append(_dump(row))
+        lines.append(_ENCODER.encode(row))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(_frames_path(path), "wb") as fh:
         np.save(fh, np.concatenate(blocks).astype(FRAME_DTYPE, copy=False), allow_pickle=False)
@@ -567,7 +570,7 @@ def load_manifest(path) -> DatasetManifest:
 
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         fail(1, f"bad header: {exc}")
     if not isinstance(header, dict) or "catalog" not in header:
         fail(1, "header must be an object with a 'catalog' entry")
@@ -616,7 +619,7 @@ def load_manifest(path) -> DatasetManifest:
                 fail(line_no, "blank record line")
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
                 fail(line_no, f"bad record JSON: {exc}")
         try:
             if kind == "labeled":

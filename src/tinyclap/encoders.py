@@ -15,12 +15,12 @@ normalizes. The text output carries the reversed captions after the N
 captions, and `losses.train_loss` reads both outputs whole, so a training
 step is tower, tower, `clap_loss`. Every encode goes through one array
 entry, `encode_sequences`, so training and evaluation share this forward
-pass; evaluation's (`encode_text_batch`, `encode_audio_batch`) runs over the same
-layers as constants, so the tower builds no backward. Records are encoded once per
-pool (`encode_pool`: each caption and reversal as token ids, lengths and clip shapes
-checked there), and a batch is a gather from those arrays (`forward_pool`);
-`forward_batch` is the same path over a pool of just its records. Every parameter's
-data and gradient buffer are views of two float64 vectors, `ModelParams.flat` and `.grad`.
+pass; evaluation's (`encode_caption_batch`, `encode_text_batch`, `encode_audio_batch`)
+runs over the layers as constants, so the tower builds no backward. Records are encoded
+once per pool (`encode_pool`: captions and reversals as ids from the vocab's piece table,
+lengths and clip shapes checked), and a batch is a gather from those arrays
+(`forward_pool`); `forward_batch` is the same path over a pool of just its records. Every
+parameter's data and gradient are views of two float64 vectors, `ModelParams.flat`, `.grad`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import tensor as T
+from .corpus import piece_words
 from .errors import EmptyInput, InvalidConfig, SequenceTooLong
 
 UNK_TOKEN = "<unk>"
@@ -74,8 +75,11 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class TextVocab:
+    """Token ids, <unk> (id 0) for any word it lacks; a caption's ids are its pieces'."""
+
     tokens: tuple[str, ...]  # tokens[0] is always <unk>
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    _pieces: dict = field(init=False, repr=False, compare=False)  # piece -> ids, filled on use
 
     def __post_init__(self):
         if not self.tokens or self.tokens[0] != UNK_TOKEN:
@@ -88,6 +92,7 @@ class TextVocab:
                 raise InvalidConfig(f"duplicate vocab token {tok!r}")
             ids[tok] = i
         object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_pieces", {})
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -95,15 +100,36 @@ class TextVocab:
     def encode(self, tokens) -> list[int]:
         return list(map(self._ids.get, tokens, repeat(0)))
 
+    def encode_captions(self, captions: list, with_reversals: bool) -> tuple[list[int], list[int]]:
+        """The captions' ids back to back, then their reversals' if asked, and the lengths:
+        name, connector, name, ... from the piece table, as `encode(caption.tokens)`."""
+        pieces, ids, lens = self._pieces, [], []
+        for piece in {p for c in captions for p in (c.connector, *c.event_ids)}.difference(pieces):
+            pieces[piece] = self.encode(piece_words(piece))  # each event id or connector once
+        for order in (1, -1)[: 1 + with_reversals]:
+            for caption in captions:
+                connector, start = pieces[caption.connector], len(ids)
+                first, *rest = caption.event_ids[::order]
+                ids += pieces[first]
+                for event_id in rest:
+                    ids += connector
+                    ids += pieces[event_id]
+                lens.append(len(ids) - start)
+        return ids, lens
+
 
 def build_vocab(manifests) -> TextVocab:
-    """Every caption token, in first-occurrence order; a reversed caption has
-    its caption's tokens, so it adds none."""
+    """Every caption token, in first-occurrence order over the captions' pieces, then their
+    words; a reversed caption has its caption's pieces, so it adds none."""
     manifests = list(manifests)
     if not manifests:
         raise InvalidConfig("build_vocab needs at least one manifest")
-    seen = dict.fromkeys(tok for manifest in manifests for rec in manifest.records
-                         if hasattr(rec, "caption_pos") for tok in rec.caption_pos.tokens)
+    captions = [rec.caption_pos for manifest in manifests for rec in manifest.records
+                if hasattr(rec, "caption_pos")]
+    # a caption's pieces in first-occurrence order: its first event, its connector, the rest
+    pieces = dict.fromkeys(piece for c in captions
+                           for piece in (c.event_ids[0], c.connector, *c.event_ids[1:]))
+    seen = dict.fromkeys(tok for piece in pieces for tok in piece_words(piece))
     if not seen:
         raise InvalidConfig("corpus has no caption tokens to build a vocab from")
     return TextVocab(tokens=(UNK_TOKEN, *seen.keys()))
@@ -186,11 +212,9 @@ def _checked_lengths(cfg: EncoderConfig, tower: str, lengths) -> np.ndarray:
     return lens
 
 
-def _token_ids(params: ModelParams, token_seqs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Token sequences as one array of params.vocab ids, in the smallest unsigned
-    integer type that holds them, and their checked lengths."""
-    lens = _checked_lengths(params.config, "text", [len(toks) for toks in token_seqs])
-    ids = params.vocab.encode(chain.from_iterable(token_seqs))
+def _text_ids(params: ModelParams, ids: list[int], lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The ids as one array of the narrowest unsigned type for params.vocab; lengths checked."""
+    lens = _checked_lengths(params.config, "text", lengths)
     return np.array(ids, dtype=np.min_scalar_type(len(params.vocab) - 1)), lens
 
 
@@ -220,7 +244,15 @@ def _forward_only(params: ModelParams, tower: str, rows: np.ndarray, lengths) ->
 
 
 def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:
-    return _forward_only(params, "text", *_token_ids(params, list(token_seqs)))
+    token_seqs = list(token_seqs)
+    ids = params.vocab.encode(chain.from_iterable(token_seqs))
+    return _forward_only(params, "text", *_text_ids(params, ids, [len(t) for t in token_seqs]))
+
+
+def encode_caption_batch(params: ModelParams, captions, with_reversals: bool = False) -> T.Tensor:
+    """`encode_text_batch` of the captions' tokens, then their reversals' if asked."""
+    return _forward_only(params, "text", *_text_ids(
+        params, *params.vocab.encode_captions(list(captions), with_reversals)))
 
 
 def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
@@ -246,10 +278,10 @@ class PoolArrays:
 
 
 def encode_pool(params: ModelParams, records) -> PoolArrays:
-    """Every record's caption and reversed caption as token ids in params.vocab,
+    """Every record's caption and reversed caption as ids from params.vocab's piece table,
     each length checked against max_positions, and every clip's shape checked."""
-    captions = [r.caption_pos.tokens for r in records] + [r.caption_neg.tokens for r in records]
-    ids, lens = _token_ids(params, captions)
+    captions = [r.caption_pos for r in records]
+    ids, lens = _text_ids(params, *params.vocab.encode_captions(captions, True))
     clips = tuple(r.clip.frames for r in records)
     return PoolArrays(ids, np.cumsum(lens) - lens, lens, clips, _clip_lengths(params.config, clips))
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import ModelParams, encode_audio_batch, encode_text_batch
+from .encoders import ModelParams, encode_audio_batch, encode_caption_batch, encode_text_batch
 from .errors import InvalidConfig, IoError
 
 REPORT_SCHEMA_VERSION = 1
@@ -121,8 +121,7 @@ def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
     records = list(records)
     if not records:
         raise InvalidConfig("cannot score an empty record set")
-    captions = [r.caption_pos.tokens for r in records] + [r.caption_neg.tokens for r in records]
-    text = encode_text_batch(params, captions).data
+    text = encode_caption_batch(params, [r.caption_pos for r in records], True).data
     text, text_neg = text[: len(records)], text[len(records) :]
     audio = encode_audio_batch(params, [r.clip.frames for r in records]).data
     neg_rows = [i for i, r in enumerate(records) if r.clip_neg is not None]

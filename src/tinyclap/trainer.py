@@ -48,6 +48,7 @@ LOG_TEMPERATURE_MAX = math.log(100.0)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_METRIC_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # every metrics line
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def init_run(config: TrainConfig, primary, temporal=None) -> tuple[TrainConfig, 
 def _metric_line(step, lr, breakdown) -> str:
     rec = {"step": step, "lr": lr, "l_c": breakdown.l_c.item(), "l_t": breakdown.l_t.item(),
            "l_train": breakdown.l_train.item(), "temporal_count": breakdown.temporal_count}
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return _METRIC_ENCODER.encode(rec)
 
 
 def _metric_lines_before(path: Path, step: int) -> str:
@@ -267,7 +268,7 @@ def _metric_lines_before(path: Path, step: int) -> str:
             line_step = json.loads(line)["step"]
             if type(line_step) is not int:
                 raise TypeError(f"step {line_step!r} is not an integer")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or too many digits
             raise FormatError(f"{path}: bad metrics line {line!r}: {exc}") from exc
         if line_step < step:
             kept.append(line)

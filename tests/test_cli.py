@@ -377,6 +377,47 @@ def test_non_utf8_metrics_log_on_resume_is_format_error_and_exits_two(
     assert str(path) in capsys.readouterr().err
 
 
+# json.loads refuses an integer past Python's 4,300-digit conversion limit with a
+# plain ValueError, not a JSONDecodeError
+TOO_MANY_DIGITS = "9" * 5001
+
+
+@pytest.mark.parametrize("line_no, key, message", [(1, "n_records", "bad header"),
+                                                   (3, "id", "bad record JSON")],
+                         ids=["header", "record"])
+def test_manifest_integer_past_the_digit_limit_is_format_error_and_exits_two(
+    line_no, key, message, tiny_config, trained_dir, capsys
+):
+    path = trained_dir / "data" / "test.jsonl"
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] = re.sub(f'"{key}":\\d+', f'"{key}":{TOO_MANY_DIGITS}', lines[line_no - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}, line {line_no}: {message}: ")
+                       + "Exceeds the limit"):
+        load_manifest(path)
+    checkpoint = str(trained_dir / "train" / "final.tckp")
+    argv = ["eval", "--config", str(tiny_config), "--checkpoint", checkpoint, "--out", str(trained_dir)]
+    assert cli.main(argv) == 2
+    assert f"{path}, line {line_no}" in capsys.readouterr().err
+
+
+def test_metrics_step_past_the_digit_limit_on_resume_is_format_error_and_exits_two(
+    tiny_config, trained_dir, capsys
+):
+    run_dir = trained_dir / "train"
+    path = run_dir / "metrics.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = re.sub(r'"step":\d+', f'"step":{TOO_MANY_DIGITS}', lines[1])
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: bad metrics line")
+                       + ".*Exceeds the limit"):
+        tr._metric_lines_before(path, 4)
+    argv = ["train", "--config", str(tiny_config), "--out", str(trained_dir),
+            "--resume", str(run_dir / "final.tckp")]
+    assert cli.main(argv) == 2
+    assert f"{path}: bad metrics line" in capsys.readouterr().err
+
+
 def test_non_utf8_config_exits_one(tmp_path, capsys):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'{"seed": 0, "caf\xe9": 1}')

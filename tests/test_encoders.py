@@ -5,6 +5,7 @@ a 100-seed sweep per tower rather than a single example.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,7 +221,8 @@ def sum_node(x):
 
 def text_node(params, seqs):
     """The token sequences through the gradient entry, as training encodes them."""
-    return E.encode_sequences(params, "text", *E._token_ids(params, list(seqs)))
+    ids = params.vocab.encode(tok for toks in seqs for tok in toks)
+    return E.encode_sequences(params, "text", *E._text_ids(params, ids, [len(t) for t in seqs]))
 
 
 def test_batch_gradients_match_single_gradients(params):
@@ -338,3 +340,97 @@ def test_forward_pool_gathers_what_forward_batch_encodes(tiny_batch):
     for a, b in ((got.text, want.text), (got.audio, want.audio)):
         assert a.data.tobytes() == b.data.tobytes()
 
+
+# -- captions through the vocab's piece table -----------------------------------------
+
+
+def _caption_cases(rng, n):
+    """n random captions: both connectors, one- and two-word names, and names past the
+    built-in list (event ids >= 64, cycled as e.g. "dog barking 2")."""
+    for _ in range(n):
+        k = int(rng.integers(2, 7))
+        ids = rng.choice(200, size=k, replace=False).tolist()
+        yield C.Caption(tuple(ids), C.GENERATION_CONNECTORS[int(rng.integers(2))])
+
+
+def test_piece_table_ids_equal_each_caption_and_reversal_encoded_token_by_token():
+    rng = np.random.default_rng(11)
+    words = sorted({w for i in range(200) for w in C.event_name(i).split()}
+                   | {w for c in C.GENERATION_CONNECTORS for w in c.split()})
+    for trial in range(40):
+        # a vocab that lacks some words: those must map to <unk>, id 0
+        kept = [w for w in words if rng.random() < (1.0 if trial == 0 else 0.7)]
+        vocab = E.TextVocab(tokens=(E.UNK_TOKEN, *rng.permutation(kept).tolist()))
+        captions = list(_caption_cases(rng, int(rng.integers(1, 12))))
+        want = [vocab.encode(c.tokens) for c in captions]
+        want += [vocab.encode(C.negate_caption(c).tokens) for c in captions]
+        for with_reversals, seqs in ((False, want[: len(captions)]), (True, want)):
+            ids, lens = vocab.encode_captions(captions, with_reversals)
+            assert lens == [len(s) for s in seqs]
+            assert ids == [i for s in seqs for i in s]
+        assert (0 in ids) == (trial > 0 and any(0 in s for s in want))
+
+
+def test_piece_table_covers_one_word_two_word_and_cycled_names():
+    vocab = E.TextVocab(tokens=(E.UNK_TOKEN, "thunder", "followed", "by", "dog", "barking", "2"))
+    caption = C.Caption((1, 64, 3, 0), "followed by")  # thunder, dog barking 2, applause, ...
+    assert caption.tokens == ("thunder", "followed", "by", "dog", "barking", "2", "followed",
+                              "by", "applause", "followed", "by", "dog", "barking")
+    ids, lens = vocab.encode_captions([caption], True)
+    assert lens == [13, 13]
+    assert ids[:13] == vocab.encode(caption.tokens) == [1, 2, 3, 4, 5, 6, 2, 3, 0, 2, 3, 4, 5]
+    assert ids[13:] == vocab.encode(C.negate_caption(caption).tokens)
+
+
+def test_caption_encodes_keep_the_length_check_and_the_narrowest_id_type(tiny_batch):
+    params, records = tiny_batch
+    short = E.init_params(replace(params.config, max_positions=4), params.vocab, seed=1)
+    for encode in (lambda p: E.encode_pool(p, records),
+                   lambda p: E.encode_caption_batch(p, [r.caption_pos for r in records], True)):
+        with pytest.raises(SequenceTooLong, match="text input 0 has"):
+            encode(short)
+    with pytest.raises(EmptyInput):
+        E.encode_caption_batch(params, [])
+    wide = E.TextVocab(tokens=(E.UNK_TOKEN, *params.vocab.tokens[1:],
+                               *(f"w{i}" for i in range(300))))
+    pool = E.encode_pool(E.init_params(params.config, wide, seed=1), records)
+    assert pool.ids.dtype == np.uint16
+    assert pool.ids.tolist() == E.encode_pool(params, records).ids.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_build_vocab_equals_token_first_occurrence(seed):
+    rng = np.random.default_rng(seed)
+    n_classes = int(rng.integers(10, 90))  # past 64 the names cycle: "dog barking 2"
+    catalog = C.build_catalog(n_classes, 4, seed=seed)
+    manifests = [C.build_mixed_dataset(catalog, 40, int(rng.integers(2, 5)), 2, 0.1, False,
+                                       seed=seed + k) for k in range(2)]
+    manifests.insert(1, C.build_labeled_clips(catalog, 5, 2, 0.1, seed=seed))
+    oracle = dict.fromkeys(tok for man in manifests for rec in man.records
+                           if hasattr(rec, "caption_pos") for tok in rec.caption_pos.tokens)
+    assert E.build_vocab(manifests).tokens == (E.UNK_TOKEN, *oracle)
+
+
+def test_caption_encodes_read_no_token_tuples_and_build_no_reversed_captions(tiny_batch,
+                                                                             monkeypatch):
+    from tinyclap import cli
+    from tinyclap.evaluate import embed_test_set
+
+    params, records = tiny_batch
+    records = [replace(r, clip_neg=r.clip) for r in records]  # so the audio_neg pass runs too
+    want_pool = E.encode_pool(params, records)
+    want_eval, want_sim = embed_test_set(params, records), cli._paired_similarity(params, records)
+
+    def boom(self):
+        raise AssertionError("read while encoding")
+
+    monkeypatch.setattr(C.Caption, "tokens", property(boom))
+    monkeypatch.setattr(C.DatasetRecord, "caption_neg", property(boom))
+    pool = E.encode_pool(params, records)
+    assert pool.ids.tobytes() == want_pool.ids.tobytes()
+    assert pool.lens.tolist() == want_pool.lens.tolist()
+    got = embed_test_set(params, records)
+    for name in ("audio", "text", "text_neg", "audio_neg"):
+        assert getattr(got, name).tobytes() == getattr(want_eval, name).tobytes()
+    assert cli._paired_similarity(params, records).tobytes() == want_sim.tobytes()
+    E.forward_batch(params, records, [True, False] * 3)
