@@ -207,24 +207,6 @@ class AudioClip:
         return clip
 
 
-def synth_clip_blocks(
-    event_ids, catalog: EventCatalog, n_frames: int, noise_sigma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """E x n_frames x F float32 blocks, one per event in order: its prototype, one gather
-    from the catalog's table, plus sigma-scaled gaussian noise per frame, summed in float64;
-    one call draws the whole clip's noise. A clip is its blocks, its reversal them reversed."""
-    if n_frames < 1:
-        raise InvalidConfig(f"n_frames must be >= 1, got {n_frames}")
-    if noise_sigma < 0:
-        raise InvalidConfig(f"noise_sigma must be >= 0, got {noise_sigma}")
-    protos = catalog._prototypes[list(catalog.checked_ids(event_ids)), None, :]  # E x 1 x F
-    if noise_sigma == 0:
-        return np.repeat(protos, n_frames, axis=1)
-    noise = noise_sigma * rng.standard_normal((len(protos), n_frames, catalog.frame_dim))
-    noise += protos
-    return noise.astype(FRAME_DTYPE.base)
-
-
 # -- captions ------------------------------------------------------------------
 
 def _check_connector(connector: str) -> None:
@@ -378,6 +360,43 @@ class DatasetManifest:
             raise InvalidConfig("record ids must be unique within a manifest")
 
 
+_BLOCK_BYTES = 1 << 18  # float64 noise held at once: drawn per record, summed and cast per block
+
+
+def _synth_clips(catalog, seed, n_records, n_events, n_frames, noise_sigma, draw_ids, reversed_too):
+    """Each record's clip, then (reversed_too) its event blocks reversed, as row views of one
+    checked float32 array. Record idx's generator, default_rng([seed, idx]), draws its event
+    ids (draw_ids), then its E x n_frames x F noise in one call; each block is its event's
+    prototype plus sigma-scaled noise, summed in float64. The arguments are checked first."""
+    if n_records < 0:
+        raise InvalidConfig(f"n_records must be >= 0, got {n_records}")
+    if n_frames < 1:
+        raise InvalidConfig(f"frames_per_event must be >= 1, got {n_frames}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidConfig(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    shape = (n_events, n_frames, catalog.frame_dim)
+    frames = np.empty((n_records, 1 + reversed_too) + shape, FRAME_DTYPE)
+    per_block = max(1, _BLOCK_BYTES // (8 * math.prod(shape)))
+    noise = np.empty((min(per_block, n_records),) + shape)
+    event_ids = []
+    for start in range(0, n_records, per_block):
+        block = noise[: min(per_block, n_records - start)]
+        for idx, record_noise in enumerate(block, start):
+            rng = np.random.default_rng([seed, idx])
+            event_ids.append(draw_ids(rng))
+            if noise_sigma:
+                rng.standard_normal(shape, out=record_noise)
+        protos = catalog._prototypes[np.array(event_ids[start:]), None, :]  # b x E x 1 x F
+        if noise_sigma:  # at 0 the block is not read: what it holds is another block's
+            block *= noise_sigma
+            block += protos
+        frames[start : start + len(block), 0] = block if noise_sigma else protos
+    if reversed_too:
+        frames[:, 1] = frames[:, 0, ::-1]
+    whole, rows = AudioClip(frames.reshape(-1, catalog.frame_dim)), n_events * n_frames
+    return event_ids, [whole.rows(i, i + rows) for i in range(0, len(whole.frames), rows)]
+
+
 def build_mixed_dataset(
     catalog: EventCatalog,
     n_records: int,
@@ -397,44 +416,32 @@ def build_mixed_dataset(
     if events_per_clip < 2:
         raise InvalidConfig(f"events_per_clip must be >= 2, got {events_per_clip}")
     if events_per_clip > len(catalog):
-        raise InvalidConfig(
-            f"events_per_clip {events_per_clip} exceeds catalog size {len(catalog)}"
-        )
+        raise InvalidConfig(f"events_per_clip {events_per_clip} exceeds catalog size "
+                            f"{len(catalog)}")
     if n_records > math.comb(len(catalog), events_per_clip):
-        raise InvalidConfig(
-            f"cannot draw {n_records} distinct event sets of size {events_per_clip} "
-            f"from {len(catalog)} classes"
-        )
-    records = []
-    seen_sets: set[frozenset[int]] = set()
-    for idx in range(n_records):
-        rng = np.random.default_rng([seed, idx])
+        raise InvalidConfig(f"cannot draw {n_records} distinct event sets of size "
+                            f"{events_per_clip} from {len(catalog)} classes")
+    seen_sets, connectors = set(), []  # the event sets drawn so far; each record's connector
+
+    def draw_ids(rng):
         while True:
             ids = tuple(rng.choice(len(catalog), size=events_per_clip, replace=False).tolist())
             if frozenset(ids) not in seen_sets:
                 break
         seen_sets.add(frozenset(ids))
-        connector = GENERATION_CONNECTORS[int(rng.integers(len(GENERATION_CONNECTORS)))]
-        blocks = synth_clip_blocks(ids, catalog, frames_per_event, noise_sigma, rng)
-        records.append(
-            DatasetRecord(
-                record_id=idx,
-                clip=AudioClip(frames=blocks.reshape(-1, catalog.frame_dim)),
-                caption_pos=render_caption(ids, catalog, connector),
-                clip_neg=(
-                    AudioClip(frames=blocks[::-1].reshape(-1, catalog.frame_dim))
-                    if with_negative_clips
-                    else None
-                ),
-            )
-        )
-    return DatasetManifest(
-        records=tuple(records),
-        catalog_ref=CatalogRef(len(catalog), catalog.frame_dim, catalog.seed),
-        split=split,
-        seed=seed,
-        kind="paired",
+        connectors.append(GENERATION_CONNECTORS[int(rng.integers(len(GENERATION_CONNECTORS)))])
+        return ids
+
+    event_ids, clips = _synth_clips(catalog, seed, n_records, events_per_clip, frames_per_event,
+                                    noise_sigma, draw_ids, with_negative_clips)
+    step = 1 + with_negative_clips
+    records = tuple(  # choice keeps the ids in the catalog
+        DatasetRecord(idx, clips[step * idx], Caption(ids, connector),
+                      clips[step * idx + 1] if with_negative_clips else None)
+        for idx, (ids, connector) in enumerate(zip(event_ids, connectors))
     )
+    return DatasetManifest(records, CatalogRef(len(catalog), catalog.frame_dim, catalog.seed),
+                           split, seed, "paired")
 
 
 def build_labeled_clips(
@@ -446,19 +453,12 @@ def build_labeled_clips(
     split: str = "test",
 ) -> DatasetManifest:
     """Single-event clips with class labels, for zero-shot evaluation."""
-    records = []
-    for idx in range(n_records):
-        rng = np.random.default_rng([seed, idx])
-        label = int(rng.integers(len(catalog)))
-        blocks = synth_clip_blocks((label,), catalog, frames_per_event, noise_sigma, rng)
-        records.append(LabeledRecord(record_id=idx, label_id=label, clip=AudioClip(blocks[0])))
-    return DatasetManifest(
-        records=tuple(records),
-        catalog_ref=CatalogRef(len(catalog), catalog.frame_dim, catalog.seed),
-        split=split,
-        seed=seed,
-        kind="labeled",
-    )
+    labels, clips = _synth_clips(catalog, seed, n_records, 1, frames_per_event, noise_sigma,
+                                 lambda rng: (int(rng.integers(len(catalog))),), False)
+    records = tuple(LabeledRecord(idx, label, clip)
+                    for idx, ((label,), clip) in enumerate(zip(labels, clips)))
+    return DatasetManifest(records, CatalogRef(len(catalog), catalog.frame_dim, catalog.seed),
+                           split, seed, "labeled")
 
 
 # -- serialization ---------------------------------------------------------------

@@ -109,36 +109,90 @@ def test_catalog_validates_structure():
 # -- frames and clips ---------------------------------------------------------------
 
 
+def _clips(man):
+    """Every clip of a manifest in file order: each record's clip, then its reversed clip."""
+    return [c for r in man.records for c in (r.clip, getattr(r, "clip_neg", None)) if c is not None]
+
+
+def _builds(catalog, n_frames, sigma, seed=0):
+    """A paired manifest of two-event clips with reversed clips, and a labeled one."""
+    return (C.build_mixed_dataset(catalog, 6, 2, n_frames, sigma, True, seed),
+            C.build_labeled_clips(catalog, 6, n_frames, sigma, seed))
+
+
+def _event_ids(rec):
+    return (rec.label_id,) if isinstance(rec, C.LabeledRecord) else rec.caption_pos.event_ids
+
+
 def test_zero_noise_frames_equal_prototype(catalog):
-    blocks = C.synth_clip_blocks((3, 7), catalog, 5, 0.0, np.random.default_rng(0))
-    assert blocks.shape == (2, 5, 16) and blocks.dtype == C.FRAME_DTYPE
-    for eid, block in zip((3, 7), blocks):
-        for row in block:
-            np.testing.assert_array_equal(row, catalog.classes[eid].prototype)
+    for man in _builds(catalog, 5, 0.0):
+        for rec in man.records:
+            assert rec.clip.frames.shape == (5 * len(_event_ids(rec)), 16)
+            assert rec.clip.frames.dtype == C.FRAME_DTYPE
+            for eid, block in zip(_event_ids(rec), np.split(rec.clip.frames, len(_event_ids(rec)))):
+                for row in block:  # bit for bit: zero noise leaves the float32 prototype
+                    assert row.tobytes() == catalog.classes[eid].prototype.tobytes()
 
 
 def test_single_zero_noise_frame(catalog):
-    blocks = C.synth_clip_blocks((0,), catalog, 1, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(blocks, catalog.classes[0].prototype[None, None, :])
+    for man in _builds(catalog, 1, 0.0):
+        for rec in man.records:
+            protos = [catalog.classes[e].prototype for e in _event_ids(rec)]
+            assert rec.clip.frames.tobytes() == np.stack(protos).tobytes()
 
 
 def test_frame_noise_mean_concentrates(catalog):
     # Monte-Carlo oracle: mean of n frames deviates from the prototype by
     # roughly sigma/sqrt(n) per component; 3 sigma bounds hold with huge margin
     sigma, n = 0.1, 1000
-    blocks = C.synth_clip_blocks((1, 2), catalog, n, sigma, np.random.default_rng(42))
-    for eid, block in zip((1, 2), blocks):
-        proto = catalog.classes[eid].prototype.astype(np.float64)
-        dev = np.abs(block.astype(np.float64).mean(axis=0) - proto)
-        assert dev.max() < 3 * sigma / math.sqrt(n) + 1e-7
+    paired = C.build_mixed_dataset(catalog, 2, 2, n, sigma, False, seed=42)
+    labeled = C.build_labeled_clips(catalog, 2, n, sigma, seed=42)
+    for rec in paired.records + labeled.records:
+        for eid, block in zip(_event_ids(rec), np.split(rec.clip.frames, len(_event_ids(rec)))):
+            proto = catalog.classes[eid].prototype.astype(np.float64)
+            dev = np.abs(block.astype(np.float64).mean(axis=0) - proto)
+            assert dev.max() < 3 * sigma / math.sqrt(n) + 1e-7
 
 
-@pytest.mark.parametrize("n_frames, sigma", [(0, 0.1), (3, -0.1)])
-def test_clip_blocks_reject_bad_arguments(catalog, n_frames, sigma):
-    with pytest.raises(InvalidConfig):
-        C.synth_clip_blocks((0,), catalog, n_frames, sigma, np.random.default_rng(0))
-    with pytest.raises(InvalidConfig):
-        C.build_labeled_clips(catalog, 3, n_frames, sigma, seed=0)
+@pytest.mark.parametrize(
+    "n_records, n_frames, sigma, message",
+    [(-5, 2, 0.1, "n_records must be >= 0, got -5"),
+     (-3, 2, 0.1, "n_records must be >= 0, got -3"),
+     (3, 0, 0.1, "frames_per_event must be >= 1, got 0"),
+     (0, 0, 0.1, "frames_per_event must be >= 1, got 0"),
+     (3, 3, -0.1, "noise_sigma must be finite and >= 0, got -0.1"),
+     (0, 3, -1.0, "noise_sigma must be finite and >= 0, got -1.0"),
+     (3, 3, math.nan, "noise_sigma must be finite and >= 0, got nan"),
+     (3, 3, math.inf, "noise_sigma must be finite and >= 0, got inf"),
+     (0, 3, -math.inf, "noise_sigma must be finite and >= 0, got -inf")],
+    ids=["records-minus-5", "records-minus-3", "no-frames", "no-frames-no-records",
+         "sigma-below-0", "sigma-below-0-no-records", "sigma-nan", "sigma-inf", "sigma-minus-inf"],
+)
+def test_builders_reject_bad_arguments_before_any_draw(catalog, monkeypatch, n_records, n_frames,
+                                                       sigma, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the arguments were checked")
+
+    monkeypatch.setattr(C.np.random, "default_rng", no_draw)
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        C.build_mixed_dataset(catalog, n_records, 2, n_frames, sigma, True, seed=0)
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        C.build_labeled_clips(catalog, n_records, n_frames, sigma, seed=0)
+
+
+def test_synthesized_clips_are_row_views_of_one_finite_array(catalog):
+    for man in _builds(catalog, 3, 0.3) + (C.build_mixed_dataset(catalog, 6, 3, 2, 0.3, False, 1),):
+        clips = _clips(man)
+        whole = clips[0].frames.base
+        assert whole.dtype == np.float32 and np.isfinite(whole).all()
+        assert all(c.frames.base is whole and np.shares_memory(c.frames, whole) for c in clips)
+        # the views tile the array in file order, the order save_manifest writes
+        assert np.concatenate([c.frames for c in clips]).tobytes() == whole.tobytes()
+    # finite sigmas whose frames overflow float32: the one check of the array finds them
+    with np.errstate(over="ignore"), pytest.raises(InvalidConfig, match="non-finite values"):
+        C.build_mixed_dataset(catalog, 3, 2, 2, 1e39, True, seed=0)
+    with np.errstate(over="ignore"), pytest.raises(InvalidConfig, match="non-finite values"):
+        C.build_labeled_clips(catalog, 3, 2, 1e300, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -237,20 +291,56 @@ def test_labeled_synthesis_bits_equal_the_replayed_recipe(catalog, sigma):
         np.testing.assert_array_equal(rec.clip.frames.view(np.uint32), blocks[0].view(np.uint32))
 
 
+def _records_past_two_blocks(n_events, n_frames):
+    """A record count that fills two of synthesis' noise blocks and ends inside a third."""
+    per_block = C._BLOCK_BYTES // (8 * n_events * n_frames * 16)
+    assert per_block >= 2
+    return 2 * per_block + per_block // 2
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.0])
+@pytest.mark.parametrize("with_negative_clips", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("size", ["one-record", "past-two-blocks"])
+def test_synthesis_bits_equal_the_replayed_recipe_across_block_edges(catalog, sigma,
+                                                                     with_negative_clips, size):
+    seed, n_events, n_frames = 8, 3, 5
+    n = 1 if size == "one-record" else _records_past_two_blocks(n_events, n_frames)
+    man = C.build_mixed_dataset(catalog, n, n_events, n_frames, sigma, with_negative_clips, seed)
+    assert len(man.records) == n
+    draws = _replayed_draws(catalog, seed, n, n_events)
+    for rec, (rng, ids, connector) in zip(man.records, draws, strict=True):
+        blocks = _replayed_blocks(catalog, rng, ids, n_frames, sigma)
+        assert rec.caption_pos == C.Caption(ids, connector)
+        assert rec.clip.frames.tobytes() == blocks.tobytes()
+        if with_negative_clips:
+            assert rec.clip_neg.frames.tobytes() == blocks[::-1].tobytes()
+    n = 1 if size == "one-record" else _records_past_two_blocks(1, n_frames)
+    labeled = C.build_labeled_clips(catalog, n, n_frames, sigma, seed)
+    assert len(labeled.records) == n
+    for idx, rec in enumerate(labeled.records):
+        rng = np.random.default_rng([seed, idx])
+        label = int(rng.integers(len(catalog)))
+        assert rec.label_id == label
+        assert rec.clip.frames.tobytes() == _replayed_blocks(catalog, rng, (label,), n_frames,
+                                                             sigma).tobytes()
+
+
 @pytest.mark.parametrize("bad_id", [-1, 20], ids=["minus-one", "n-classes"])
 def test_out_of_range_event_ids_fail_by_name(catalog, bad_id):
-    # a table gather would wrap -1 to the last class and fail 20 with a bare IndexError
+    # a table gather would wrap -1 to the last class and fail 20 with a bare IndexError;
+    # synthesis draws its ids with choice, inside the catalog, so only given ids are checked
     with pytest.raises(UnknownEvent, match=f"event id {bad_id} not in catalog of 20 classes"):
-        C.synth_clip_blocks((bad_id, 3), catalog, 2, 0.0, np.random.default_rng(0))
-    with pytest.raises(UnknownEvent, match=f"event id {bad_id} not in catalog of 20 classes"):
-        C.synth_clip_blocks((3, bad_id), catalog, 2, 0.5, np.random.default_rng(0))
+        catalog.checked_ids((bad_id, 3))
     with pytest.raises(UnknownEvent, match=f"event id {bad_id} not in catalog of 20 classes"):
         C.render_caption((3, bad_id), catalog, "and then")
 
 
 def test_catalog_prototype_table_is_read_only(catalog):
-    blocks = C.synth_clip_blocks((3, 7), catalog, 2, 0.0, np.random.default_rng(0))
-    blocks[:] = 0  # the caller owns its blocks; the catalog's table is untouched
+    table = catalog._prototypes.copy()
+    for man in _builds(catalog, 2, 0.0) + _builds(catalog, 1, 0.0, seed=3):
+        for clip in _clips(man):
+            clip.frames[:] = 0  # the caller owns its frames; the catalog's table is untouched
+    assert catalog._prototypes.tobytes() == table.tobytes()
     np.testing.assert_array_equal(catalog._prototypes[3], catalog.classes[3].prototype)
     with pytest.raises(ValueError):
         catalog._prototypes[0, 0] = 1.0
