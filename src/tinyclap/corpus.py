@@ -4,10 +4,10 @@ Audio events are prototype-plus-noise frame sequences, not waveforms; a clip
 is a concatenation of per-event frame blocks, and its caption is its events
 and one forward-order connector phrase; its tokens and text are derived from
 those and the one name table every catalog shares. The temporal negative of
-a record reverses the events in the caption (and optionally the blocks of
-the clip, reusing the same per-event noise), giving hard negatives that
-differ only in order. The reversed caption is derived from the caption on
-first read and kept with the record; it is never stored in a manifest.
+a record reverses the events in the caption (and, for a record flagged to
+carry one, the blocks of the clip, reusing the same per-event noise), giving
+hard negatives that differ only in order. Both are derived from the record
+on first read and then kept with it, and neither is stored in a manifest.
 
 All frame data lives on the float32 grid so on-disk round-trips are lossless;
 generation is keyed per record: one generator, rng(seed, record_index), draws
@@ -35,7 +35,7 @@ from .errors import (
     UnparsableSegment,
 )
 
-MANIFEST_SCHEMA_VERSION = 2
+MANIFEST_SCHEMA_VERSION = 3
 FRAME_DTYPE = np.dtype("<f4")
 _DECODER = json.JSONDecoder()  # json.loads' decoder, for lines parsed without its wrapping
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # every manifest line
@@ -306,13 +306,13 @@ def negate_caption(caption: Caption) -> Caption:
 class DatasetRecord:
     """A clip and its caption; the clip's events are caption_pos.event_ids, distinct,
     one block of equal length each. caption_neg, the caption reversed, is derived
-    from it on first read and then kept, never stored in a manifest; clip_neg, if
-    any, is the clip's event blocks reversed, so it has the clip's shape."""
+    from it on first read and then kept, as is clip_neg, for a record with has_clip_neg,
+    a copy of the clip's event blocks in reverse order. Neither is a field."""
 
     record_id: int
     clip: AudioClip
     caption_pos: Caption
-    clip_neg: AudioClip | None = None
+    has_clip_neg: bool = False
 
     def __post_init__(self):
         ids = self.caption_pos.event_ids
@@ -321,15 +321,29 @@ class DatasetRecord:
         if len(self.clip.frames) % len(ids):
             raise InvalidConfig(f"record {self.record_id}: a clip of {len(self.clip.frames)} rows "
                                 f"does not split into {len(ids)} equal event blocks")
-        if self.clip_neg is not None and self.clip_neg.frames.shape != self.clip.frames.shape:
-            raise InvalidConfig(
-                f"record {self.record_id}: reversed clip shape {self.clip_neg.frames.shape} "
-                f"differs from clip shape {self.clip.frames.shape}"
-            )
 
     @cached_property
     def caption_neg(self) -> Caption:
         return negate_caption(self.caption_pos)
+
+    @cached_property
+    def clip_neg(self) -> AudioClip | None:
+        if self.has_clip_neg:
+            frames, n_events = self.clip.frames, len(self.caption_pos.event_ids)
+            return AudioClip(frames[reversed_block_rows([0], [len(frames)], [n_events])])
+        return None
+
+
+def reversed_block_rows(starts, lengths, n_events) -> np.ndarray:
+    """Row indices of the clips' reversals, back to back. Clip i is the lengths[i] rows from
+    starts[i], E = n_events[i] blocks of b rows; block k of its reversal is its block E - 1 - k,
+    so each row's index is its own place plus its block's shift, (E - 1 - 2k) b + start - place."""
+    starts, lengths, n_events = (np.asarray(a, dtype=np.int64) for a in (starts, lengths, n_events))
+    size = np.repeat(lengths // n_events, n_events)  # b, for each block of each clip
+    k = np.arange(len(size)) - np.repeat(np.cumsum(n_events) - n_events, n_events)
+    shift = (np.repeat(starts + lengths - np.cumsum(lengths), n_events)
+             + (np.repeat(n_events, n_events) - 1 - 2 * k) * size)
+    return np.repeat(shift, size) + np.arange(lengths.sum())
 
 
 @dataclass(frozen=True)
@@ -363,9 +377,9 @@ class DatasetManifest:
 _BLOCK_BYTES = 1 << 18  # float64 noise held at once: drawn per record, summed and cast per block
 
 
-def _synth_clips(catalog, seed, n_records, n_events, n_frames, noise_sigma, draw_ids, reversed_too):
-    """Each record's clip, then (reversed_too) its event blocks reversed, as row views of one
-    checked float32 array. Record idx's generator, default_rng([seed, idx]), draws its event
+def _synth_clips(catalog, seed, n_records, n_events, n_frames, noise_sigma, draw_ids):
+    """Each record's clip, as row views of one checked float32 array, in record order.
+    Record idx's generator, default_rng([seed, idx]), draws its event
     ids (draw_ids), then its E x n_frames x F noise in one call; each block is its event's
     prototype plus sigma-scaled noise, summed in float64. The arguments are checked first."""
     if n_records < 0:
@@ -375,7 +389,7 @@ def _synth_clips(catalog, seed, n_records, n_events, n_frames, noise_sigma, draw
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise InvalidConfig(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     shape = (n_events, n_frames, catalog.frame_dim)
-    frames = np.empty((n_records, 1 + reversed_too) + shape, FRAME_DTYPE)
+    frames = np.empty((n_records,) + shape, FRAME_DTYPE)
     per_block = max(1, _BLOCK_BYTES // (8 * math.prod(shape)))
     noise = np.empty((min(per_block, n_records),) + shape)
     event_ids = []
@@ -390,9 +404,7 @@ def _synth_clips(catalog, seed, n_records, n_events, n_frames, noise_sigma, draw
         if noise_sigma:  # at 0 the block is not read: what it holds is another block's
             block *= noise_sigma
             block += protos
-        frames[start : start + len(block), 0] = block if noise_sigma else protos
-    if reversed_too:
-        frames[:, 1] = frames[:, 0, ::-1]
+        frames[start : start + len(block)] = block if noise_sigma else protos
     whole, rows = AudioClip(frames.reshape(-1, catalog.frame_dim)), n_events * n_frames
     return event_ids, [whole.rows(i, i + rows) for i in range(0, len(whole.frames), rows)]
 
@@ -408,7 +420,8 @@ def build_mixed_dataset(
     split: str = "train",
 ) -> DatasetManifest:
     """Concatenation corpus: distinct events per clip, positive caption plus
-    order-reversed negative; negative clips reuse the per-event noise.
+    order-reversed negative; with_negative_clips flags every record to carry its
+    clip's blocks reversed, which reuse the per-event noise.
 
     Event sets are unique across records (redrawn on collision), so no two
     records describe the same events in different orders and a model can tell
@@ -433,12 +446,10 @@ def build_mixed_dataset(
         return ids
 
     event_ids, clips = _synth_clips(catalog, seed, n_records, events_per_clip, frames_per_event,
-                                    noise_sigma, draw_ids, with_negative_clips)
-    step = 1 + with_negative_clips
+                                    noise_sigma, draw_ids)
     records = tuple(  # choice keeps the ids in the catalog
-        DatasetRecord(idx, clips[step * idx], Caption(ids, connector),
-                      clips[step * idx + 1] if with_negative_clips else None)
-        for idx, (ids, connector) in enumerate(zip(event_ids, connectors))
+        DatasetRecord(idx, clip, Caption(ids, connector), with_negative_clips)
+        for idx, (clip, ids, connector) in enumerate(zip(clips, event_ids, connectors))
     )
     return DatasetManifest(records, CatalogRef(len(catalog), catalog.frame_dim, catalog.seed),
                            split, seed, "paired")
@@ -454,7 +465,7 @@ def build_labeled_clips(
 ) -> DatasetManifest:
     """Single-event clips with class labels, for zero-shot evaluation."""
     labels, clips = _synth_clips(catalog, seed, n_records, 1, frames_per_event, noise_sigma,
-                                 lambda rng: (int(rng.integers(len(catalog))),), False)
+                                 lambda rng: (int(rng.integers(len(catalog))),))
     records = tuple(LabeledRecord(idx, label, clip)
                     for idx, ((label,), clip) in enumerate(zip(labels, clips)))
     return DatasetManifest(records, CatalogRef(len(catalog), catalog.frame_dim, catalog.seed),
@@ -463,12 +474,13 @@ def build_labeled_clips(
 
 # -- serialization ---------------------------------------------------------------
 # A manifest is two files: <stem>.jsonl, a header line plus one JSON row per
-# record, and <stem>.frames.npy, one float32 array holding every clip (then
-# its reversed copy, if any) in record order. A row names each of its clips
-# by its [start, stop) row span in the array; the spans of a file tile the
-# array. A paired row stores its caption's event ids and connector, which are
-# the whole caption, and no caption text: the caption is rendered from them on
-# load, and the reversed caption derived from it.
+# record, and <stem>.frames.npy, one float32 array holding every clip in record
+# order. A row names its clip by its [start, stop) row span in the array; the
+# spans of a file tile the array. A paired row stores its caption's event ids
+# and connector, which are the whole caption, and no caption text: the caption
+# is rendered from them on load, and the reversed caption derived from it. A
+# record that carries a reversed clip has "has_clip_neg": true in its row and no
+# frames of it: the reversed clip is derived from the clip.
 # Keys that older rows carry beside these (caption_pos, caption_neg,
 # frames_per_event, noise_sigma) are ignored.
 
@@ -495,29 +507,19 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     lines = [_ENCODER.encode(header)]
     blocks = [np.empty((0, manifest.catalog_ref.frame_dim), FRAME_DTYPE)]
     n_rows = 0
-
-    def span(clip):
-        nonlocal n_rows
-        if clip is None:
-            return None
-        blocks.append(clip.frames)
-        n_rows += len(clip.frames)
-        return [n_rows - len(clip.frames), n_rows]
-
     for rec in manifest.records:
         ids = (rec.label_id,) if manifest.kind == "labeled" else rec.caption_pos.event_ids
         if not 0 <= min(ids) <= max(ids) < manifest.catalog_ref.n_classes:  # as loading checks
             raise UnknownEvent(f"record {rec.record_id}: ids {list(ids)} not all in catalog")
+        blocks.append(rec.clip.frames)
+        n_rows += len(rec.clip.frames)
+        row = {"id": rec.record_id, "clip": [n_rows - len(rec.clip.frames), n_rows]}
         if manifest.kind == "labeled":
-            row = {"id": rec.record_id, "label": rec.label_id, "clip": span(rec.clip)}
+            row["label"] = rec.label_id
         else:
-            row = {
-                "id": rec.record_id,
-                "events": list(rec.caption_pos.event_ids),
-                "connector": rec.caption_pos.connector,
-                "clip": span(rec.clip),
-                "clip_neg": span(rec.clip_neg),
-            }
+            row.update(events=list(ids), connector=rec.caption_pos.connector)
+            if rec.has_clip_neg:
+                row["has_clip_neg"] = True
         lines.append(_ENCODER.encode(row))
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(_frames_path(path), "wb") as fh:
@@ -596,19 +598,6 @@ def load_manifest(path) -> DatasetManifest:
             fail(1, f"bad record count: {exc}")
     records = []
     next_row = 0
-
-    def clip_at(span, line_no: int) -> AudioClip:
-        nonlocal next_row
-        if not (isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)):
-            fail(line_no, f"clip span must be [start, stop], got {span!r}")
-        start, stop = span
-        if not 0 <= start < stop <= len(whole.frames):
-            fail(line_no, f"clip span {span} out of range for {len(whole.frames)} frame rows")
-        if start != next_row:
-            fail(line_no, f"clip span {span} does not start at row {next_row} (gap or overlap)")
-        next_row = stop
-        return whole.rows(start, stop)
-
     for line_no, line in enumerate(lines[1:], start=2):
         try:  # a line that is one JSON value is parsed once; json.loads names any other's fault
             row, end = _DECODER.raw_decode(line)
@@ -622,31 +611,27 @@ def load_manifest(path) -> DatasetManifest:
             except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
                 fail(line_no, f"bad record JSON: {exc}")
         try:
+            span = row["clip"]
+            if type(span) is not list or len(span) != 2 or any(type(v) is not int for v in span):
+                fail(line_no, f"clip span must be [start, stop], got {span!r}")
+            start, stop = span
+            if not 0 <= start < stop <= len(whole.frames):
+                fail(line_no, f"clip span {span} out of range for {len(whole.frames)} frame rows")
+            if start != next_row:
+                fail(line_no, f"clip span {span} does not start at row {next_row} (gap or overlap)")
+            next_row, clip = stop, whole.rows(start, stop)
             if kind == "labeled":
                 label = _json_value(row["label"], "label")
                 if not 0 <= label < len(catalog):
                     fail(line_no, f"label {label} not in catalog")
-                records.append(
-                    LabeledRecord(
-                        record_id=_json_value(row["id"], "id"),
-                        label_id=label,
-                        clip=clip_at(row["clip"], line_no),
-                    )
-                )
+                records.append(LabeledRecord(_json_value(row["id"], "id"), label, clip))
             else:
                 events = [_json_value(e, "event id") for e in row["events"]]
-                records.append(
-                    DatasetRecord(
-                        record_id=_json_value(row["id"], "id"),
-                        clip=clip_at(row["clip"], line_no),
-                        caption_pos=render_caption(events, catalog, row["connector"]),
-                        clip_neg=(
-                            clip_at(row["clip_neg"], line_no)
-                            if row["clip_neg"] is not None
-                            else None
-                        ),
-                    )
-                )
+                if (flag := row.get("has_clip_neg", True)) is not True:  # absent, or true
+                    fail(line_no, f"has_clip_neg must be true if given, got {flag!r}")
+                caption = render_caption(events, catalog, row["connector"])
+                records.append(DatasetRecord(_json_value(row["id"], "id"), clip, caption,
+                                             "has_clip_neg" in row))
         except (KeyError, TypeError, ValueError, InvalidConfig, UnknownEvent) as exc:
             fail(line_no, f"bad record: {exc}")
     if n_expected is not None and len(records) != n_expected:

@@ -15,12 +15,13 @@ normalizes. The text output carries the reversed captions after the N
 captions, and `losses.train_loss` reads both outputs whole, so a training
 step is tower, tower, `clap_loss`. Every encode goes through one array
 entry, `encode_sequences`, so training and evaluation share this forward
-pass; evaluation's (`encode_caption_batch`, `encode_text_batch`, `encode_audio_batch`)
-runs over the layers as constants, so the tower builds no backward. Records are encoded
-once per pool (`encode_pool`: captions and reversals as ids from the vocab's piece table,
-lengths and clip shapes checked), and a batch is a gather from those arrays
-(`forward_pool`); `forward_batch` is the same path over a pool of just its records. Every
-parameter's data and gradient are views of two float64 vectors, `ModelParams.flat`, `.grad`.
+pass; evaluation's (`encode_caption_batch`, `encode_text_batch`, `encode_audio_batch`,
+or `forward_only` itself) runs over the layers as constants, so the tower builds no
+backward. Records are encoded once per pool (`encode_pool`: captions and reversals as
+ids from the vocab's piece table, lengths and clip shapes checked), and a batch is a
+gather from those arrays (`forward_pool`); `forward_batch` is the same path over a
+pool of just its records. Every parameter's data and gradient are views of two
+float64 vectors, `ModelParams.flat`, `.grad`.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def encode_sequences(params: ModelParams | dict, tower: str, rows: np.ndarray, l
     return T.tower(rows, table, *layers, lengths)
 
 
-def _forward_only(params: ModelParams, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
+def forward_only(params: ModelParams, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
     """`encode_sequences` over constants on the tower's same data: no backward state is built."""
     layers = {n: T.Tensor(t.data) for n, t in params.tensors.items() if n.startswith(tower)}
     return encode_sequences(layers, tower, rows, lengths)
@@ -246,19 +247,24 @@ def _forward_only(params: ModelParams, tower: str, rows: np.ndarray, lengths) ->
 def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:
     token_seqs = list(token_seqs)
     ids = params.vocab.encode(chain.from_iterable(token_seqs))
-    return _forward_only(params, "text", *_text_ids(params, ids, [len(t) for t in token_seqs]))
+    return forward_only(params, "text", *_text_ids(params, ids, [len(t) for t in token_seqs]))
 
 
 def encode_caption_batch(params: ModelParams, captions, with_reversals: bool = False) -> T.Tensor:
     """`encode_text_batch` of the captions' tokens, then their reversals' if asked."""
-    return _forward_only(params, "text", *_text_ids(
+    return forward_only(params, "text", *_text_ids(
         params, *params.vocab.encode_captions(list(captions), with_reversals)))
 
 
-def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
+def clip_rows(params: ModelParams, clips) -> tuple[np.ndarray, np.ndarray]:
+    """The clips' frames back to back as float64, and their lengths, each clip's shape checked."""
     clips = [np.asarray(c) for c in clips]
     lens = _clip_lengths(params.config, clips)
-    return _forward_only(params, "audio", np.concatenate(clips, dtype=np.float64), lens)
+    return np.concatenate(clips, dtype=np.float64), lens
+
+
+def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
+    return forward_only(params, "audio", *clip_rows(params, clips))
 
 
 @dataclass(frozen=True)

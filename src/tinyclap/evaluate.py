@@ -7,8 +7,9 @@ ties as failures (strict inequality both directions).
 
 Order discrimination embeds a test set once per model (`embed_test_set`):
 one text pass over the captions and their reversals, one audio pass over
-the clips, then one over the reversed clips. Both directions score from
-those arrays, and `tinyclap repro` scores retrieval from the same pass.
+the clips, then one over the reversed clips, whose frames are one row gather
+from the clip pass's. Both directions score from those arrays, and
+`tinyclap repro` scores retrieval from the same pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import ModelParams, encode_audio_batch, encode_caption_batch, encode_text_batch
+from .corpus import reversed_block_rows
+from .encoders import (ModelParams, clip_rows, encode_audio_batch, encode_caption_batch,
+                       encode_text_batch, forward_only)
 from .errors import InvalidConfig, IoError
 
 REPORT_SCHEMA_VERSION = 1
@@ -110,25 +113,30 @@ class EvalEmbeddings:
     audio: np.ndarray  # N x D, each record's clip
     text: np.ndarray  # N x D, each record's caption
     text_neg: np.ndarray  # N x D, each record's reversed caption
-    neg_rows: np.ndarray  # indices of the records that carry a reversed clip
+    neg_rows: np.ndarray  # indices of the records flagged to carry a reversed clip
     audio_neg: np.ndarray | None  # len(neg_rows) x D, those reversed clips; None if none
 
 
 def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
     """Every test input through its tower once, forward only: the captions and
     their reversals in one text pass, the clips in one audio pass, then the
-    reversed clips. Each pass keeps only its rows: no closure and no relu mask."""
+    reversed clips of the flagged records, gathered from the clip pass's frame
+    rows. Each pass keeps only its rows: no closure and no relu mask."""
     records = list(records)
     if not records:
         raise InvalidConfig("cannot score an empty record set")
     text = encode_caption_batch(params, [r.caption_pos for r in records], True).data
     text, text_neg = text[: len(records)], text[len(records) :]
-    audio = encode_audio_batch(params, [r.clip.frames for r in records]).data
-    neg_rows = [i for i, r in enumerate(records) if r.clip_neg is not None]
+    frames, lens = clip_rows(params, [r.clip.frames for r in records])
+    audio = forward_only(params, "audio", frames, lens).data
+    neg_rows = np.flatnonzero([r.has_clip_neg for r in records])
     audio_neg = None
-    if neg_rows:
-        audio_neg = encode_audio_batch(params, [records[i].clip_neg.frames for i in neg_rows]).data
-    return EvalEmbeddings(audio, text, text_neg, np.asarray(neg_rows, dtype=np.int64), audio_neg)
+    if neg_rows.size:
+        n_events = [len(records[i].caption_pos.event_ids) for i in neg_rows.tolist()]
+        rows = reversed_block_rows((np.cumsum(lens) - lens)[neg_rows], lens[neg_rows], n_events)
+        frames = np.take(frames, rows, axis=0)  # the clip rows are not read again
+        audio_neg = forward_only(params, "audio", frames, lens[neg_rows]).data
+    return EvalEmbeddings(audio, text, text_neg, neg_rows, audio_neg)
 
 
 def order_scores(emb: EvalEmbeddings) -> TClassifyResult:

@@ -700,8 +700,7 @@ def test_repro_keeps_the_corpus_it_drew(tiny_config, synth_dir, tmp_path, monkey
         path = out / "data" / f"{name}.jsonl"
         records = tuple(used[name])
         assert records == load_manifest(path).records  # frames, captions and event ids
-        clips = [c for r in records for c in (r.clip, getattr(r, "clip_neg", None)) if c]
-        np.testing.assert_array_equal(np.concatenate([c.frames for c in clips]),
+        np.testing.assert_array_equal(np.concatenate([r.clip.frames for r in records]),
                                       np.load(path.with_name(f"{name}.frames.npy")))
         for ext in (".jsonl", ".frames.npy"):  # the files equal a standalone synth's
             written = out / "data" / f"{name}{ext}"

@@ -110,8 +110,8 @@ def test_catalog_validates_structure():
 
 
 def _clips(man):
-    """Every clip of a manifest in file order: each record's clip, then its reversed clip."""
-    return [c for r in man.records for c in (r.clip, getattr(r, "clip_neg", None)) if c is not None]
+    """Every clip of a manifest in file order: each record's clip (a reversed clip is derived)."""
+    return [r.clip for r in man.records]
 
 
 def _builds(catalog, n_frames, sigma, seed=0):
@@ -534,6 +534,49 @@ def test_noisy_negative_clip_is_its_blocks_reversed(catalog, n_events):
         np.testing.assert_array_equal(rec.clip_neg.frames, np.concatenate(blocks[::-1]))
 
 
+def _assert_clip_neg_is_the_blocks_reversed(rec):
+    n_events = len(rec.caption_pos.event_ids)
+    want = np.concatenate(np.split(rec.clip.frames, n_events)[::-1])
+    got = rec.clip_neg
+    assert type(got) is C.AudioClip and got.frames.dtype == np.float32
+    np.testing.assert_array_equal(got.frames.view(np.uint32), want.view(np.uint32))
+    assert not np.shares_memory(got.frames, rec.clip.frames)  # a copy: writing it leaves the clip
+    assert got is rec.clip_neg  # derived on first read, then kept
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3])
+@pytest.mark.parametrize("n_events", [2, 3, 4, 5])
+def test_derived_reversed_clip_is_the_blocks_reversed(tmp_path, catalog, n_events, n_frames):
+    synthesized = C.build_mixed_dataset(catalog, 12, n_events, n_frames, 0.3, True,
+                                        seed=10 * n_events + n_frames)
+    rng = np.random.default_rng(n_events + n_frames)
+    hand_built = tuple(  # frames of no block structure: only the row count splits by events
+        C.DatasetRecord(100 + k, C.AudioClip(rng.standard_normal((n_events * n_frames, 16))
+                                             .astype(np.float32)),
+                        C.Caption(tuple(rng.choice(20, n_events, replace=False).tolist()),
+                                  "and then"), True)
+        for k in range(6))
+    man = dc_replace(synthesized, records=synthesized.records + hand_built)
+    C.save_manifest(man, tmp_path / "corpus.jsonl")
+    loaded = C.load_manifest(tmp_path / "corpus.jsonl")
+    assert loaded == man
+    for rec in man.records + loaded.records:
+        _assert_clip_neg_is_the_blocks_reversed(rec)
+    for rec in loaded.records:
+        assert dc_replace(rec, has_clip_neg=False).clip_neg is None
+
+
+def test_no_record_carries_a_reversed_clip_that_is_not_its_own(small_corpus):
+    rec = small_corpus.records[0]
+    with pytest.raises(TypeError):  # not a field: no record is built with one
+        C.DatasetRecord(rec.record_id, rec.clip, rec.caption_pos, clip_neg=rec.clip)
+    with pytest.raises(TypeError):
+        dc_replace(rec, clip_neg=rec.clip)
+    with pytest.raises(AttributeError):  # nor is one set on a record
+        rec.clip_neg = rec.clip
+    _assert_clip_neg_is_the_blocks_reversed(rec)
+
+
 def test_event_sets_unique_across_records(catalog):
     man = C.build_mixed_dataset(catalog, 200, 3, 2, 0.1, False, seed=4)
     sets = [frozenset(rec.caption_pos.event_ids) for rec in man.records]
@@ -572,7 +615,7 @@ def test_derived_captions_are_built_once_and_equal_fresh_builds(small_corpus, ca
             assert rec.caption_neg.tokens == C.negate_caption(fresh).tokens
         assert rec.caption_neg is rec.caption_neg and pos.tokens is pos.tokens  # kept
         # what is kept is no field: a record with it equals one built without it
-        assert rec == C.DatasetRecord(rec.record_id, rec.clip, fresh, rec.clip_neg)
+        assert rec == C.DatasetRecord(rec.record_id, rec.clip, fresh, rec.has_clip_neg)
 
 
 def test_labeled_clips_shapes_and_determinism(catalog):
@@ -681,8 +724,8 @@ def test_save_writes_manifest_and_one_frame_array(tmp_path, small_corpus, catalo
 def test_frame_array_holds_clips_in_record_order(saved, small_corpus):
     frames = np.load(frames_file(saved))
     assert frames.dtype == np.dtype("<f4")
-    clips = [c.frames for r in small_corpus.records for c in (r.clip, r.clip_neg)]
-    np.testing.assert_array_equal(frames, np.concatenate(clips))
+    np.testing.assert_array_equal(frames, np.concatenate([r.clip.frames
+                                                          for r in small_corpus.records]))
 
 
 def test_save_is_byte_deterministic(tmp_path, catalog):
@@ -712,7 +755,7 @@ def test_corrupt_record_line_reports_line_number(saved):
 def _two_rows_on_line_4_and_row_5_split_in_two(lines):
     # as many lines as rows, and joined by commas the lines are those rows: so only a
     # per-line parse sees that line 4 holds two rows
-    cut = lines[5].index(',"clip_neg"')
+    cut = lines[5].index(',"has_clip_neg"')
     lines[3:6] = [lines[3] + "," + lines[4], lines[5][:cut], lines[5][cut + 1:]]
 
 
@@ -757,34 +800,40 @@ def _repeat_first_event(path):
     rewrite_row(path, 3, lambda row: row.update(events=[row["events"][0]] * 3))
 
 
-def _shorten_last_reversed_clip(path):
-    # the spans still tile the array: the last span and the array both end one row early
-    rewrite_row(path, 301, lambda row: row["clip_neg"].__setitem__(1, row["clip_neg"][1] - 1))
-    np.save(frames_file(path), np.load(frames_file(path))[:-1])
+def _span_for_the_last_reversed_clip(path):
+    # a reversed clip stored as rows of the array, as the previous schema did: the spans
+    # still tile the array, which gains the rows; only a flag says a clip is reversed
+    def span(row):
+        row["has_clip_neg"] = [row["clip"][1], 2 * row["clip"][1] - row["clip"][0]]
+
+    rewrite_row(path, 301, span)
+    frames = np.load(frames_file(path))
+    np.save(frames_file(path), np.concatenate([frames, frames[-12:]]))
 
 
 def _widen_last_clip(path):
-    # 3 events over 13 rows have no common block length; the reversed clip is as wide,
-    # and the spans still tile the array, which gains one row for each clip
-    def widen(row):
-        start = row["clip"][0]
-        row.update(clip=[start, start + 13], clip_neg=[start + 13, start + 26])
-
-    rewrite_row(path, 301, widen)
+    # 3 events over 13 rows have no common block length; the spans still tile the
+    # array, which gains one row
+    rewrite_row(path, 301, lambda row: row.update(clip=[row["clip"][0], row["clip"][0] + 13]))
     frames = np.load(frames_file(path))
-    np.save(frames_file(path), np.concatenate([frames, frames[-2:]]))
+    np.save(frames_file(path), np.concatenate([frames, frames[-1:]]))
 
 
 @pytest.mark.parametrize(
     "change, message",
     [
         (_repeat_first_event, r"line 3: bad record: record 1: event ids \((\d+), \1, \1\) repeat"),
-        (_shorten_last_reversed_clip, r"line 301: bad record: record 299: reversed clip shape "
-                                      r"\(11, 16\) differs from clip shape \(12, 16\)"),
+        (_span_for_the_last_reversed_clip, r"line 301: has_clip_neg must be true if given, "
+                                           r"got \[3600, 3612\]"),
+        (lambda path: rewrite_row(path, 2, lambda row: row.update(has_clip_neg=False)),
+         "line 2: has_clip_neg must be true if given, got False"),
+        (lambda path: rewrite_row(path, 2, lambda row: row.update(has_clip_neg=1)),
+         "line 2: has_clip_neg must be true if given, got 1"),
         (_widen_last_clip, r"line 301: bad record: record 299: a clip of 13 rows does not split "
                            r"into 3 equal event blocks"),
     ],
-    ids=["repeated-event", "short-reversed-clip", "uneven-event-blocks"],
+    ids=["repeated-event", "reversed-clip-flag-a-span", "reversed-clip-flag-false",
+         "reversed-clip-flag-one", "uneven-event-blocks"],
 )
 def test_malformed_paired_rows_rejected(saved, change, message):
     change(saved)
@@ -801,9 +850,15 @@ def test_every_synthesized_corpus_loads(tmp_path, catalog, events, frames, negat
     assert C.load_manifest(tmp_path / "corpus.jsonl") == man
 
 
-def test_rows_store_no_reversed_caption(saved):
-    rows = [json.loads(line) for line in saved.read_text().splitlines()[1:]]
-    assert all(row.keys() == {"id", "events", "connector", "clip", "clip_neg"} for row in rows)
+def test_rows_store_no_reversed_caption(tmp_path, saved, catalog):
+    # nor a reversed clip: a test row flags one, a train row carries none
+    train = tmp_path / "train.jsonl"
+    C.save_manifest(C.build_mixed_dataset(catalog, 20, 3, 4, 0.2, False, seed=8), train)
+    for path, keys in ((saved, {"id", "events", "connector", "clip", "has_clip_neg"}),
+                       (train, {"id", "events", "connector", "clip"})):
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert rows and all(row.keys() == keys for row in rows)
+        assert all(row.get("has_clip_neg", True) is True for row in rows)
 
 
 @pytest.mark.parametrize("value", ["text", None], ids=["string", "null"])
@@ -923,7 +978,7 @@ def test_non_finite_frames_rejected_naming_the_frame_file(tmp_path, small_corpus
 )
 def test_bad_span_rejected(saved, make_span, message):
     n_rows = len(np.load(frames_file(saved)))
-    rewrite_row(saved, 301, lambda row: row.update(clip_neg=make_span(row["clip_neg"][0], n_rows)))
+    rewrite_row(saved, 301, lambda row: row.update(clip=make_span(row["clip"][0], n_rows)))
     with pytest.raises(FormatError, match=f"line 301.*{message}"):
         C.load_manifest(saved)
 
@@ -952,6 +1007,24 @@ def test_bad_schema_version_rejected(saved):
 def test_v1_manifest_rejected(saved):
     rewrite_row(saved, 1, lambda header: header.update(schema_version=1, inline_frames=False))
     with pytest.raises(FormatError, match="unsupported schema version 1"):
+        C.load_manifest(saved)
+
+
+def test_v2_manifest_rejected(saved, small_corpus):
+    # the previous schema stored each reversed clip as a span of the frame array
+    lines = saved.read_text().splitlines()
+    rows = [json.loads(line) for line in lines[1:]]
+    for row in rows:
+        del row["has_clip_neg"]
+        row["clip_neg"] = [row["clip"][0] + 3600, row["clip"][1] + 3600]
+    header = json.loads(lines[0])
+    header["schema_version"] = 2
+    saved.write_text("\n".join(json.dumps(r, sort_keys=True) for r in [header] + rows) + "\n")
+    frames = np.load(frames_file(saved))
+    np.save(frames_file(saved), np.concatenate([frames, np.concatenate(
+        [r.clip_neg.frames for r in small_corpus.records])]))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(saved))}, line 1: unsupported schema "
+                                          f"version 2$"):
         C.load_manifest(saved)
 
 

@@ -417,7 +417,7 @@ def test_caption_encodes_read_no_token_tuples_and_build_no_reversed_captions(tin
     from tinyclap.evaluate import embed_test_set
 
     params, records = tiny_batch
-    records = [replace(r, clip_neg=r.clip) for r in records]  # so the audio_neg pass runs too
+    records = [replace(r, has_clip_neg=True) for r in records]  # so the audio_neg pass runs too
     want_pool = E.encode_pool(params, records)
     want_eval, want_sim = embed_test_set(params, records), cli._paired_similarity(params, records)
 
@@ -432,5 +432,7 @@ def test_caption_encodes_read_no_token_tuples_and_build_no_reversed_captions(tin
     got = embed_test_set(params, records)
     for name in ("audio", "text", "text_neg", "audio_neg"):
         assert getattr(got, name).tobytes() == getattr(want_eval, name).tobytes()
+    assert got.audio_neg.tobytes() == E.encode_audio_batch(
+        params, [r.clip_neg.frames for r in records]).data.tobytes()
     assert cli._paired_similarity(params, records).tobytes() == want_sim.tobytes()
     E.forward_batch(params, records, [True, False] * 3)

@@ -189,10 +189,23 @@ def test_t_classify_without_reversed_clips(setup):
 def test_t_classify_matches_per_direction_encodes(setup):
     """One shared pass against the separate encodes of each direction: every
     embedding row bit for bit, and both accuracies, on records of which only
-    some carry a reversed clip."""
-    _, primary, params, _ = setup
-    records = [dc_replace(r, clip_neg=None) if i % 3 == 1 else r
-               for i, r in enumerate(primary.records)]
+    some carry a reversed clip: records of two events, then records of 2 to 4
+    events of 1 to 3 frames each, whose reversed clips the pass gathers from
+    the clip rows and the separate encode takes from each record's own."""
+    catalog, primary, params, _ = setup
+    uneven = [dc_replace(r, record_id=100 * k + r.record_id)  # ids stay unique
+              for k, (n_events, n_frames) in enumerate([(3, 2), (2, 1), (4, 3), (2, 3)])
+              for r in build_mixed_dataset(catalog, 7, n_events, n_frames, 0.2, True,
+                                           seed=50 + k).records]
+    # 6 rows are 3 blocks of 2 in one clip and 2 of 3 in another
+    assert len({(len(r.caption_pos.event_ids), len(r.clip.frames)) for r in uneven}) == 4
+    for records in (primary.records, uneven):
+        records = [dc_replace(r, has_clip_neg=False) if i % 3 == 1 else r
+                   for i, r in enumerate(records)]
+        _assert_one_pass_equals_per_direction_encodes(params, records)
+
+
+def _assert_one_pass_equals_per_direction_encodes(params, records):
     with_neg = [r for r in records if r.clip_neg is not None]
     assert 0 < len(with_neg) < len(records)
 
@@ -211,7 +224,7 @@ def test_t_classify_matches_per_direction_encodes(setup):
                       (emb.text_neg, text(records, neg=True)),
                       (emb.audio_neg, audio(with_neg, neg=True)),
                       (emb.audio[rows], audio(with_neg)), (emb.text[rows], text(with_neg))):
-        assert np.array_equal(got, want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def hits(a, pos, neg):
         return float(100.0 * ((a * pos).sum(axis=1) > (a * neg).sum(axis=1)).mean())
