@@ -181,6 +181,7 @@ def gradcheck_value(cfg: RunConfig, n_coords: int = 200) -> float:
     catalog = build_catalog(6, cfg.corpus.frame_dim, seed)
     manifest = build_mixed_dataset(catalog, 4, 2, 3, cfg.corpus.noise_sigma, False, seed)
     train_cfg, params = init_run(replace(cfg.train, seed=seed), manifest)
+    params = replace(params, grad=np.zeros(params.flat.size))  # its own trainable state
     records = list(manifest.records)
     mask = [True] + [False] * (len(records) - 1)
 
@@ -238,10 +239,10 @@ def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
         primary, temporal, fork_step, params=untrained,
     )
 
-    variants = (
+    variants = (  # each model as a value, so no encode of it builds backward state
         ("untrained", untrained),
-        ("lambda_l=0", control.params),
-        (f"lambda_l={base_train.loss.lambda_l}", with_loss.params),
+        ("lambda_l=0", replace(control.params, grad=None)),
+        (f"lambda_l={base_train.loss.lambda_l}", replace(with_loss.params, grad=None)),
     )
     metrics: dict = {"t_classify": {}, "retrieval": {}, "zero_shot": {}}
     rows = []

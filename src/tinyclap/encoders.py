@@ -15,13 +15,13 @@ normalizes. The text output carries the reversed captions after the N
 captions, and `losses.train_loss` reads both outputs whole, so a training
 step is tower, tower, `clap_loss`. Every encode goes through one array
 entry, `encode_sequences`, so training and evaluation share this forward
-pass; evaluation's (`encode_caption_batch`, `encode_text_batch`, `encode_audio_batch`,
-or `forward_only` itself) runs over the layers as constants, so the tower builds no
-backward. Records are encoded once per pool (`encode_pool`: captions and reversals as
+pass. Records are encoded once per pool (`encode_pool`: captions and reversals as
 ids from the vocab's piece table, lengths and clip shapes checked), and a batch is a
 gather from those arrays (`forward_pool`); `forward_batch` is the same path over a
-pool of just its records. Every parameter's data and gradient are views of two
-float64 vectors, `ModelParams.flat`, `.grad`.
+pool of just its records. Every parameter's data is a view of one float64 vector,
+`ModelParams.flat`. A model is a value: its layers are constants, so no encode of it
+builds backward state. Only a training run's own copy holds a gradient vector,
+`ModelParams.grad`, cut the same way into each parameter's gradient buffer.
 """
 
 from __future__ import annotations
@@ -138,12 +138,13 @@ def build_vocab(manifests) -> TextVocab:
 
 @dataclass
 class ModelParams:
-    """Named parameters: data views of `flat`, gradient buffers the same cuts of `grad`."""
+    """Named parameters, data views of `flat`: constants, unless a training run gives
+    `grad`, whose same cuts are then their gradient buffers."""
 
     config: EncoderConfig
     vocab: TextVocab
     flat: np.ndarray = field(repr=False, compare=False)
-    grad: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray | None = field(default=None, repr=False, compare=False)
     tensors: dict[str, T.Tensor] = field(init=False)
 
     def __post_init__(self):
@@ -152,9 +153,10 @@ class ModelParams:
         if getattr(self.flat, "dtype", None) != np.float64 or np.shape(self.flat) != (ends[-1],):
             raise InvalidConfig(f"flat must be one float64 vector of {ends[-1]} numbers, got "
                                 f"{getattr(self.flat, 'dtype', None)} {np.shape(self.flat)}")
-        self.grad = np.zeros(ends[-1])
-        parts = zip(shapes.items(), np.split(self.flat, ends[:-1]), np.split(self.grad, ends[:-1]))
-        self.tensors = {name: T.parameter(name, data.reshape(shape), g.reshape(shape))
+        grads = repeat(None) if self.grad is None else np.split(self.grad, ends[:-1])
+        parts = zip(shapes.items(), np.split(self.flat, ends[:-1]), grads)
+        self.tensors = {name: T.Tensor(data.reshape(shape), name) if g is None
+                        else T.parameter(name, data.reshape(shape), g.reshape(shape))
                         for (name, shape), data, g in parts}
 
     def __getitem__(self, name: str) -> T.Tensor:
@@ -227,32 +229,26 @@ def _clip_lengths(cfg: EncoderConfig, clips) -> np.ndarray:
     return _checked_lengths(cfg, "audio", [len(c) for c in clips])
 
 
-def encode_sequences(params: ModelParams | dict, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
+def encode_sequences(params: ModelParams, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
     """The one forward entry of both towers: sequences packed back to back, as
     integer token ids of `text.embed` rows or float64 frame rows against
     `audio.proj`, one `tower` op. Callers check the lengths and clip shapes;
     `tower` checks that the lengths split the rows and the ids' range. Rows
-    come out in input order, with the backward for ModelParams' layers."""
+    come out in input order, with a backward only if params holds a gradient vector."""
     table = params["text.embed" if tower == "text" else "audio.proj"]
     layers = (params[f"{tower}.{name}"] for name in ("pos", "w1", "b1", "w2", "b2"))
     return T.tower(rows, table, *layers, lengths)
 
 
-def forward_only(params: ModelParams, tower: str, rows: np.ndarray, lengths) -> T.Tensor:
-    """`encode_sequences` over constants on the tower's same data: no backward state is built."""
-    layers = {n: T.Tensor(t.data) for n, t in params.tensors.items() if n.startswith(tower)}
-    return encode_sequences(layers, tower, rows, lengths)
-
-
 def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:
     token_seqs = list(token_seqs)
     ids = params.vocab.encode(chain.from_iterable(token_seqs))
-    return forward_only(params, "text", *_text_ids(params, ids, [len(t) for t in token_seqs]))
+    return encode_sequences(params, "text", *_text_ids(params, ids, [len(t) for t in token_seqs]))
 
 
 def encode_caption_batch(params: ModelParams, captions, with_reversals: bool = False) -> T.Tensor:
     """`encode_text_batch` of the captions' tokens, then their reversals' if asked."""
-    return forward_only(params, "text", *_text_ids(
+    return encode_sequences(params, "text", *_text_ids(
         params, *params.vocab.encode_captions(list(captions), with_reversals)))
 
 
@@ -264,7 +260,7 @@ def clip_rows(params: ModelParams, clips) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
-    return forward_only(params, "audio", *clip_rows(params, clips))
+    return encode_sequences(params, "audio", *clip_rows(params, clips))
 
 
 @dataclass(frozen=True)

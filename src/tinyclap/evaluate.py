@@ -9,7 +9,8 @@ Order discrimination embeds a test set once per model (`embed_test_set`):
 one text pass over the captions and their reversals, one audio pass over
 the clips, then one over the reversed clips, whose frames are one row gather
 from the clip pass's. Both directions score from those arrays, and
-`tinyclap repro` scores retrieval from the same pass.
+`tinyclap repro` scores retrieval from the same pass. A model evaluated is a
+value, with no gradient vector, so no pass builds backward state.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .corpus import reversed_block_rows
 from .encoders import (ModelParams, clip_rows, encode_audio_batch, encode_caption_batch,
-                       encode_text_batch, forward_only)
+                       encode_sequences, encode_text_batch)
 from .errors import InvalidConfig, IoError
 
 REPORT_SCHEMA_VERSION = 1
@@ -118,24 +119,24 @@ class EvalEmbeddings:
 
 
 def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
-    """Every test input through its tower once, forward only: the captions and
-    their reversals in one text pass, the clips in one audio pass, then the
-    reversed clips of the flagged records, gathered from the clip pass's frame
-    rows. Each pass keeps only its rows: no closure and no relu mask."""
+    """Every test input through its tower once: the captions and their
+    reversals in one text pass, the clips in one audio pass, then the reversed
+    clips of the flagged records, gathered from the clip pass's frame rows.
+    Over a value, each pass keeps only its rows: no closure and no relu mask."""
     records = list(records)
     if not records:
         raise InvalidConfig("cannot score an empty record set")
     text = encode_caption_batch(params, [r.caption_pos for r in records], True).data
     text, text_neg = text[: len(records)], text[len(records) :]
     frames, lens = clip_rows(params, [r.clip.frames for r in records])
-    audio = forward_only(params, "audio", frames, lens).data
+    audio = encode_sequences(params, "audio", frames, lens).data
     neg_rows = np.flatnonzero([r.has_clip_neg for r in records])
     audio_neg = None
     if neg_rows.size:
         n_events = [len(records[i].caption_pos.event_ids) for i in neg_rows.tolist()]
         rows = reversed_block_rows((np.cumsum(lens) - lens)[neg_rows], lens[neg_rows], n_events)
         frames = np.take(frames, rows, axis=0)  # the clip rows are not read again
-        audio_neg = forward_only(params, "audio", frames, lens[neg_rows]).data
+        audio_neg = encode_sequences(params, "audio", frames, lens[neg_rows]).data
     return EvalEmbeddings(audio, text, text_neg, neg_rows, audio_neg)
 
 

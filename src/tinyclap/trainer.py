@@ -11,7 +11,8 @@ Training state is a pure function of (config, data, seed), and a
 `Checkpoint` holds each of its facts once: the flat parameters and Adam
 moments in the layout `param_shapes` gives, the step, and the batch
 generator's bit state. So an interrupted run resumed at a checkpoint
-boundary reproduces the uninterrupted run bit for bit.
+boundary reproduces the uninterrupted run bit for bit. A loaded or initial
+model is a value: only a run's own copy of it holds a gradient vector.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def _with_vocab(config: TrainConfig, vocab: TextVocab) -> TrainConfig:
 
 
 def init_run(config: TrainConfig, primary, temporal=None) -> tuple[TrainConfig, ModelParams]:
-    """Vocab from both corpora, fresh parameters.
+    """Vocab from both corpora, fresh parameters as a value.
 
     This is exactly the step-0 state of train(); kept separate so an
     untrained baseline can be built without running the loop.
@@ -298,6 +299,7 @@ def _start(config: TrainConfig, primary, temporal, params: ModelParams | None = 
     """Step 0 (on a copy of `params`, init_run's, if given); the batch stream has its own seed."""
     config, params = (init_run(config, primary, temporal) if params is None else (
         _with_vocab(config, params.vocab), dc_replace(params, flat=params.flat.copy())))
+    params = dc_replace(params, grad=np.zeros(params.flat.size))  # the run's trainable state
     rng_state = np.random.default_rng([config.seed, 1]).bit_generator.state
     return Checkpoint(params, config, *np.zeros((2, params.flat.size)), 0, rng_state)
 
@@ -341,8 +343,9 @@ def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
 
 
 def _copy(state: Checkpoint) -> Checkpoint:
-    """The state with its own three vectors, so training it leaves `state` as it was."""
-    return dc_replace(state, params=dc_replace(state.params, flat=state.params.flat.copy()),
+    """The state with its own vectors, so training it leaves `state` as it was."""
+    flat = state.params.flat.copy()
+    return dc_replace(state, params=dc_replace(state.params, flat=flat, grad=np.zeros(flat.size)),
                       m=state.m.copy(), v=state.v.copy())
 
 
@@ -370,6 +373,7 @@ def train(config: TrainConfig, primary_manifest, temporal_manifest=None, out_dir
         state, earlier_lines = _start(config, primary, temporal), ""
     else:
         state = load_checkpoint(resume_from)
+        state.params = dc_replace(state.params, grad=np.zeros(state.params.flat.size))
         earlier_lines = _metric_lines_before(out_dir / "metrics.jsonl", state.step)
     config = _with_vocab(config, state.params.vocab)  # resolved as init_run does
     if config.encoder != state.params.config:

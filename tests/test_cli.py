@@ -671,6 +671,30 @@ def test_repro_rejects_what_it_cannot_evaluate_before_training(corpus_over, eval
     assert "repro cannot evaluate" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_repro_evaluates_each_model_as_a_value(tiny_config, tmp_path, monkeypatch):
+    # after training, every tower pass is over constant layers: the untrained
+    # model is init_run's value and the two trained runs are value views
+    towers, trained, tower, train_fork = [], [], T.tower, cli.train_fork
+
+    def counted(*args):
+        towers.append((bool(trained), any(t.requires_grad for t in args[1:7])))
+        return tower(*args)
+
+    def fork(*args, **kwargs):
+        runs = train_fork(*args, **kwargs)
+        trained.append(runs)
+        return runs
+
+    monkeypatch.setattr(T, "tower", counted)
+    monkeypatch.setattr(cli, "train_fork", fork)
+    assert cli.main(["repro", "--config", str(tiny_config), "--out", str(tmp_path / "r")]) == 0
+    after = [grad for done, grad in towers if done]
+    assert len(after) == 3 * 5 and not any(after)  # 3 models: 3 test-set and 2 zero-shot passes
+    assert all(grad for done, grad in towers if not done)  # every training step's
+    assert all(run.params.grad is not None for run in trained[0])
+
+
 def test_repro_keeps_the_corpus_it_drew(tiny_config, synth_dir, tmp_path, monkeypatch):
     def no_reread(path):
         raise AssertionError(f"repro re-read {path}")

@@ -21,6 +21,7 @@ from tinyclap.errors import (
     SequenceTooLong,
     ShapeError,
 )
+from tinyclap.losses import LossConfig, train_loss
 
 
 CFG = E.EncoderConfig(
@@ -36,6 +37,12 @@ def vocab():
 @pytest.fixture(scope="module")
 def params(vocab):
     return E.init_params(CFG, vocab, seed=3)
+
+
+def trainable(params):
+    """A trainable copy of a value, as a training run makes it: its own flat vector
+    and a gradient vector."""
+    return replace(params, flat=params.flat.copy(), grad=np.zeros(params.flat.size))
 
 
 # -- vocab -----------------------------------------------------------------------
@@ -227,6 +234,7 @@ def text_node(params, seqs):
 
 def test_batch_gradients_match_single_gradients(params):
     # packing ragged sequences into one tower op must not change what the graph computes
+    params = trainable(params)
     seqs = [["dog", "barking"], ["rain", "thunder"], ["thunder", "and", "rain"]]
     loss_b = sum_node(text_node(params, seqs))
     grads_b = {name: g.copy() for name, g in T.backward(loss_b, params.trainable()).items()}
@@ -239,38 +247,6 @@ def test_batch_gradients_match_single_gradients(params):
         np.testing.assert_allclose(grads_b[name], total[name], atol=1e-12, err_msg=name)
 
 
-# -- forward-only encodes -----------------------------------------------------------------
-
-
-def test_forward_only_encodes_equal_the_gradient_entry_and_hold_no_closure(params, monkeypatch):
-    # small pieces, so each tower walks several; the clip lengths fall, so the
-    # audio rows are reordered, and the captions are of mixed lengths
-    monkeypatch.setattr(T, "_PIECE_BYTES", 8 * 10 * 6)
-    seqs = [["dog", "barking", "and", "then", "rain"], ["rain"], ["thunder", "and", "rain"],
-            ["dog", "barking"], ["then", "thunder", "and", "dog", "rain", "barking"]]
-    rng = np.random.default_rng(5)
-    clips = [rng.standard_normal((n, 6)).astype(np.float32) for n in (9, 4, 4, 2, 7, 12, 1)]
-    pairs = [(E.encode_text_batch(params, seqs), text_node(params, seqs)),
-             (E.encode_audio_batch(params, clips),
-              E.encode_sequences(params, "audio", np.concatenate(clips, dtype=np.float64),
-                                 [len(c) for c in clips]))]
-    for forward_only, gradient in pairs:
-        assert forward_only.data.tobytes() == gradient.data.tobytes()
-        assert forward_only._grads is None and not forward_only.requires_grad
-        assert gradient._grads is not None
-
-
-def test_backward_through_forward_only_encodes_raises(params):
-    # a loss with no closure has no gradient: backward says so instead of
-    # handing back zeroed buffers as if they were the gradient
-    before = params.grad.copy()
-    for loss in (sum_node(E.encode_text_batch(params, [["dog", "barking"]])),
-                 sum_node(E.encode_audio_batch(params, [np.ones((3, 6))])), T.Tensor(4.0)):
-        with pytest.raises(ShapeError, match="closure"):
-            T.backward(loss, params.trainable())
-    assert params.grad.tobytes() == before.tobytes()
-
-
 # -- forward_batch ----------------------------------------------------------------------
 
 
@@ -281,6 +257,54 @@ def tiny_batch():
     vocab = E.build_vocab([man])
     cfg = E.EncoderConfig(token_embed_dim=8, max_positions=16, hidden_dim=10, shared_dim=5)
     return E.init_params(cfg, vocab, seed=1), man.records
+
+
+# -- values and trainable copies ----------------------------------------------------------
+
+
+def test_value_encodes_equal_a_trainable_copys_and_hold_no_closure(tiny_batch, monkeypatch):
+    # small pieces, so each tower walks several; the clip lengths fall, so the
+    # audio rows are reordered, and the captions are of mixed lengths
+    monkeypatch.setattr(T, "_PIECE_BYTES", 8 * 10 * 6)
+    value, records = tiny_batch
+    captions = [r.caption_pos for r in records]
+    rng = np.random.default_rng(5)
+    clips = [rng.standard_normal((n, 16)).astype(np.float32) for n in (9, 4, 4, 2, 7, 12, 1)]
+    outputs, tower = {}, T.tower
+    for params in (value, trainable(value)):
+        seen = outputs[params.grad is None] = []
+        monkeypatch.setattr(T, "tower", lambda *a, _seen=seen: _seen.append(tower(*a)) or _seen[-1])
+        E.encode_caption_batch(params, captions, with_reversals=True)
+        E.encode_text_batch(params, [c.tokens for c in captions])
+        E.encode_audio_batch(params, clips)
+        for mask in ([True, False, True, False, False, True], [False] * len(records)):
+            E.forward_batch(params, records, mask)
+    assert len(outputs[True]) == len(outputs[False]) == 7
+    for got, want in zip(outputs[True], outputs[False]):
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got._grads is None and not got.requires_grad
+        assert want._grads is not None
+    assert value.grad is None
+
+
+def test_backward_over_a_value_raises(tiny_batch):
+    # a loss with no closure has no gradient: backward says so instead of
+    # handing back zeroed buffers as if they were the gradient
+    value, records = tiny_batch
+    mask = [True] + [False] * (len(records) - 1)
+    emb = E.forward_batch(value, records, mask)
+    for loss in (sum_node(E.encode_caption_batch(value, [r.caption_pos for r in records])),
+                 sum_node(E.encode_audio_batch(value, [np.ones((3, 16))])),
+                 train_loss(emb, LossConfig(), value["log_temperature"]).l_train, T.Tensor(4.0)):
+        with pytest.raises(ShapeError, match="closure"):
+            T.backward(loss, value.trainable())
+    # a trainable copy's loss cannot fill a value's constants either
+    params = trainable(value)
+    loss = train_loss(E.forward_batch(params, records, mask), LossConfig(),
+                      params["log_temperature"]).l_train
+    with pytest.raises(ShapeError, match="not a named parameter"):
+        T.backward(loss, value.trainable())
+    assert value.grad is None
 
 
 def test_forward_batch_shapes(tiny_batch):

@@ -7,6 +7,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
+import tinyclap.tensor as T
 from tinyclap import evaluate as ev
 from tinyclap import trainer as tr
 from tinyclap.corpus import build_catalog, build_labeled_clips, build_mixed_dataset
@@ -234,6 +235,30 @@ def _assert_one_pass_equals_per_direction_encodes(params, records):
     assert ev.t_classify(params, records) == ev.TClassifyResult(
         t2a_accuracy=t2a, a2t_accuracy=a2t, n_t2a=len(records), n_a2t=len(with_neg)
     )
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_evaluating_a_value_equals_a_trainable_copy_and_holds_no_closure(setup, monkeypatch):
+    # init_run's parameters are a value: every tower pass over them keeps only
+    # its rows, and gives the bits a trainable copy of the same vector gives
+    catalog, primary, value, labeled = setup
+    names = tuple(e.name for e in catalog.classes)
+    trainable = dc_replace(value, flat=value.flat.copy(), grad=np.zeros(value.flat.size))
+    results, tower = {}, T.tower
+    for params in (value, trainable):
+        seen = []
+        monkeypatch.setattr(T, "tower", lambda *a, _seen=seen: _seen.append(tower(*a)) or _seen[-1])
+        emb = ev.embed_test_set(params, primary.records)
+        results[params.grad is None] = seen, emb, ev.zero_shot_classify(params, labeled.records,
+                                                                        names)
+    (seen, emb, zs), (seen_t, emb_t, zs_t) = results[True], results[False]
+    assert len(seen) == len(seen_t) == 5  # captions, clips, reversed clips; prompts, clips
+    for got, want in zip(seen, seen_t):
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got._grads is None and want._grads is not None
+    for field in ("audio", "text", "text_neg", "neg_rows", "audio_neg"):
+        assert getattr(emb, field).tobytes() == getattr(emb_t, field).tobytes(), field
+    assert zs == zs_t and value.grad is None
 
 
 def test_t_classify_empty_records(setup):

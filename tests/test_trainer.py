@@ -190,6 +190,30 @@ def zero_moments(params):
     return np.zeros_like(params.flat), np.zeros_like(params.flat)
 
 
+def trainable(params):
+    """A trainable copy of a value, as a training run makes it: its own flat vector
+    and a gradient vector."""
+    return dc_replace(params, flat=params.flat.copy(), grad=np.zeros(params.flat.size))
+
+
+def assert_value(params):
+    """No gradient vector, and every parameter a constant."""
+    assert params.grad is None
+    assert all(t.grad is None and not t.requires_grad for t in params.trainable())
+
+
+def assert_gradient_views(params):
+    """Each parameter's gradient buffer is its cut of params.grad, at the offsets
+    param_shapes gives."""
+    start = 0
+    for (name, shape), t in zip(param_shapes(params.config, params.vocab).items(),
+                                params.trainable()):
+        assert t.name == name and t.grad.shape == shape and t.grad.base is params.grad, name
+        assert t.grad.ctypes.data == params.grad[start:].ctypes.data, name
+        start += math.prod(shape)
+    assert start == params.grad.size == params.flat.size
+
+
 def test_adam_first_step_moves_by_lr():
     # with g = 1 the bias-corrected moments are exactly 1, so the first
     # update is -lr / (1 + eps)
@@ -344,7 +368,7 @@ def test_parameters_and_moments_live_in_flat_vectors(corpora, tiny_encoder, tmp_
 
 def test_training_step_graph_is_two_towers_and_one_loss(corpora, tiny_encoder, monkeypatch):
     primary, temporal = corpora
-    params = init_params(tiny_encoder, build_vocab(list(corpora)), seed=0)
+    params = trainable(init_params(tiny_encoder, build_vocab(list(corpora)), seed=0))
     records, mask = tr.compose_batch(list(primary.records), list(temporal.records), 8, 0.25,
                                      np.random.default_rng(0))
     assert any(mask)
@@ -381,7 +405,7 @@ def test_backward_fills_views_of_the_flat_gradient(corpora, tiny_encoder):
     # backward returns each parameter's cut of params.grad, at the offsets
     # param_shapes gives, and a second call on the same batch starts from zeros
     primary, temporal = corpora
-    params = init_params(tiny_encoder, build_vocab(list(corpora)), seed=0)
+    params = trainable(init_params(tiny_encoder, build_vocab(list(corpora)), seed=0))
     records, mask = tr.compose_batch(list(primary.records), list(temporal.records), 8, 0.25,
                                      np.random.default_rng(0))
     flats = []
@@ -389,13 +413,10 @@ def test_backward_fills_views_of_the_flat_gradient(corpora, tiny_encoder):
         breakdown = tr.train_loss(forward_batch(params, records, mask), LossConfig(),
                                   params["log_temperature"])
         grads = T.backward(breakdown.l_train, params.trainable())
-        start = 0
-        for (name, shape), g in zip(param_shapes(tiny_encoder, params.vocab).items(),
-                                    grads.values()):
-            assert g.shape == shape and g.base is params.grad, name
-            assert g.ctypes.data == params.grad[start:].ctypes.data, name
-            start += math.prod(shape)
-        assert start == params.grad.size and params.grad.any()
+        assert [g.ctypes.data for g in grads.values()] == [
+            t.grad.ctypes.data for t in params.trainable()]
+        assert_gradient_views(params)
+        assert params.grad.any()
         flats.append(params.grad.tobytes())
     assert flats[0] == flats[1]
 
@@ -418,13 +439,17 @@ def test_dropped_parameters_are_freed_without_the_cycle_collector(corpora, tiny_
     try:
         for make in (lambda: tr.load_checkpoint(tmp_path / "a.tckp").params,
                      lambda: init_params(tiny_encoder, params.vocab, seed=1)):
-            fresh = make()
-            breakdown = tr.train_loss(forward_batch(fresh, records, mask), LossConfig(),
-                                      fresh["log_temperature"])
-            T.backward(breakdown.l_train, fresh.trainable())
-            flat = weakref.ref(fresh.flat)
-            del fresh, breakdown
-            assert flat() is None
+            for copy in (False, True):  # the value itself, then a trainable copy of it
+                fresh = make()
+                if copy:
+                    fresh = dc_replace(fresh, grad=np.zeros(fresh.flat.size))
+                breakdown = tr.train_loss(forward_batch(fresh, records, mask), LossConfig(),
+                                          fresh["log_temperature"])
+                if copy:
+                    T.backward(breakdown.l_train, fresh.trainable())
+                flat = weakref.ref(fresh.flat)
+                del fresh, breakdown
+                assert flat() is None
         ckpt = tr.load_checkpoint(tmp_path / "a.tckp")
         assert all(x.base is None for x in (ckpt.params.flat, ckpt.m, ckpt.v))  # 3 allocations
         moments = [weakref.ref(ckpt.m), weakref.ref(ckpt.v)]
@@ -759,6 +784,39 @@ def test_init_run_fills_vocab_size(corpora):
     assert params["log_temperature"].data == pytest.approx(math.log(1 / 0.07))
 
 
+def test_loaded_and_initial_params_are_values(corpora, tiny_encoder, tmp_path):
+    primary, temporal = corpora
+    cfg, params = tr.init_run(tiny_config(tiny_encoder, steps=2), primary, temporal)
+    tr.train(cfg, primary, temporal, out_dir=tmp_path)
+    for value in (params, init_params(tiny_encoder, params.vocab, seed=1),
+                  tr.load_checkpoint(tmp_path / "final.tckp").params):
+        assert_value(value)
+
+
+def test_training_runs_return_their_trainable_state(corpora, tiny_encoder, tmp_path):
+    # train(), train_fork() and a resume from a file each return the run's own
+    # state: a flat vector no value shares, and a gradient vector cut like it
+    primary, temporal = corpora
+    cfg, params = tr.init_run(tiny_config(tiny_encoder, checkpoint_every=2), primary, temporal)
+    before = params.flat.copy()
+    done = tr.train(cfg, primary, temporal, out_dir=tmp_path / "run")
+    resumed = tr.train(cfg, primary, temporal, out_dir=tmp_path / "resumed",
+                       resume_from=tmp_path / "run" / "step000002.tckp")
+    control = tiny_config(tiny_encoder, loss=LossConfig(lambda_l=0.0))
+    order = tiny_config(tiny_encoder, order_loss_start_step=3)
+    forks = tr.train_fork([(order, tmp_path / "order"), (control, tmp_path / "control")],
+                          primary, temporal, 3, params=params)
+    assert params.flat.tobytes() == before.tobytes()  # the fork trained a copy
+    assert_value(params)
+    runs = (done, resumed, *forks)
+    for ckpt in runs:
+        assert_gradient_views(ckpt.params)
+        assert not np.shares_memory(ckpt.params.flat, params.flat)
+    assert resumed.params.flat.tobytes() == done.params.flat.tobytes()
+    assert not any(np.shares_memory(a.params.grad, b.params.grad)
+                   for i, a in enumerate(runs) for b in runs[i + 1 :])
+
+
 def test_array_step_matches_the_record_level_loop(corpora, tiny_encoder, tmp_path):
     # train() encodes its pools once and gathers each batch from the arrays; a loop
     # over the record-level API must give the same log and the same three vectors
@@ -766,6 +824,7 @@ def test_array_step_matches_the_record_level_loop(corpora, tiny_encoder, tmp_pat
     cfg = tiny_config(tiny_encoder, steps=30, warmup_steps=5, order_loss_start_step=12)
     got = tr.train(cfg, primary, temporal, out_dir=tmp_path)
     cfg, params = tr.init_run(cfg, primary, temporal)
+    params = trainable(params)
     m, v = zero_moments(params)
     rng = np.random.default_rng([cfg.seed, 1])
     lines = []
