@@ -40,16 +40,10 @@ FRAME_DTYPE = np.dtype("<f4")
 _DECODER = json.JSONDecoder()  # json.loads' decoder, for lines parsed without its wrapping
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # every manifest line
 
-# Connectors the generator may emit (forward temporal order only).
+# Connectors the generator may emit and the parser reads (forward temporal order only).
 GENERATION_CONNECTORS = ("followed by", "and then")
-# The parser additionally accepts these; "after" inverts the pair order.
-FORWARD_CONNECTORS = GENERATION_CONNECTORS + ("before",)
-INVERTING_CONNECTORS = ("after",)
-_CONNECTOR_PHRASES = sorted(
-    (tuple(c.split()) for c in FORWARD_CONNECTORS + INVERTING_CONNECTORS),
-    key=len,
-    reverse=True,
-)
+_CONNECTOR_PHRASES = sorted((tuple(c.split()) for c in GENERATION_CONNECTORS), key=len,
+                            reverse=True)
 
 # Built-in event vocabulary. One- and two-token names are interleaved so
 # name words land on many different caption positions; every word is used by
@@ -256,9 +250,8 @@ def _match_connector(tokens: tuple[str, ...], pos: int) -> tuple[str, ...] | Non
 def parse_caption(text: str, catalog: EventCatalog) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """Split on longest-match connector phrases; segments must be catalog names.
 
-    Returns (event ids in temporal order, surface connectors). Forward
-    connectors keep surface order; "after" inverts its pair ("x after y" puts
-    y immediately before x).
+    Returns (event ids, connectors); every connector keeps surface order, so
+    the ids are in temporal order.
     """
     tokens = tuple(text.split())
     segment_tokens: list[list[str]] = [[]]
@@ -276,23 +269,14 @@ def parse_caption(text: str, catalog: EventCatalog) -> tuple[tuple[int, ...], tu
     if not connectors:
         raise NoConnector(f"no connector phrase found in {' '.join(tokens)!r}")
 
-    surface_ids = []
+    ids = []
     for seg in segment_tokens:
         name = " ".join(seg)
         eid = catalog.id_of(name)
         if eid is None:
             raise UnparsableSegment(f"segment {name!r} matches no catalog event name")
-        surface_ids.append(eid)
-
-    # Fold surface order into temporal order (only "after" reorders).
-    order = [0]
-    for k, conn in enumerate(connectors):
-        if conn in INVERTING_CONNECTORS:
-            order.insert(order.index(k), k + 1)
-        else:
-            order.append(k + 1)
-    temporal_ids = tuple(surface_ids[j] for j in order)
-    return temporal_ids, tuple(connectors)
+        ids.append(eid)
+    return tuple(ids), tuple(connectors)
 
 
 def negate_caption(caption: Caption) -> Caption:

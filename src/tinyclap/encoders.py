@@ -15,12 +15,13 @@ normalizes. The text output carries the reversed captions after the N
 captions, and `losses.train_loss` reads both outputs whole, so a training
 step is tower, tower, `clap_loss`. Every encode goes through one array
 entry, `encode_sequences`, so training and evaluation share this forward
-pass. Records are encoded once per pool (`encode_pool`: captions and reversals as
-ids from the vocab's piece table, lengths and clip shapes checked), and a batch is a
-gather from those arrays (`forward_pool`); `forward_batch` is the same path over a
-pool of just its records. Every parameter's data is a view of one float64 vector,
-`ModelParams.flat`. A model is a value: its layers are constants, so no encode of it
-builds backward state. Only a training run's own copy holds a gradient vector,
+pass. Every record set is encoded once as a pool (`encode_pool`: captions, and their
+reversals if asked, as ids from the vocab's piece table, lengths and clip shapes
+checked): evaluation encodes a test set's pool whole, a training batch is a gather from
+its pool (`forward_pool`), and `forward_batch` is a pool of just its records, with
+reversals only if a row is flagged. Every parameter's data is a view of one float64
+vector, `ModelParams.flat`. A model is a value: its layers are constants, so no encode
+of it builds backward state. Only a training run's own copy holds a gradient vector,
 `ModelParams.grad`, cut the same way into each parameter's gradient buffer.
 """
 
@@ -246,29 +247,18 @@ def encode_text_batch(params: ModelParams, token_seqs) -> T.Tensor:
     return encode_sequences(params, "text", *_text_ids(params, ids, [len(t) for t in token_seqs]))
 
 
-def encode_caption_batch(params: ModelParams, captions, with_reversals: bool = False) -> T.Tensor:
-    """`encode_text_batch` of the captions' tokens, then their reversals' if asked."""
-    return encode_sequences(params, "text", *_text_ids(
-        params, *params.vocab.encode_captions(list(captions), with_reversals)))
-
-
-def clip_rows(params: ModelParams, clips) -> tuple[np.ndarray, np.ndarray]:
-    """The clips' frames back to back as float64, and their lengths, each clip's shape checked."""
+def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
     clips = [np.asarray(c) for c in clips]
     lens = _clip_lengths(params.config, clips)
-    return np.concatenate(clips, dtype=np.float64), lens
-
-
-def encode_audio_batch(params: ModelParams, clips) -> T.Tensor:
-    return encode_sequences(params, "audio", *clip_rows(params, clips))
+    return encode_sequences(params, "audio", np.concatenate(clips, dtype=np.float64), lens)
 
 
 @dataclass(frozen=True)
 class PoolArrays:
     """R records as the towers take them, encoded and checked once.
 
-    Sequence k < R is record k's caption and sequence R + k its reversed
-    caption; sequence j's token ids are ids[starts[j]:][:lens[j]].
+    Sequence k < R is record k's caption and, if the pool holds reversals, sequence
+    R + k its reversed caption; sequence j's token ids are ids[starts[j]:][:lens[j]].
     Clips stay the records' own float32 arrays, cast per batch.
     """
 
@@ -279,11 +269,11 @@ class PoolArrays:
     clip_lens: np.ndarray
 
 
-def encode_pool(params: ModelParams, records) -> PoolArrays:
-    """Every record's caption and reversed caption as ids from params.vocab's piece table,
-    each length checked against max_positions, and every clip's shape checked."""
+def encode_pool(params: ModelParams, records, with_reversals: bool) -> PoolArrays:
+    """Every record's caption, then its reversed caption if asked, as ids from params.vocab's
+    piece table, each length checked against max_positions, and every clip's shape checked."""
     captions = [r.caption_pos for r in records]
-    ids, lens = _text_ids(params, *params.vocab.encode_captions(captions, True))
+    ids, lens = _text_ids(params, *params.vocab.encode_captions(captions, with_reversals))
     clips = tuple(r.clip.frames for r in records)
     return PoolArrays(ids, np.cumsum(lens) - lens, lens, clips, _clip_lengths(params.config, clips))
 
@@ -314,12 +304,12 @@ def forward_pool(params: ModelParams, pool: PoolArrays, batch: np.ndarray,
 def forward_batch(params: ModelParams, records, temporal_mask) -> BatchEmbeddings:
     """Embed a batch of records through `forward_pool`; rows flagged in
     temporal_mask also embed their order-reversed caption, after the N
-    captions in the text output."""
+    captions in the text output. A mask that flags no row encodes no reversal."""
     records = list(records)
     mask = np.asarray(list(temporal_mask), dtype=bool)
     if not records:
         raise EmptyInput("forward_batch got an empty batch")
     if len(mask) != len(records):
         raise InvalidConfig(f"mask length {len(mask)} != batch size {len(records)}")
-    return forward_pool(params, encode_pool(params, records), np.arange(len(records)),
-                        np.flatnonzero(mask))
+    return forward_pool(params, encode_pool(params, records, mask.any()),
+                        np.arange(len(records)), np.flatnonzero(mask))

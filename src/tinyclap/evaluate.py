@@ -5,12 +5,12 @@ every decision is invariant to positive rescaling of the embeddings. Ranking
 and argmax ties break toward the lower index; the pairwise order task counts
 ties as failures (strict inequality both directions).
 
-Order discrimination embeds a test set once per model (`embed_test_set`):
-one text pass over the captions and their reversals, one audio pass over
-the clips, then one over the reversed clips, whose frames are one row gather
-from the clip pass's. Both directions score from those arrays, and
-`tinyclap repro` scores retrieval from the same pass. A model evaluated is a
-value, with no gradient vector, so no pass builds backward state.
+Order discrimination embeds a test set once per model (`embed_test_set`)
+from its pool, encoded as a training pool is: one text pass over the
+captions and their reversals, one audio pass over the clips, then one over
+the reversed clips, whose frames are one row gather from the clip pass's.
+Both directions score from those arrays, and `tinyclap repro` scores retrieval
+from the same pass. A model evaluated is a value, so no pass builds backward state.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import reversed_block_rows
-from .encoders import (ModelParams, clip_rows, encode_audio_batch, encode_caption_batch,
-                       encode_sequences, encode_text_batch)
+from .encoders import (ModelParams, encode_audio_batch, encode_pool, encode_sequences,
+                       encode_text_batch)
 from .errors import InvalidConfig, IoError
 
 REPORT_SCHEMA_VERSION = 1
@@ -119,16 +119,16 @@ class EvalEmbeddings:
 
 
 def embed_test_set(params: ModelParams, records) -> EvalEmbeddings:
-    """Every test input through its tower once: the captions and their
-    reversals in one text pass, the clips in one audio pass, then the reversed
-    clips of the flagged records, gathered from the clip pass's frame rows.
+    """Every test input of the records' pool through its tower once: the captions
+    and their reversals in one text pass, the clips in one audio pass, then the
+    reversed clips of the flagged records, gathered from the clip pass's frame rows.
     Over a value, each pass keeps only its rows: no closure and no relu mask."""
     records = list(records)
     if not records:
         raise InvalidConfig("cannot score an empty record set")
-    text = encode_caption_batch(params, [r.caption_pos for r in records], True).data
-    text, text_neg = text[: len(records)], text[len(records) :]
-    frames, lens = clip_rows(params, [r.clip.frames for r in records])
+    pool = encode_pool(params, records, True)
+    text, text_neg = np.split(encode_sequences(params, "text", pool.ids, pool.lens).data, 2)
+    frames, lens = np.concatenate(pool.clips, dtype=np.float64), pool.clip_lens
     audio = encode_sequences(params, "audio", frames, lens).data
     neg_rows = np.flatnonzero([r.has_clip_neg for r in records])
     audio_neg = None

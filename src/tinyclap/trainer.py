@@ -292,7 +292,7 @@ def _pools(params: ModelParams, primary, temporal):
     each pool as the range of its records' indices there."""
     records = primary.records + (temporal.records if temporal is not None else ())
     n = len(primary.records)
-    return encode_pool(params, records), range(n), range(n, len(records))
+    return encode_pool(params, records, True), range(n), range(n, len(records))
 
 
 def _start(config: TrainConfig, primary, temporal, params: ModelParams | None = None) -> Checkpoint:
@@ -304,22 +304,24 @@ def _start(config: TrainConfig, primary, temporal, params: ModelParams | None = 
     return Checkpoint(params, config, *np.zeros((2, params.flat.size)), 0, rng_state)
 
 
+def _start_log(out_dir: Path, earlier_lines: str) -> None:
+    """A run's metrics log, holding only its earlier lines; the steps append to it."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "metrics.jsonl").write_text(earlier_lines, encoding="utf-8")
+
+
 def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
     """Advances `state` to step `stop` under config. Each of `runs`, an
-    (out_dir, config, earlier metrics lines) triple, gets a metrics log of
-    its earlier lines and every step's line, and checkpoints at its own
-    config's cadence, stamped with that config."""
+    (out_dir, config) pair, gets every step's line appended to its metrics
+    log, and checkpoints at its own config's cadence, stamped with that config."""
     pool, primary_pool, temporal_pool = pools
     params = state.params
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
     warmup_loss = dc_replace(config.loss, lambda_l=0.0)
     with ExitStack() as stack:
-        logs = []
-        for out_dir, _, earlier_lines in runs:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            logs.append(stack.enter_context(open(out_dir / "metrics.jsonl", "w", encoding="utf-8")))
-            logs[-1].write(earlier_lines)
+        logs = [stack.enter_context(open(out_dir / "metrics.jsonl", "a", encoding="utf-8"))
+                for out_dir, _ in runs]
         for step in range(state.step, stop):
             lr = lr_schedule(step, config)
             picks, mask = compose_batch(
@@ -331,7 +333,7 @@ def _run_steps(config, pools, state: Checkpoint, stop: int, runs) -> None:
             T.backward(breakdown.l_train, params.trainable())
             adam_step(params, params.grad, state.m, state.v, step + 1, lr)
             line = _metric_line(step, lr, breakdown) + "\n"
-            for (out_dir, run_config, _), log in zip(runs, logs):
+            for (out_dir, run_config), log in zip(runs, logs):
                 log.write(line)
                 every = run_config.checkpoint_every
                 if every and (step + 1) % every == 0:
@@ -349,10 +351,9 @@ def _copy(state: Checkpoint) -> Checkpoint:
                       m=state.m.copy(), v=state.v.copy())
 
 
-def _continue(config: TrainConfig, pools, state: Checkpoint, out_dir: Path,
-              earlier_lines: str) -> Checkpoint:
-    """train() from `state` on, over pools encoded with its vocab."""
-    _run_steps(config, pools, state, config.steps, [(out_dir, config, earlier_lines)])
+def _continue(config: TrainConfig, pools, state: Checkpoint, out_dir: Path) -> Checkpoint:
+    """train() from `state` on, over pools encoded with its vocab, appending to out_dir's log."""
+    _run_steps(config, pools, state, config.steps, [(out_dir, config)])
     state.train_config = config
     save_checkpoint(state, out_dir / "final.tckp")
     return state
@@ -362,10 +363,10 @@ def train(config: TrainConfig, primary_manifest, temporal_manifest=None, out_dir
           resume_from=None) -> Checkpoint:
     """Run the loop; writes metrics.jsonl and final.tckp under out_dir.
 
-    resume_from is a checkpoint file; its train_config may differ from
-    `config`, which governs the steps that follow. The run keeps the metrics
-    log's lines for the steps before the checkpoint and appends the rest; the
-    result is bit-identical to the uninterrupted run.
+    resume_from is a checkpoint file at most `config.steps` in; its train_config
+    may differ from `config`, which governs the steps that follow. The run keeps
+    the metrics log's lines for the steps before the checkpoint and appends the
+    rest; the result is bit-identical to the uninterrupted run.
     """
     primary, temporal = _manifests(config, primary_manifest, temporal_manifest)
     out_dir = Path(out_dir)
@@ -373,14 +374,18 @@ def train(config: TrainConfig, primary_manifest, temporal_manifest=None, out_dir
         state, earlier_lines = _start(config, primary, temporal), ""
     else:
         state = load_checkpoint(resume_from)
+        if state.step > config.steps:
+            raise InvalidConfig(f"checkpoint {resume_from} is at step {state.step}, past "
+                                f"train.steps {config.steps}")
         state.params = dc_replace(state.params, grad=np.zeros(state.params.flat.size))
         earlier_lines = _metric_lines_before(out_dir / "metrics.jsonl", state.step)
     config = _with_vocab(config, state.params.vocab)  # resolved as init_run does
     if config.encoder != state.params.config:
         raise InvalidConfig(f"the config's encoder {config.encoder} differs from the "
                             f"checkpoint's {state.params.config}")
-    return _continue(config, _pools(state.params, primary, temporal), state, out_dir,
-                     earlier_lines)
+    pools = _pools(state.params, primary, temporal)
+    _start_log(out_dir, earlier_lines)
+    return _continue(config, pools, state, out_dir)
 
 
 def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int,
@@ -390,24 +395,24 @@ def train_fork(branches, primary_manifest, temporal_manifest, fork_step: int,
     `branches` holds (config, out_dir) pairs whose configs differ at most in
     `order_loss_start_step` and `loss.lambda_l`, and train with lambda_l = 0
     before fork_step. The records are encoded once for all runs. The shared
-    steps write their metrics lines, and their checkpoints stamped with each
-    branch's config, into every out_dir; then each branch goes on from its
+    steps append their metrics lines, and write their checkpoints stamped with
+    each branch's config, into every out_dir; then each branch goes on from its
     own copy of the shared state. Each out_dir ends up byte-identical to a
     standalone train() with its config. Given init_run's `params`, it trains a copy.
     """
     primary, temporal = _manifests(branches[0][0], primary_manifest, temporal_manifest)
     state = _start(branches[0][0], primary, temporal, params)
     lead = state.train_config
-    runs = [(Path(out_dir), _with_vocab(config, state.params.vocab), "")
+    runs = [(Path(out_dir), _with_vocab(config, state.params.vocab))
             for config, out_dir in branches]
-    for _, config, _ in runs:
+    for _, config in runs:
         same = dc_replace(config, loss=dc_replace(config.loss, lambda_l=lead.lambda_l),
                           order_loss_start_step=lead.order_loss_start_step)
         if same != lead or not 0 <= fork_step <= config.steps or (
                 config.lambda_l and config.order_loss_start_step < fork_step):
             raise InvalidConfig(f"branch configs do not share their first {fork_step} steps")
     pools = _pools(state.params, primary, temporal)
+    for out_dir, _ in runs:
+        _start_log(out_dir, "")
     _run_steps(lead, pools, state, fork_step, runs)
-    return [_continue(config, pools, _copy(state), out_dir,
-                      _metric_lines_before(out_dir / "metrics.jsonl", state.step))
-            for out_dir, config, _ in runs]
+    return [_continue(config, pools, _copy(state), out_dir) for out_dir, config in runs]

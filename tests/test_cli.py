@@ -570,6 +570,19 @@ def test_train_resume_flag(tiny_config, tmp_path):
     assert [json.loads(ln)["step"] for ln in lines] == [0, 1, 2, 3]
 
 
+def test_train_resume_past_steps_exits_one_and_writes_nothing(tiny_config, trained_dir, capsys):
+    final = trained_dir / "train" / "final.tckp"  # at step 4
+    files = sorted(p for p in trained_dir.rglob("*") if p.is_file())
+    before = [p.read_bytes() for p in files]
+    argv = ["train", "--config", str(tiny_config), "--out", str(trained_dir), "--resume",
+            str(final), "--steps", "2"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "is at step 4, past train.steps 2" in err and "finished" not in out
+    assert sorted(p for p in trained_dir.rglob("*") if p.is_file()) == files
+    assert [p.read_bytes() for p in files] == before
+
+
 def test_train_resume_with_default_vocab_size_is_byte_identical(tmp_path):
     # TINY leaves encoder.vocab_size at 0, which train resolves from the corpus
     config = json.loads(json.dumps(TINY))

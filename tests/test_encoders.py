@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tinyclap.tensor as T
+from tinyclap import cli
 from tinyclap import corpus as C
 from tinyclap import encoders as E
 from tinyclap.cli import cmd_synth
@@ -21,7 +22,8 @@ from tinyclap.errors import (
     SequenceTooLong,
     ShapeError,
 )
-from tinyclap.losses import LossConfig, train_loss
+from tinyclap.evaluate import embed_test_set
+from tinyclap.losses import LossConfig, similarity_matrix, train_loss
 
 
 CFG = E.EncoderConfig(
@@ -232,6 +234,13 @@ def text_node(params, seqs):
     return E.encode_sequences(params, "text", *E._text_ids(params, ids, [len(t) for t in seqs]))
 
 
+def caption_node(params, records, with_reversals):
+    """The records' captions, then their reversals if asked, through the records' pool, as
+    evaluation encodes them."""
+    pool = E.encode_pool(params, records, with_reversals)
+    return E.encode_sequences(params, "text", pool.ids, pool.lens)
+
+
 def test_batch_gradients_match_single_gradients(params):
     # packing ragged sequences into one tower op must not change what the graph computes
     params = trainable(params)
@@ -274,7 +283,7 @@ def test_value_encodes_equal_a_trainable_copys_and_hold_no_closure(tiny_batch, m
     for params in (value, trainable(value)):
         seen = outputs[params.grad is None] = []
         monkeypatch.setattr(T, "tower", lambda *a, _seen=seen: _seen.append(tower(*a)) or _seen[-1])
-        E.encode_caption_batch(params, captions, with_reversals=True)
+        caption_node(params, records, with_reversals=True)
         E.encode_text_batch(params, [c.tokens for c in captions])
         E.encode_audio_batch(params, clips)
         for mask in ([True, False, True, False, False, True], [False] * len(records)):
@@ -293,7 +302,7 @@ def test_backward_over_a_value_raises(tiny_batch):
     value, records = tiny_batch
     mask = [True] + [False] * (len(records) - 1)
     emb = E.forward_batch(value, records, mask)
-    for loss in (sum_node(E.encode_caption_batch(value, [r.caption_pos for r in records])),
+    for loss in (sum_node(caption_node(value, records, with_reversals=False)),
                  sum_node(E.encode_audio_batch(value, [np.ones((3, 16))])),
                  train_loss(emb, LossConfig(), value["log_temperature"]).l_train, T.Tensor(4.0)):
         with pytest.raises(ShapeError, match="closure"):
@@ -343,7 +352,7 @@ def test_forward_batch_validates(tiny_batch):
 
 def test_pool_ids_are_each_caption_and_its_reversal_encoded(tiny_batch):
     params, records = tiny_batch
-    pool = E.encode_pool(params, records)
+    pool = E.encode_pool(params, records, True)
     seqs = [r.caption_pos.tokens for r in records] + [r.caption_neg.tokens for r in records]
     assert pool.ids.dtype == np.uint8 and len(pool.clips) == len(records)  # vocab under 256
     for j, tokens in enumerate(seqs):
@@ -356,13 +365,33 @@ def test_pool_ids_are_each_caption_and_its_reversal_encoded(tiny_batch):
 
 def test_forward_pool_gathers_what_forward_batch_encodes(tiny_batch):
     params, records = tiny_batch
-    pool = E.encode_pool(params, records)
+    pool = E.encode_pool(params, records, True)
     batch, mask = np.array([4, 0, 5, 2]), [False, True, False, True]
     got = E.forward_pool(params, pool, batch, np.flatnonzero(mask))
     want = E.forward_batch(params, [records[i] for i in batch], mask)
     assert got.temporal_rows == want.temporal_rows == (1, 3)
     for a, b in ((got.text, want.text), (got.audio, want.audio)):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_a_batch_that_flags_no_row_encodes_no_reversals(tiny_batch, monkeypatch):
+    params, records = tiny_batch
+    n = len(records)
+    want = E.forward_pool(params, E.encode_pool(params, records, True), np.arange(n),
+                          np.flatnonzero([False] * n))
+    asked, encode = [], E.TextVocab.encode_captions
+    monkeypatch.setattr(E.TextVocab, "encode_captions",
+                        lambda self, captions, with_reversals:
+                        asked.append(with_reversals) or encode(self, captions, with_reversals))
+    got = E.forward_batch(params, records, [False] * n)
+    assert asked == [False] and got.temporal_rows == ()
+    for a, b in ((got.text, want.text), (got.audio, want.audio)):
+        assert a.data.tobytes() == b.data.tobytes()
+    sim = cli._paired_similarity(params, records)  # retrieval in `tinyclap eval` takes this path
+    assert asked == [False, False]
+    assert sim.tobytes() == similarity_matrix(want.audio, want.text).data.tobytes()
+    E.forward_batch(params, records, [False] * (n - 1) + [True])
+    assert asked == [False, False, True]
 
 
 # -- captions through the vocab's piece table -----------------------------------------
@@ -409,17 +438,21 @@ def test_piece_table_covers_one_word_two_word_and_cycled_names():
 def test_caption_encodes_keep_the_length_check_and_the_narrowest_id_type(tiny_batch):
     params, records = tiny_batch
     short = E.init_params(replace(params.config, max_positions=4), params.vocab, seed=1)
-    for encode in (lambda p: E.encode_pool(p, records),
-                   lambda p: E.encode_caption_batch(p, [r.caption_pos for r in records], True)):
+    for encode in (lambda p: E.encode_pool(p, records, True),
+                   lambda p: E.encode_pool(p, records, False),
+                   lambda p: embed_test_set(p, records),
+                   lambda p: cli._paired_similarity(p, records)):
         with pytest.raises(SequenceTooLong, match="text input 0 has"):
             encode(short)
-    with pytest.raises(EmptyInput):
-        E.encode_caption_batch(params, [])
+    for with_reversals in (True, False):
+        with pytest.raises(EmptyInput):
+            E.encode_pool(params, [], with_reversals)
     wide = E.TextVocab(tokens=(E.UNK_TOKEN, *params.vocab.tokens[1:],
                                *(f"w{i}" for i in range(300))))
-    pool = E.encode_pool(E.init_params(params.config, wide, seed=1), records)
-    assert pool.ids.dtype == np.uint16
-    assert pool.ids.tolist() == E.encode_pool(params, records).ids.tolist()
+    for with_reversals in (True, False):
+        pool = E.encode_pool(E.init_params(params.config, wide, seed=1), records, with_reversals)
+        assert pool.ids.dtype == np.uint16
+        assert pool.ids.tolist() == E.encode_pool(params, records, with_reversals).ids.tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -437,12 +470,9 @@ def test_build_vocab_equals_token_first_occurrence(seed):
 
 def test_caption_encodes_read_no_token_tuples_and_build_no_reversed_captions(tiny_batch,
                                                                              monkeypatch):
-    from tinyclap import cli
-    from tinyclap.evaluate import embed_test_set
-
     params, records = tiny_batch
     records = [replace(r, has_clip_neg=True) for r in records]  # so the audio_neg pass runs too
-    want_pool = E.encode_pool(params, records)
+    want_pool = E.encode_pool(params, records, True)
     want_eval, want_sim = embed_test_set(params, records), cli._paired_similarity(params, records)
 
     def boom(self):
@@ -450,7 +480,7 @@ def test_caption_encodes_read_no_token_tuples_and_build_no_reversed_captions(tin
 
     monkeypatch.setattr(C.Caption, "tokens", property(boom))
     monkeypatch.setattr(C.DatasetRecord, "caption_neg", property(boom))
-    pool = E.encode_pool(params, records)
+    pool = E.encode_pool(params, records, True)
     assert pool.ids.tobytes() == want_pool.ids.tobytes()
     assert pool.lens.tolist() == want_pool.lens.tolist()
     got = embed_test_set(params, records)

@@ -686,6 +686,26 @@ def test_resume_with_another_encoder_is_rejected_before_any_step(corpora, tiny_e
     assert not out.exists()
 
 
+def test_resume_past_the_configs_steps_is_rejected_before_anything_is_written(
+        corpora, tiny_encoder, tmp_path):
+    primary, temporal = corpora
+    cfg = tiny_config(tiny_encoder, steps=6, checkpoint_every=3)
+    run_dir = tmp_path / "full"
+    tr.train(cfg, primary, temporal, out_dir=run_dir)
+    late, files = run_dir / "step000006.tckp", sorted(run_dir.iterdir())
+    before = [f.read_bytes() for f in files]
+    for out in (tmp_path / "resumed", run_dir):
+        with pytest.raises(InvalidConfig, match=f"{re.escape(str(late))} is at step 6, past "
+                                                r"train\.steps 2"):
+            tr.train(dc_replace(cfg, steps=2), primary, temporal, out_dir=out, resume_from=late)
+    assert not (tmp_path / "resumed").exists()
+    assert sorted(run_dir.iterdir()) == files and [f.read_bytes() for f in files] == before
+    # a resume at exactly `steps` is a run with no steps left
+    done = tr.train(cfg, primary, temporal, out_dir=tmp_path / "again", resume_from=late)
+    assert done.step == 6
+    assert (tmp_path / "again" / "final.tckp").read_bytes() == (run_dir / "final.tckp").read_bytes()
+
+
 def test_resume_rejects_corrupt_metrics_line(corpora, tiny_encoder, tmp_path):
     primary, temporal = corpora
     cfg = tiny_config(tiny_encoder, steps=4, checkpoint_every=2)
@@ -856,11 +876,27 @@ def test_pools_are_encoded_once_per_pipeline(corpora, tiny_encoder, tmp_path, mo
     monkeypatch.setattr(tr, "encode_pool", lambda *args: calls.append(args) or encode(*args))
     tr.train(tiny_config(tiny_encoder), primary, temporal, out_dir=tmp_path / "one")
     assert len(calls) == 1 and len(calls[0][1]) == len(primary.records) + len(temporal.records)
+    assert calls[0][2] is True  # a training pool holds every reversal a batch may flag
     control = tiny_config(tiny_encoder, loss=LossConfig(lambda_l=0.0))
     order = tiny_config(tiny_encoder, order_loss_start_step=3)
     tr.train_fork([(order, tmp_path / "order"), (control, tmp_path / "control")],
                   primary, temporal, 3)
     assert len(calls) == 2
+
+
+def test_fork_writes_each_metrics_line_once(corpora, tiny_encoder, tmp_path, monkeypatch):
+    # each branch's log starts empty and the steps append to it: the shared
+    # steps' lines are not read back at the fork to be written again
+    primary, temporal = corpora
+    control = tiny_config(tiny_encoder, loss=LossConfig(lambda_l=0.0))
+    order = tiny_config(tiny_encoder, order_loss_start_step=3)
+    monkeypatch.setattr(tr, "_metric_lines_before", lambda *a: pytest.fail("log read back"))
+    tr.train_fork([(order, tmp_path / "order"), (control, tmp_path / "control")],
+                  primary, temporal, 3)
+    for name, cfg in (("order", order), ("control", control)):
+        tr.train(cfg, primary, temporal, out_dir=tmp_path / "alone" / name)
+        assert (tmp_path / name / "metrics.jsonl").read_bytes() == (
+            tmp_path / "alone" / name / "metrics.jsonl").read_bytes()
 
 
 def test_pool_checks_run_before_any_step(corpora, tiny_encoder, tmp_path):
