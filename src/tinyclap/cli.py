@@ -256,12 +256,14 @@ def cmd_repro(cfg: RunConfig, out_dir: Path) -> int:
         metrics["zero_shot"][name] = zs
         rows.append((name, tc, t2a, zs))
 
+    k = min(cfg.eval.recall_ks)  # the retrieval column's k, in its label and its values
+    recall = f"R@{k}-T2A%"
     print()
-    print("model          order-T2A%  order-A2T%  R@1-T2A%  zero-shot%")
+    print(f"model          order-T2A%  order-A2T%  {recall}  zero-shot%")
     for name, tc, t2a, zs in rows:
         print(
             f"{name:<13}  {_fmt(tc.t2a_accuracy):>9}  {_fmt(tc.a2t_accuracy):>9}"
-            f"  {_fmt(t2a.recall_at[min(t2a.recall_at)]):>8}  {_fmt(zs.accuracy):>9}"
+            f"  {_fmt(t2a.recall_at[k]):>{len(recall)}}  {_fmt(zs.accuracy):>9}"
         )
     print()
     report_path = out_dir / "repro_report.json"

@@ -11,13 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .corpus import GENERATION_CONNECTORS, event_name
-from .encoders import EncoderConfig
 from .errors import InvalidConfig
-from .losses import LossConfig
 from .trainer import TrainConfig
 
 
@@ -104,15 +102,6 @@ class RunConfig:
             )
 
 
-_NESTED = {
-    (RunConfig, "corpus"): CorpusConfig,
-    (RunConfig, "train"): TrainConfig,
-    (RunConfig, "eval"): EvalConfig,
-    (TrainConfig, "encoder"): EncoderConfig,
-    (TrainConfig, "loss"): LossConfig,
-}
-
-
 # the JSON values each field type takes; bool is an int subclass, so booleans
 # are only taken by bool fields
 _JSON_TYPES = {
@@ -133,17 +122,17 @@ def _json_ok(ftype: str, val) -> bool:
 def _build(cls, data, path: str):
     if not isinstance(data, dict):
         raise InvalidConfig(f"config section {path or 'top level'} must be an object")
-    types = {f.name: f.type for f in fields(cls)}
+    known = {f.name: f for f in fields(cls)}
     for key in data:
-        if key not in types:
+        if key not in known:
             raise InvalidConfig(f"unknown config key {path + key!r}")
     kwargs = {}
     for key, val in data.items():
-        sub = _NESTED.get((cls, key))
-        if not sub and not _json_ok(types[key], val):
-            what = _JSON_TYPES[types[key]][1]
+        sub = known[key].default_factory  # a nested section's class; MISSING for a plain value
+        if sub is MISSING and not _json_ok(known[key].type, val):
+            what = _JSON_TYPES[known[key].type][1]
             raise InvalidConfig(f"config key {path + key!r} must be {what}, got {val!r}")
-        kwargs[key] = _build(sub, val, f"{path}{key}.") if sub else val
+        kwargs[key] = val if sub is MISSING else _build(sub, val, f"{path}{key}.")
     try:
         return cls(**kwargs)
     except TypeError as exc:  # e.g. an integer too large for a float check

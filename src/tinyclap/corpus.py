@@ -1,5 +1,8 @@
 """Synthetic audio-event corpus: clips, ordered captions, temporal negatives.
 
+An event catalog is its three numbers, (n_classes, frame_dim, seed): it
+compares and hashes by them, a manifest holds it and records just them, and
+its prototypes and names are derived from them once, when it is built.
 Audio events are prototype-plus-noise frame sequences, not waveforms; a clip
 is a concatenation of per-event frame blocks, and its caption is its events
 and one forward-order connector phrase; its tokens and text are derived from
@@ -39,6 +42,7 @@ MANIFEST_SCHEMA_VERSION = 3
 FRAME_DTYPE = np.dtype("<f4")
 _DECODER = json.JSONDecoder()  # json.loads' decoder, for lines parsed without its wrapping
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # every manifest line
+_CATALOG_KEYS = ("n_classes", "frame_dim", "seed")  # a catalog is these, in EventCatalog's order
 
 # Connectors the generator may emit and the parser reads (forward temporal order only).
 GENERATION_CONNECTORS = ("followed by", "and then")
@@ -71,66 +75,48 @@ EVENT_PHRASES = (
 
 # -- catalog -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventClass:
     id: int
     name: str
-    prototype: np.ndarray  # unit-norm direction in frame space, float32
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EventClass)
-            and self.id == other.id
-            and self.name == other.name
-            and np.array_equal(self.prototype, other.prototype)
-        )
+    prototype: np.ndarray  # unit-norm direction in frame space: its row of the catalog's table
 
 
 @dataclass(frozen=True)
 class EventCatalog:
-    """Event classes; derived once: name -> id, read-only float32 prototypes."""
+    """n_classes events in frame_dim space, a pure function of its three numbers, by which it
+    compares and hashes: unit-norm gaussian prototypes drawn from seed into one read-only table."""
 
-    classes: tuple[EventClass, ...]
+    n_classes: int
     frame_dim: int
     seed: int
+    classes: tuple[EventClass, ...] = field(init=False, repr=False, compare=False)
     _name_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
     _prototypes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = {}
-        seen_protos = set()
-        for i, ev in enumerate(self.classes):
-            if ev.id != i:
-                raise InvalidConfig(f"class ids must be 0..n-1 in order, got {ev.id} at {i}")
-            if ev.name in names:
-                raise InvalidConfig(f"duplicate event name {ev.name!r}")
-            if ev.prototype.shape != (self.frame_dim,):
-                raise InvalidConfig(
-                    f"prototype of {ev.name!r} has shape {ev.prototype.shape}, "
-                    f"expected ({self.frame_dim},)"
-                )
-            norm = float(np.linalg.norm(ev.prototype.astype(np.float64)))
-            if abs(norm - 1.0) > 1e-6:
-                raise InvalidConfig(f"prototype of {ev.name!r} has norm {norm}")
-            key = ev.prototype.tobytes()
-            if key in seen_protos:
-                raise InvalidConfig(f"duplicate prototype for {ev.name!r}")
-            seen_protos.add(key)
-            names[ev.name] = i
-        protos = np.array([c.prototype for c in self.classes], FRAME_DTYPE.base)
+        if self.n_classes < 2:
+            raise InvalidConfig(f"need at least 2 classes, got {self.n_classes}")
+        if self.frame_dim < 2:
+            raise InvalidConfig(f"need frame_dim >= 2, got {self.frame_dim}")
+        protos = np.random.default_rng(self.seed).standard_normal((self.n_classes, self.frame_dim))
+        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+        protos = protos.astype(FRAME_DTYPE.base)
         protos.setflags(write=False)
-        object.__setattr__(self, "_name_to_id", names)
+        classes = tuple(EventClass(i, _EVENT_NAMES[i], protos[i]) for i in range(self.n_classes))
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "_name_to_id", {ev.name: ev.id for ev in classes})
         object.__setattr__(self, "_prototypes", protos)  # n_classes x frame_dim
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return self.n_classes
 
     def checked_ids(self, event_ids) -> tuple[int, ...]:
         """The ids as a tuple; UnknownEvent names the first outside [0, n_classes)."""
         ids = tuple(event_ids)
         for eid in ids:
-            if not 0 <= eid < len(self.classes):
-                raise UnknownEvent(f"event id {eid} not in catalog of {len(self)} classes")
+            if not 0 <= eid < self.n_classes:
+                raise UnknownEvent(f"event id {eid} not in catalog of {self.n_classes} classes")
         return ids
 
     def id_of(self, name: str) -> int | None:
@@ -163,19 +149,8 @@ def piece_words(piece: int | str) -> list[str]:
 
 
 def build_catalog(n_classes: int, frame_dim: int, seed: int) -> EventCatalog:
-    """Seeded catalog: unit-norm gaussian prototypes, names from the built-in list."""
-    if n_classes < 2:
-        raise InvalidConfig(f"need at least 2 classes, got {n_classes}")
-    if frame_dim < 2:
-        raise InvalidConfig(f"need frame_dim >= 2, got {frame_dim}")
-    rng = np.random.default_rng(seed)
-    protos = rng.standard_normal((n_classes, frame_dim))
-    protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-    protos = protos.astype(FRAME_DTYPE.base)
-    classes = tuple(
-        EventClass(id=i, name=_EVENT_NAMES[i], prototype=protos[i]) for i in range(n_classes)
-    )
-    return EventCatalog(classes=classes, frame_dim=frame_dim, seed=seed)
+    """The catalog of the three numbers; the one way every caller builds one."""
+    return EventCatalog(n_classes, frame_dim, seed)
 
 
 # -- clips ---------------------------------------------------------------------
@@ -338,16 +313,9 @@ class LabeledRecord:
 
 
 @dataclass(frozen=True)
-class CatalogRef:
-    n_classes: int
-    frame_dim: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class DatasetManifest:
     records: tuple
-    catalog_ref: CatalogRef
+    catalog: EventCatalog  # compared by its three numbers, all a manifest header records
     split: str
     seed: int
     kind: str = "paired"  # "paired" records carry captions, "labeled" a class id
@@ -435,8 +403,7 @@ def build_mixed_dataset(
         DatasetRecord(idx, clip, Caption(ids, connector), with_negative_clips)
         for idx, (clip, ids, connector) in enumerate(zip(clips, event_ids, connectors))
     )
-    return DatasetManifest(records, CatalogRef(len(catalog), catalog.frame_dim, catalog.seed),
-                           split, seed, "paired")
+    return DatasetManifest(records, catalog, split, seed, "paired")
 
 
 def build_labeled_clips(
@@ -452,17 +419,18 @@ def build_labeled_clips(
                                  lambda rng: (int(rng.integers(len(catalog))),))
     records = tuple(LabeledRecord(idx, label, clip)
                     for idx, ((label,), clip) in enumerate(zip(labels, clips)))
-    return DatasetManifest(records, CatalogRef(len(catalog), catalog.frame_dim, catalog.seed),
-                           split, seed, "labeled")
+    return DatasetManifest(records, catalog, split, seed, "labeled")
 
 
 # -- serialization ---------------------------------------------------------------
 # A manifest is two files: <stem>.jsonl, a header line plus one JSON row per
 # record, and <stem>.frames.npy, one float32 array holding every clip in record
-# order. A row names its clip by its [start, stop) row span in the array; the
-# spans of a file tile the array. A paired row stores its caption's event ids
-# and connector, which are the whole caption, and no caption text: the caption
-# is rendered from them on load, and the reversed caption derived from it. A
+# order. The header holds the schema version, kind, split, seed, record count
+# and the catalog's three numbers, from which loading builds the catalog once.
+# A row names its clip by its [start, stop) row span in the array; the spans of
+# a file tile the array. A paired row stores its caption's event ids and
+# connector, which are the whole caption, and no caption text: the caption is
+# rendered from them on load, and the reversed caption derived from it. A
 # record that carries a reversed clip has "has_clip_neg": true in its row and no
 # frames of it: the reversed clip is derived from the clip.
 # Keys that older rows carry beside these (caption_pos, caption_neg,
@@ -482,18 +450,14 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         "split": manifest.split,
         "seed": manifest.seed,
         "n_records": len(manifest.records),
-        "catalog": {
-            "n_classes": manifest.catalog_ref.n_classes,
-            "frame_dim": manifest.catalog_ref.frame_dim,
-            "seed": manifest.catalog_ref.seed,
-        },
+        "catalog": {key: getattr(manifest.catalog, key) for key in _CATALOG_KEYS},
     }
     lines = [_ENCODER.encode(header)]
-    blocks = [np.empty((0, manifest.catalog_ref.frame_dim), FRAME_DTYPE)]
+    blocks = [np.empty((0, manifest.catalog.frame_dim), FRAME_DTYPE)]
     n_rows = 0
     for rec in manifest.records:
         ids = (rec.label_id,) if manifest.kind == "labeled" else rec.caption_pos.event_ids
-        if not 0 <= min(ids) <= max(ids) < manifest.catalog_ref.n_classes:  # as loading checks
+        if not 0 <= min(ids) <= max(ids) < manifest.catalog.n_classes:  # as loading checks
             raise UnknownEvent(f"record {rec.record_id}: ids {list(ids)} not all in catalog")
         blocks.append(rec.clip.frames)
         n_rows += len(rec.clip.frames)
@@ -564,16 +528,14 @@ def load_manifest(path) -> DatasetManifest:
         fail(1, f"unsupported schema version {header.get('schema_version')!r}")
     cat = header["catalog"]
     try:
-        ref = CatalogRef(*(_json_value(cat[key], f"catalog {key}")
-                           for key in ("n_classes", "frame_dim", "seed")))
-        catalog = build_catalog(ref.n_classes, ref.frame_dim, ref.seed)
+        catalog = build_catalog(*(_json_value(cat[key], f"catalog {key}") for key in _CATALOG_KEYS))
         seed = _json_value(header.get("seed", 0), "seed")
     except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
         fail(1, f"bad catalog reference or seed: {exc}")
     kind, split = header.get("kind", "paired"), header.get("split", "train")
     if kind not in ("paired", "labeled") or not isinstance(split, str):
         fail(1, f"kind must be 'paired' or 'labeled' and split a string, got {kind!r}, {split!r}")
-    whole = _load_frames(path, ref.frame_dim)
+    whole = _load_frames(path, catalog.frame_dim)
     n_expected = header.get("n_records")
     if n_expected is not None:
         try:
@@ -626,12 +588,10 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(f"{_frames_path(path)}: {len(whole.frames) - next_row} frame rows "
                           "after the last clip span")
     try:
-        return DatasetManifest(records=tuple(records), catalog_ref=ref,
-                               split=split, seed=seed, kind=kind)
+        return DatasetManifest(tuple(records), catalog, split, seed, kind)
     except InvalidConfig as exc:  # duplicate record ids
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def catalog_for(manifest: DatasetManifest) -> EventCatalog:
-    ref = manifest.catalog_ref
-    return build_catalog(ref.n_classes, ref.frame_dim, ref.seed)
+    return manifest.catalog

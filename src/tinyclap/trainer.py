@@ -90,16 +90,23 @@ class TrainConfig:
         return self.loss.lambda_l
 
 
-def compose_batch(primary_pool, temporal_pool, batch_size, temporal_fraction, rng):
-    """Returns (records, temporal_mask); draw order is temporal idx, primary idx, shuffle."""
+def _draw_counts(batch_size, temporal_fraction, n_primary_pool, n_temporal_pool):
+    """A batch's order-negative and primary record counts; EmptyPool if a pool is too small."""
     n_temporal = math.floor(batch_size * temporal_fraction + 1e-9)
     n_primary = batch_size - n_temporal
-    if n_temporal > len(temporal_pool):
+    if n_temporal > n_temporal_pool:
         raise EmptyPool(
-            f"batch needs {n_temporal} order-negative records, pool has {len(temporal_pool)}"
+            f"batch needs {n_temporal} order-negative records, pool has {n_temporal_pool}"
         )
-    if n_primary > len(primary_pool):
-        raise EmptyPool(f"batch needs {n_primary} primary records, pool has {len(primary_pool)}")
+    if n_primary > n_primary_pool:
+        raise EmptyPool(f"batch needs {n_primary} primary records, pool has {n_primary_pool}")
+    return n_temporal, n_primary
+
+
+def compose_batch(primary_pool, temporal_pool, batch_size, temporal_fraction, rng):
+    """Returns (records, temporal_mask); draw order is temporal idx, primary idx, shuffle."""
+    n_temporal, n_primary = _draw_counts(batch_size, temporal_fraction, len(primary_pool),
+                                         len(temporal_pool))
     draws = [rng.choice(len(pool), size=n, replace=False) if n else np.empty(0, np.int64)
              for pool, n in ((temporal_pool, n_temporal), (primary_pool, n_primary))]
     perm = rng.permutation(batch_size)
@@ -277,13 +284,15 @@ def _metric_lines_before(path: Path, step: int) -> str:
 
 
 def _manifests(config: TrainConfig, primary_manifest, temporal_manifest):
-    """Both manifests, checked against each other and the batch mix."""
+    """Both manifests, checked against each other and every batch's draw counts."""
     primary = _as_manifest(primary_manifest)
     temporal = _as_manifest(temporal_manifest) if temporal_manifest is not None else None
-    if temporal is not None and temporal.catalog_ref != primary.catalog_ref:
+    if temporal is not None and temporal.catalog != primary.catalog:
         raise InvalidConfig("primary and temporal manifests reference different catalogs")
     if temporal is None and math.floor(config.batch_size * config.temporal_fraction + 1e-9) > 0:
         raise EmptyPool("temporal_fraction > 0 but no order-negative manifest given")
+    _draw_counts(config.batch_size, config.temporal_fraction, len(primary.records),
+                 len(temporal.records) if temporal is not None else 0)
     return primary, temporal
 
 

@@ -583,6 +583,29 @@ def test_train_resume_past_steps_exits_one_and_writes_nothing(tiny_config, train
     assert [p.read_bytes() for p in files] == before
 
 
+def test_train_with_a_batch_larger_than_a_pool_exits_one_and_writes_nothing(tmp_path, capsys):
+    config = json.loads(json.dumps(TINY))
+    config["train"].update(steps=6, checkpoint_every=3)
+    path, big = tmp_path / "config.json", tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    config["train"]["batch_size"] = 128  # 32 order-negative records, of 12
+    big.write_text(json.dumps(config))
+    out = tmp_path / "runs"
+    assert cli.main(["synth", "--config", str(path), "--out", str(out)]) == 0
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    before = [p.read_bytes() for p in files]
+    resume = ["--resume", str(out / "train" / "step000003.tckp")]
+    fresh = ["--out", str(tmp_path / "fresh"), "--data", str(out / "data")]
+    for argv in (["--out", str(out), *resume], fresh):
+        assert cli.main(["train", "--config", str(big), *argv]) == 1
+        assert "batch needs 32 order-negative records, pool has 12" in capsys.readouterr().err
+    assert sorted(p for p in out.rglob("*") if p.is_file()) == files
+    assert [p.read_bytes() for p in files] == before
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_train_resume_with_default_vocab_size_is_byte_identical(tmp_path):
     # TINY leaves encoder.vocab_size at 0, which train resolves from the corpus
     config = json.loads(json.dumps(TINY))
@@ -682,6 +705,23 @@ def test_repro_rejects_what_it_cannot_evaluate_before_training(corpus_over, eval
     assert cli.main(["repro", "--config", str(config_path), "--out", str(out)]) == 1
     assert not (out / "run_order").exists() and not (out / "data").exists()
     assert "repro cannot evaluate" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_repro_table_labels_its_recall_column_with_the_k_it_holds(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY))
+    doc["eval"]["recall_ks"] = [5, 10]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "repro"
+    assert cli.main(["repro", "--config", str(config_path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("model          order-T2A%  order-A2T%  R@5-T2A%  zero-shot%")
+    retrieval = json.loads((out / "repro_report.json").read_text())["metrics"]["retrieval"]
+    rows = [line.split() for line in lines[at + 1 : at + 4]]
+    assert sorted(row[0] for row in rows) == sorted(retrieval)
+    for row in rows:
+        assert row[3] == f"{retrieval[row[0]]['T2A']['recall_at']['5']:.1f}"
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -78,32 +78,20 @@ def test_catalog_name_lookup_round_trip(catalog):
         catalog.checked_ids((99,))
 
 
-def test_catalog_validates_structure():
-    ok = C.build_catalog(3, 4, seed=2)
-
-    def rebuild(classes):
-        return C.EventCatalog(classes=tuple(classes), frame_dim=4, seed=2)
-
-    dup_name = [C.EventClass(ev.id, "same", ev.prototype) for ev in ok.classes]
-    with pytest.raises(InvalidConfig):
-        rebuild(dup_name)
-    wrong_order = (ok.classes[1], ok.classes[0], ok.classes[2])
-    with pytest.raises(InvalidConfig):
-        rebuild(wrong_order)
-    not_unit = [
-        C.EventClass(0, "a", np.array([2.0, 0, 0, 0], dtype=np.float32)),
-        ok.classes[1],
-        ok.classes[2],
-    ]
-    with pytest.raises(InvalidConfig):
-        rebuild(not_unit)
-    dup_proto = [
-        ok.classes[0],
-        C.EventClass(1, "other", ok.classes[0].prototype),
-        ok.classes[2],
-    ]
-    with pytest.raises(InvalidConfig):
-        rebuild(dup_proto)
+def test_catalog_is_its_three_numbers():
+    a, b = C.build_catalog(3, 4, seed=2), C.EventCatalog(3, 4, 2)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert {a: "x"}[b] == "x"
+    assert a._prototypes.tobytes() == b._prototypes.tobytes()
+    for other in (C.build_catalog(4, 4, 2), C.build_catalog(3, 5, 2), C.build_catalog(3, 4, 3)):
+        assert other != a
+    assert [ev.id for ev in a.classes] == [0, 1, 2]
+    assert [ev.name for ev in a.classes] == [C.event_name(i) for i in range(3)]
+    for ev in a.classes:  # each class's prototype is its row of the one read-only table
+        assert np.shares_memory(ev.prototype, a._prototypes)
+        assert not ev.prototype.flags.writeable
+    with pytest.raises(ValueError):  # the draw itself rejects a negative seed
+        C.build_catalog(3, 4, seed=-1)
 
 
 # -- frames and clips ---------------------------------------------------------------
@@ -1023,8 +1011,17 @@ def test_missing_manifest_file(tmp_path):
         C.load_manifest(tmp_path / "nope.jsonl")
 
 
-def test_catalog_for_rebuilds_generator_catalog(small_corpus, catalog):
-    assert C.catalog_for(small_corpus) == catalog
+def test_catalog_for_is_the_manifests_own_catalog(small_corpus, catalog):
+    assert C.catalog_for(small_corpus) is small_corpus.catalog is catalog
+
+
+def test_loaded_manifest_builds_the_catalog_of_its_header(tmp_path, small_corpus, catalog):
+    C.save_manifest(small_corpus, tmp_path / "m.jsonl")
+    loaded = C.load_manifest(tmp_path / "m.jsonl")
+    assert loaded.catalog == C.build_catalog(20, 16, seed=11) == catalog
+    assert loaded.catalog is not catalog
+    assert loaded.catalog._prototypes.tobytes() == catalog._prototypes.tobytes()
+    assert C.catalog_for(loaded) is loaded.catalog
 
 
 @pytest.mark.parametrize(

@@ -706,6 +706,33 @@ def test_resume_past_the_configs_steps_is_rejected_before_anything_is_written(
     assert (tmp_path / "again" / "final.tckp").read_bytes() == (run_dir / "final.tckp").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "batch_size, fraction, message",
+    [
+        (128, 0.25, "batch needs 32 order-negative records, pool has 24"),
+        (64, 0.0, "batch needs 64 primary records, pool has 48"),
+    ],
+    ids=["order-negative", "primary"],
+)
+def test_a_batch_larger_than_a_pool_is_rejected_before_anything_is_written(
+        corpora, tiny_encoder, tmp_path, batch_size, fraction, message):
+    primary, temporal = corpora  # 48 primary and 24 order-negative records
+    cfg = tiny_config(tiny_encoder, steps=6, checkpoint_every=3)
+    run_dir = tmp_path / "run"
+    tr.train(cfg, primary, temporal, out_dir=run_dir)
+    files = sorted(run_dir.iterdir())
+    before = [f.read_bytes() for f in files]
+    big = dc_replace(cfg, batch_size=batch_size, temporal_fraction=fraction)
+    with pytest.raises(EmptyPool, match=message):  # the log keeps its six lines
+        tr.train(big, primary, temporal, out_dir=run_dir, resume_from=run_dir / "step000003.tckp")
+    with pytest.raises(EmptyPool, match=message):
+        tr.train(big, primary, temporal, out_dir=tmp_path / "fresh")
+    with pytest.raises(EmptyPool, match=message):
+        tr.train_fork([(big, tmp_path / "fork")], primary, temporal, 0)
+    assert sorted(tmp_path.iterdir()) == [run_dir]
+    assert sorted(run_dir.iterdir()) == files and [f.read_bytes() for f in files] == before
+
+
 def test_resume_rejects_corrupt_metrics_line(corpora, tiny_encoder, tmp_path):
     primary, temporal = corpora
     cfg = tiny_config(tiny_encoder, steps=4, checkpoint_every=2)
