@@ -14,7 +14,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-from .corpus import GENERATION_CONNECTORS, event_name
+from .corpus import EVENT_PHRASES, GENERATION_CONNECTORS, event_name
 from .errors import InvalidConfig
 from .trainer import TrainConfig
 
@@ -92,7 +92,9 @@ class RunConfig:
                 f"clips span {max(clip_len, self.corpus.labeled_frames)} frames but "
                 f"encoder.max_positions is {enc.max_positions}"
             )
-        longest_name = max(len(event_name(i).split()) for i in range(self.corpus.n_classes))
+        # a name in a later cycle of EVENT_PHRASES has as many words as in the second cycle
+        named = min(self.corpus.n_classes, 2 * len(EVENT_PHRASES))
+        longest_name = max(len(event_name(i).split()) for i in range(named))
         connector = max(len(c.split()) for c in GENERATION_CONNECTORS)
         caption_len = self.corpus.events_per_clip * (longest_name + connector) - connector
         if caption_len > enc.max_positions:

@@ -28,15 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    InvalidConfig,
-    NoConnector,
-    TooFewEvents,
-    UnknownConnector,
-    UnknownEvent,
-    UnparsableSegment,
-)
+from .errors import DataError, FormatError, InvalidConfig
 
 MANIFEST_SCHEMA_VERSION = 3
 FRAME_DTYPE = np.dtype("<f4")
@@ -99,7 +91,12 @@ class EventCatalog:
             raise InvalidConfig(f"need at least 2 classes, got {self.n_classes}")
         if self.frame_dim < 2:
             raise InvalidConfig(f"need frame_dim >= 2, got {self.frame_dim}")
-        protos = np.random.default_rng(self.seed).standard_normal((self.n_classes, self.frame_dim))
+        rng = np.random.default_rng(self.seed)
+        try:  # a table numpy cannot hold fails at once, with nothing allocated
+            protos = rng.standard_normal((self.n_classes, self.frame_dim))
+        except (MemoryError, ValueError) as exc:
+            raise InvalidConfig(f"cannot draw a catalog of {self.n_classes} x {self.frame_dim} "
+                                f"prototypes: {exc}") from exc
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
         protos = protos.astype(FRAME_DTYPE.base)
         protos.setflags(write=False)
@@ -112,11 +109,11 @@ class EventCatalog:
         return self.n_classes
 
     def checked_ids(self, event_ids) -> tuple[int, ...]:
-        """The ids as a tuple; UnknownEvent names the first outside [0, n_classes)."""
+        """The ids as a tuple; an InvalidConfig names the first outside [0, n_classes)."""
         ids = tuple(event_ids)
         for eid in ids:
             if not 0 <= eid < self.n_classes:
-                raise UnknownEvent(f"event id {eid} not in catalog of {self.n_classes} classes")
+                raise InvalidConfig(f"event id {eid} not in catalog of {self.n_classes} classes")
         return ids
 
     def id_of(self, name: str) -> int | None:
@@ -180,7 +177,7 @@ class AudioClip:
 
 def _check_connector(connector: str) -> None:
     if connector not in GENERATION_CONNECTORS:
-        raise UnknownConnector(
+        raise InvalidConfig(
             f"connector {connector!r} not in generation set {GENERATION_CONNECTORS}"
         )
 
@@ -196,9 +193,9 @@ class Caption:
     def __post_init__(self):
         _check_connector(self.connector)
         if len(self.event_ids) < 2:
-            raise TooFewEvents(f"caption needs at least 2 events, got {len(self.event_ids)}")
+            raise InvalidConfig(f"caption needs at least 2 events, got {len(self.event_ids)}")
         if min(self.event_ids) < 0:  # as an index it would name an event from the list's end
-            raise UnknownEvent(f"caption event id {min(self.event_ids)} is negative")
+            raise InvalidConfig(f"caption event id {min(self.event_ids)} is negative")
 
     @property
     def text(self) -> str:
@@ -242,14 +239,14 @@ def parse_caption(text: str, catalog: EventCatalog) -> tuple[tuple[int, ...], tu
             segment_tokens[-1].append(tokens[i])
             i += 1
     if not connectors:
-        raise NoConnector(f"no connector phrase found in {' '.join(tokens)!r}")
+        raise DataError(f"no connector phrase found in {' '.join(tokens)!r}")
 
     ids = []
     for seg in segment_tokens:
         name = " ".join(seg)
         eid = catalog.id_of(name)
         if eid is None:
-            raise UnparsableSegment(f"segment {name!r} matches no catalog event name")
+            raise DataError(f"segment {name!r} matches no catalog event name")
         ids.append(eid)
     return tuple(ids), tuple(connectors)
 
@@ -458,7 +455,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     for rec in manifest.records:
         ids = (rec.label_id,) if manifest.kind == "labeled" else rec.caption_pos.event_ids
         if not 0 <= min(ids) <= max(ids) < manifest.catalog.n_classes:  # as loading checks
-            raise UnknownEvent(f"record {rec.record_id}: ids {list(ids)} not all in catalog")
+            raise InvalidConfig(f"record {rec.record_id}: ids {list(ids)} not all in catalog")
         blocks.append(rec.clip.frames)
         n_rows += len(rec.clip.frames)
         row = {"id": rec.record_id, "clip": [n_rows - len(rec.clip.frames), n_rows]}
@@ -578,7 +575,7 @@ def load_manifest(path) -> DatasetManifest:
                 caption = render_caption(events, catalog, row["connector"])
                 records.append(DatasetRecord(_json_value(row["id"], "id"), clip, caption,
                                              "has_clip_neg" in row))
-        except (KeyError, TypeError, ValueError, InvalidConfig, UnknownEvent) as exc:
+        except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
             fail(line_no, f"bad record: {exc}")
     if n_expected is not None and len(records) != n_expected:
         raise FormatError(

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import piece_words
-from .errors import EmptyInput, InvalidConfig, SequenceTooLong
+from .errors import DataError, InvalidConfig
 
 UNK_TOKEN = "<unk>"
 INIT_STD = 0.02
@@ -208,11 +208,12 @@ def _checked_lengths(cfg: EncoderConfig, tower: str, lengths) -> np.ndarray:
     """Sequence lengths as int64, each in [1, max_positions]: one array check per bound."""
     lens = np.asarray(lengths, dtype=np.int64)
     if lens.size == 0:
-        raise EmptyInput(f"{tower} batch is empty")
-    for bad, error in ((lens < 1, EmptyInput), (lens > cfg.max_positions, SequenceTooLong)):
+        raise DataError(f"{tower} batch is empty")
+    for bad in (lens < 1, lens > cfg.max_positions):
         if bad.any():
             i = int(bad.argmax())
-            raise error(f"{tower} input {i} has {lens[i]} positions, max is {cfg.max_positions}")
+            raise DataError(f"{tower} input {i} has {lens[i]} positions, "
+                            f"max is {cfg.max_positions}")
     return lens
 
 
@@ -308,7 +309,7 @@ def forward_batch(params: ModelParams, records, temporal_mask) -> BatchEmbedding
     records = list(records)
     mask = np.asarray(list(temporal_mask), dtype=bool)
     if not records:
-        raise EmptyInput("forward_batch got an empty batch")
+        raise DataError("forward_batch got an empty batch")
     if len(mask) != len(records):
         raise InvalidConfig(f"mask length {len(mask)} != batch size {len(records)}")
     return forward_pool(params, encode_pool(params, records, mask.any()),

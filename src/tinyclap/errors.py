@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per CLI exit code.
 
-Grouped by the CLI exit code they map to: config/usage errors (1),
-data/format errors (2), numeric failures (3).
+InvalidConfig is a config or usage error (exit 1), DataError a data error
+(exit 2), of which FormatError is a malformed file, and NumericFailure a
+numeric failure (exit 3). A failure's kind is in its message.
 """
 
 
@@ -9,39 +10,11 @@ class TinyClapError(Exception):
     """Base class for all package errors."""
 
 
-# -- config / usage ----------------------------------------------------------
-
 class InvalidConfig(TinyClapError):
     pass
 
 
-class UnknownConnector(InvalidConfig):
-    pass
-
-
-class TooFewEvents(InvalidConfig):
-    pass
-
-
-class EmptyPool(InvalidConfig):
-    pass
-
-
-# -- data / format -----------------------------------------------------------
-
 class DataError(TinyClapError):
-    pass
-
-
-class UnknownEvent(DataError):
-    pass
-
-
-class UnparsableSegment(DataError):
-    pass
-
-
-class NoConnector(DataError):
     pass
 
 
@@ -49,27 +22,5 @@ class FormatError(DataError):
     pass
 
 
-class SequenceTooLong(DataError):
-    pass
-
-
-class EmptyInput(DataError):
-    pass
-
-
-class IoError(DataError):
-    pass
-
-
-# -- numerics ----------------------------------------------------------------
-
 class NumericFailure(TinyClapError):
-    pass
-
-
-class ShapeError(NumericFailure):
-    pass
-
-
-class NumericError(NumericFailure):
     pass

@@ -26,7 +26,7 @@ import numpy as np
 from .corpus import reversed_block_rows
 from .encoders import (ModelParams, encode_audio_batch, encode_pool, encode_sequences,
                        encode_text_batch)
-from .errors import InvalidConfig, IoError
+from .errors import DataError, InvalidConfig
 
 REPORT_SCHEMA_VERSION = 1
 DEFAULT_KS = (1, 5, 10)
@@ -229,6 +229,6 @@ def emit_report(metrics: dict, path, config: dict | None = None, checkpoint_id: 
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(blob, encoding="utf-8")
     except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+        raise DataError(f"cannot write report to {path}: {exc}") from exc
     return report
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import InvalidConfig, ShapeError
+from .errors import InvalidConfig, NumericFailure
 
 LT_REDUCTIONS = ("mean", "sum")
 
@@ -63,7 +63,7 @@ def similarity_matrix(audio_emb, text_emb) -> T.Tensor:
     with no gradient closure."""
     ea, et = _array(audio_emb), _array(text_emb)
     if ea.ndim != 2 or et.ndim != 2 or ea.shape[1] != et.shape[1]:
-        raise ShapeError(f"similarity needs N x D and M x D, got {ea.shape} and {et.shape}")
+        raise NumericFailure(f"similarity needs N x D and M x D, got {ea.shape} and {et.shape}")
     return T.Tensor(ea @ et.T)
 
 
@@ -71,7 +71,7 @@ def contrastive_loss(s, log_temperature) -> T.Tensor:
     """Symmetric softmax cross-entropy with the diagonal as targets, as a constant."""
     sv = _array(s)
     if sv.ndim != 2 or sv.shape[0] != sv.shape[1]:
-        raise ShapeError(f"contrastive loss needs a square matrix, got {sv.shape}")
+        raise NumericFailure(f"contrastive loss needs a square matrix, got {sv.shape}")
     return T.Tensor(T._contrastive(sv * np.exp(_array(log_temperature)))[0])
 
 
@@ -82,8 +82,8 @@ def temporal_loss(audio_emb, text_pos, text_neg, reduction: str = "mean",
         raise InvalidConfig(f"reduction must be one of {LT_REDUCTIONS}, got {reduction!r}")
     ea, ep, en = _array(audio_emb), _array(text_pos), _array(text_neg)
     if not ea.shape == ep.shape == en.shape:
-        raise ShapeError(f"temporal loss needs row-aligned shapes, got {ea.shape}, {ep.shape}, "
-                         f"{en.shape}")
+        raise NumericFailure(f"temporal loss needs row-aligned shapes, got {ea.shape}, {ep.shape}, "
+                             f"{en.shape}")
     if ea.shape[0] == 0:
         return T.Tensor(0.0)
     margin = (ea * ep).sum(axis=1) - (ea * en).sum(axis=1)

@@ -5,7 +5,7 @@ one fused `tower` per encoder, which takes its inputs as constant frame rows
 or token ids, folds the input table into the first layer and, for ids, builds
 the hidden layer once per distinct (token, position) cell; and one
 `clap_loss` for the whole objective. CPU numpy storage only. Every op checks its output for
-NaN/Inf and raises NumericError on the spot, so a poisoned value can never
+NaN/Inf and raises NumericFailure on the spot, so a poisoned value can never
 travel.
 
 Gradient convention: a parameter holds a gradient buffer, `grad` (for a parameter set,
@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericFailure
 
 DEFAULT_DTYPE = np.float64
 
@@ -41,7 +41,7 @@ class Tensor:
     def __init__(self, data, name: str | None = None):
         arr = np.asarray(data, dtype=DEFAULT_DTYPE)
         if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite values in tensor {name or '<anon>'}")
+            raise NumericFailure(f"non-finite values in tensor {name or '<anon>'}")
         self.data = arr
         self.name = name
         self.grad = self._grads = None  # a parameter's buffer; an op's closure
@@ -67,7 +67,7 @@ def parameter(name: str, data, grad: np.ndarray | None = None) -> Tensor:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], grads, op: str) -> Tensor:
     if not np.all(np.isfinite(data)):
-        raise NumericError(f"non-finite result from {op}")
+        raise NumericFailure(f"non-finite result from {op}")
     out = Tensor.__new__(Tensor)
     out.data, out.name, out.grad = data, None, None
     out._grads = grads if any(p.requires_grad for p in parents) else None
@@ -84,7 +84,7 @@ def _send(node: Tensor, g) -> None:
 
 def _need_2d(x: Tensor, op: str) -> None:
     if x.data.ndim != 2:
-        raise ShapeError(f"{op} needs a 2-d tensor, got shape {x.shape}")
+        raise NumericFailure(f"{op} needs a 2-d tensor, got shape {x.shape}")
 
 
 # -- ops ------------------------------------------------------------------------
@@ -210,21 +210,21 @@ def tower(inputs, table: Tensor, pos: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     x = np.asarray(inputs)
     ids = x.ndim == 1
     if ids and not np.issubdtype(x.dtype, np.integer) or x.ndim not in (1, 2):
-        raise ShapeError(f"tower needs 2-d float rows or 1-d integer token ids, "
-                         f"got {x.dtype} of shape {x.shape}")
+        raise NumericFailure(f"tower needs 2-d float rows or 1-d integer token ids, "
+                             f"got {x.dtype} of shape {x.shape}")
     _need_2d(table, "tower")
     v, e, h, d = table.shape + (b1.data.size, b2.data.size)
     shapes = [t.shape for t in (table, pos, w1, b1, w2, b2)]
     if shapes != [(v if ids else x.shape[1], e), pos.shape[:1] + (e,), (e, h), (h,), (h, d), (d,)]:
-        raise ShapeError(f"tower shapes do not chain: inputs {x.shape}, "
-                         f"table/pos/w1/b1/w2/b2 {shapes}")
+        raise NumericFailure(f"tower shapes do not chain: inputs {x.shape}, "
+                             f"table/pos/w1/b1/w2/b2 {shapes}")
     lens = np.asarray(lengths, dtype=np.int64)
     if (lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != x.shape[0]
             or lens.max() > pos.shape[0]):
-        raise ShapeError(f"tower lengths {lengths} do not split {x.shape[0]} rows into "
-                         f"sequences of 1 to {pos.shape[0]} positions")
+        raise NumericFailure(f"tower lengths {lengths} do not split {x.shape[0]} rows into "
+                             f"sequences of 1 to {pos.shape[0]} positions")
     if ids and (x.min() < 0 or x.max() >= v):
-        raise ShapeError(f"tower token ids must be in [0, {v}), got {x.min()} to {x.max()}")
+        raise NumericFailure(f"tower token ids must be in [0, {v}), got {x.min()} to {x.max()}")
 
     w1_folded = table.data @ w1.data
     pos_b1 = pos.data[: lens.max()] @ w1.data + b1.data
@@ -291,9 +291,9 @@ def clap_loss(audio: Tensor, text: Tensor, log_temperature: Tensor,
     n, m = audio.shape[0], rows.size
     if (n == 0 or text.shape != (n + m, audio.shape[1]) or log_temperature.data.ndim != 0
             or rows.ndim != 1 or m and (rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any())):
-        raise ShapeError(f"clap_loss needs N x D audio, (N + {m}) x D text, a scalar temperature "
-                         f"and rows rising within [0, N), got {audio.shape}, {text.shape}, "
-                         f"{log_temperature.shape}, {rows}")
+        raise NumericFailure(f"clap_loss needs N x D audio, (N + {m}) x D text, a scalar "
+                             f"temperature and rows rising within [0, N), got {audio.shape}, "
+                             f"{text.shape}, {log_temperature.shape}, {rows}")
     a, pos = audio.data, text.data[:n]
     scale = np.exp(log_temperature.data)
     s = a @ pos.T
@@ -334,12 +334,12 @@ def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[str, np.ndarray]:
     along two paths runs its closure twice). Valid until the next backward over it.
     """
     if loss.data.ndim != 0 or loss._grads is None:  # a constant's gradients would all read 0
-        raise ShapeError(f"backward needs a scalar loss with a closure, got shape {loss.shape} "
-                         f"{'with' if loss._grads else 'without'} one")
+        raise NumericFailure(f"backward needs a scalar loss with a closure, got shape "
+                             f"{loss.shape} {'with' if loss._grads else 'without'} one")
     params = list(params)
     for p in params:
         if p.name is None or p.grad is None:
-            raise ShapeError(f"backward: {p.name!r} is not a named parameter")
+            raise NumericFailure(f"backward: {p.name!r} is not a named parameter")
         p.grad[...] = 0.0
     _send(loss, np.asarray(1.0))
     return {p.name: p.grad for p in params}
@@ -371,7 +371,7 @@ def finite_diff_check(f: Callable[[dict[str, Tensor]], Tensor], params: dict[str
     the step); a kink shrinks the step until the slopes agree.
     """
     if not 1e-7 <= eps <= 1e-2:
-        raise ShapeError(f"finite_diff_check eps {eps} outside [1e-7, 1e-2]")
+        raise NumericFailure(f"finite_diff_check eps {eps} outside [1e-7, 1e-2]")
     center = f(params)  # a constant has no closure to run: its analytic gradient is zero
     analytic = (backward(center, params.values()) if center._grads is not None
                 else {name: np.zeros(p.shape) for name, p in params.items()})

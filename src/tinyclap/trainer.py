@@ -39,7 +39,7 @@ from .encoders import (
     init_params,
     param_count,
 )
-from .errors import EmptyPool, FormatError, InvalidConfig, NumericError
+from .errors import FormatError, InvalidConfig, NumericFailure
 from .losses import LossConfig, train_loss
 
 CHECKPOINT_MAGIC = b"TCKP"
@@ -91,15 +91,15 @@ class TrainConfig:
 
 
 def _draw_counts(batch_size, temporal_fraction, n_primary_pool, n_temporal_pool):
-    """A batch's order-negative and primary record counts; EmptyPool if a pool is too small."""
+    """A batch's order-negative and primary record counts; InvalidConfig if a pool is too small."""
     n_temporal = math.floor(batch_size * temporal_fraction + 1e-9)
     n_primary = batch_size - n_temporal
     if n_temporal > n_temporal_pool:
-        raise EmptyPool(
+        raise InvalidConfig(
             f"batch needs {n_temporal} order-negative records, pool has {n_temporal_pool}"
         )
     if n_primary > n_primary_pool:
-        raise EmptyPool(f"batch needs {n_primary} primary records, pool has {n_primary_pool}")
+        raise InvalidConfig(f"batch needs {n_primary} primary records, pool has {n_primary_pool}")
     return n_temporal, n_primary
 
 
@@ -132,8 +132,8 @@ def adam_step(params: ModelParams, grad, m, v, t: int, lr: float) -> None:
     if not np.isfinite(grad).all():
         ends = np.cumsum([p.data.size for p in params.tensors.values()])
         bad = np.searchsorted(ends, np.flatnonzero(~np.isfinite(grad))[0], side="right")
-        raise NumericError(f"non-finite gradient for parameter {list(params.tensors)[bad]!r} "
-                           f"at step {t}")
+        raise NumericFailure(f"non-finite gradient for parameter {list(params.tensors)[bad]!r} "
+                             f"at step {t}")
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     buf, tmp = np.empty_like(params.flat), np.empty_like(params.flat)
@@ -290,7 +290,7 @@ def _manifests(config: TrainConfig, primary_manifest, temporal_manifest):
     if temporal is not None and temporal.catalog != primary.catalog:
         raise InvalidConfig("primary and temporal manifests reference different catalogs")
     if temporal is None and math.floor(config.batch_size * config.temporal_fraction + 1e-9) > 0:
-        raise EmptyPool("temporal_fraction > 0 but no order-negative manifest given")
+        raise InvalidConfig("temporal_fraction > 0 but no order-negative manifest given")
     _draw_counts(config.batch_size, config.temporal_fraction, len(primary.records),
                  len(temporal.records) if temporal is not None else 0)
     return primary, temporal

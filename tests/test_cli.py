@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from tinyclap.config import (
     run_config_to_dict,
     split_seed,
 )
-from tinyclap.corpus import catalog_for, load_manifest
+from tinyclap.corpus import catalog_for, event_name, load_manifest
 from tinyclap.encoders import encode_audio_batch, encode_text_batch, forward_batch
 from tinyclap.errors import FormatError, InvalidConfig
 from tinyclap.losses import similarity_matrix
@@ -322,14 +323,18 @@ def _edit_line(line_no, change):
         (_edit_line(0, lambda h, _: h["catalog"].update(seed=-1)), "bad catalog reference or seed"),
         (_edit_line(0, lambda h, _: h["catalog"].update(n_classes=1)),
          "bad catalog reference or seed: need at least 2 classes"),
+        (_edit_line(0, lambda h, _: h["catalog"].update(n_classes=2**56, frame_dim=2)),
+         f"line 1: bad catalog reference or seed: cannot draw a catalog of {2**56} x 2 "),
+        (_edit_line(0, lambda h, _: h["catalog"].update(n_classes=2**62, frame_dim=4)),
+         f"line 1: bad catalog reference or seed: cannot draw a catalog of {2**62} x 4 "),
         (_edit_line(2, lambda row, lines: row.update(id=json.loads(lines[1])["id"])),
          "record ids must be unique"),
         (_edit_line(0, lambda h, _: h.update(seed=True)), "seed must be an integer, got True"),
         (_edit_line(0, lambda h, _: h.update(n_records=str(h["n_records"]))),
          "line 1: bad record count: n_records must be an integer, got '12'"),
     ],
-    ids=["seed-abc", "seed-null", "catalog-seed-negative", "one-class", "duplicate-id",
-         "seed-true", "n-records-string"],
+    ids=["seed-abc", "seed-null", "catalog-seed-negative", "one-class", "catalog-exabytes",
+         "catalog-past-numpy", "duplicate-id", "seed-true", "n-records-string"],
 )
 def test_bad_manifest_header_or_ids_are_format_errors(edit, message, tiny_config, trained_dir,
                                                       capsys):
@@ -967,6 +972,32 @@ def test_caption_bound_counts_the_suffix_of_names_past_the_built_in_list():
         run_config_from_dict(doc)
     doc["corpus"]["n_classes"] = 64
     assert run_config_from_dict(doc).corpus.n_classes == 64
+
+
+def test_caption_bound_reads_a_fixed_number_of_names():
+    # a name in a later cycle of the built-in list has as many words as in the second, so a
+    # config of 10**12 classes loads at once; the alarm fails the test rather than hang it
+    doc = json.loads(json.dumps(TINY))
+    doc["corpus"]["n_classes"] = 10**12
+
+    def hang(signum, frame):
+        raise TimeoutError("building the config took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        assert run_config_from_dict(doc).corpus.n_classes == 10**12
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    doc["train"]["encoder"]["max_positions"] = 6  # fits a 2-event caption of 2-word names only
+    for n in range(2, 400):
+        doc["corpus"]["n_classes"] = n
+        if max(len(event_name(i).split()) for i in range(n)) > 2:
+            with pytest.raises(InvalidConfig, match="captions span 8 tokens"):
+                run_config_from_dict(doc)
+        else:
+            run_config_from_dict(doc)
 
 
 def test_float_config_fields_take_json_integers():

@@ -14,15 +14,7 @@ import numpy as np
 import pytest
 
 from tinyclap import corpus as C
-from tinyclap.errors import (
-    FormatError,
-    InvalidConfig,
-    NoConnector,
-    TooFewEvents,
-    UnknownConnector,
-    UnknownEvent,
-    UnparsableSegment,
-)
+from tinyclap.errors import DataError, FormatError, InvalidConfig
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +62,20 @@ def test_catalog_rejects_single_class_and_thin_frames():
         C.build_catalog(4, 1, seed=0)
 
 
+@pytest.mark.parametrize("n_classes, frame_dim", [(2**56, 2), (2**62, 4)],
+                         ids=["exabytes", "past-numpy"])
+def test_a_catalog_too_large_to_draw_is_an_invalid_config(n_classes, frame_dim):
+    # a MemoryError (1 EiB) and numpy's "array is too big" ValueError, before anything is drawn
+    with pytest.raises(InvalidConfig, match=f"cannot draw a catalog of {n_classes} x {frame_dim} "
+                                            "prototypes: "):
+        C.build_catalog(n_classes, frame_dim, seed=0)
+
+
 def test_catalog_name_lookup_round_trip(catalog):
     for ev in catalog.classes:
         assert catalog.id_of(catalog.classes[ev.id].name) == ev.id
     assert catalog.id_of("no such event") is None
-    with pytest.raises(UnknownEvent):
+    with pytest.raises(InvalidConfig, match="event id 99 not in catalog of 20 classes"):
         catalog.checked_ids((99,))
 
 
@@ -317,9 +318,9 @@ def test_synthesis_bits_equal_the_replayed_recipe_across_block_edges(catalog, si
 def test_out_of_range_event_ids_fail_by_name(catalog, bad_id):
     # a table gather would wrap -1 to the last class and fail 20 with a bare IndexError;
     # synthesis draws its ids with choice, inside the catalog, so only given ids are checked
-    with pytest.raises(UnknownEvent, match=f"event id {bad_id} not in catalog of 20 classes"):
+    with pytest.raises(InvalidConfig, match=f"event id {bad_id} not in catalog of 20 classes"):
         catalog.checked_ids((bad_id, 3))
-    with pytest.raises(UnknownEvent, match=f"event id {bad_id} not in catalog of 20 classes"):
+    with pytest.raises(InvalidConfig, match=f"event id {bad_id} not in catalog of 20 classes"):
         C.render_caption((3, bad_id), catalog, "and then")
 
 
@@ -351,12 +352,12 @@ def test_render_three_events_repeats_connector(catalog):
 
 
 def test_render_rejects_parse_only_connector(catalog):
-    with pytest.raises(UnknownConnector):
+    with pytest.raises(InvalidConfig, match="connector 'before' not in generation set"):
         C.render_caption((0, 1), catalog, "before")
 
 
 def test_render_needs_two_events(catalog):
-    with pytest.raises(TooFewEvents):
+    with pytest.raises(InvalidConfig, match="caption needs at least 2 events, got 1"):
         C.render_caption((0,), catalog, "and then")
 
 
@@ -366,7 +367,7 @@ def test_parse_inverts_render(catalog):
 
 
 def test_parse_needs_connector(catalog):
-    with pytest.raises(NoConnector):
+    with pytest.raises(DataError, match="no connector phrase found in 'dog barking'"):
         C.parse_caption("dog barking", catalog)
 
 
@@ -377,14 +378,14 @@ def test_parse_three_events(catalog):
 
 
 def test_parse_unknown_segment(catalog):
-    with pytest.raises(UnparsableSegment):
+    with pytest.raises(DataError, match="segment 'volcano erupting' matches no catalog event"):
         C.parse_caption("dog barking followed by volcano erupting", catalog)
 
 
 @pytest.mark.parametrize("text", ["thunder after rain", "thunder before rain"])
 def test_parse_reads_only_generation_connectors(catalog, text):
     # no caption holds another connector, so the parser reads none
-    with pytest.raises(NoConnector):
+    with pytest.raises(DataError, match=f"no connector phrase found in '{text}'"):
         C.parse_caption(text, catalog)
 
 
@@ -399,9 +400,9 @@ def test_negate_reverses_segments(catalog):
 def test_no_caption_holds_a_parse_only_connector(catalog, connector):
     # so every caption is one a manifest row can store
     message = f"connector '{connector}' not in generation set"
-    with pytest.raises(UnknownConnector, match=message):
+    with pytest.raises(InvalidConfig, match=message):
         C.render_caption((0, 1), catalog, connector)
-    with pytest.raises(UnknownConnector, match=message):
+    with pytest.raises(InvalidConfig, match=message):
         C.Caption((0, 1), connector)
 
 
@@ -409,20 +410,21 @@ def test_no_caption_holds_a_parse_only_connector(catalog, connector):
 def test_no_caption_holds_fewer_than_two_events(catalog, ids):
     # so no caption lacks a reversal
     message = f"caption needs at least 2 events, got {len(ids)}"
-    with pytest.raises(TooFewEvents, match=message):
+    with pytest.raises(InvalidConfig, match=message):
         C.render_caption(ids, catalog, "and then")
-    with pytest.raises(TooFewEvents, match=message):
+    with pytest.raises(InvalidConfig, match=message):
         C.Caption(ids, "followed by")
 
 
 @pytest.mark.parametrize(
-    "ids, connector, error",
-    [((20,), "after", UnknownConnector), ((20,), "and then", UnknownEvent),
-     ((1,), "and then", TooFewEvents)],
+    "ids, connector, message",
+    [((20,), "after", "connector 'after' not in generation set"),
+     ((20,), "and then", "event id 20 not in catalog of 20 classes"),
+     ((1,), "and then", "caption needs at least 2 events, got 1")],
     ids=["connector-first", "events-second", "count-last"],
 )
-def test_render_checks_connector_then_events_then_count(catalog, ids, connector, error):
-    with pytest.raises(error):
+def test_render_checks_connector_then_events_then_count(catalog, ids, connector, message):
+    with pytest.raises(InvalidConfig, match=message):
         C.render_caption(ids, catalog, connector)
 
 
@@ -650,7 +652,7 @@ def test_hand_built_captions_load_as_they_were_saved(tmp_path, small_corpus):
 
 def test_caption_rejects_a_negative_event_id():
     # as an index, -1 would name an event from the end of the name list
-    with pytest.raises(UnknownEvent, match="caption event id -1 is negative"):
+    with pytest.raises(InvalidConfig, match="caption event id -1 is negative"):
         C.Caption((-1, 3), "and then")
 
 
@@ -660,8 +662,8 @@ def test_save_rejects_an_event_outside_the_catalog_and_writes_no_file(tmp_path, 
     # the load would reject it, so the save does, before either file is written
     last = dc_replace(small_corpus.records[-1], caption_pos=C.Caption((bad_id, 3), "and then"))
     man = dc_replace(small_corpus, records=small_corpus.records[:-1] + (last,))
-    with pytest.raises(UnknownEvent, match=re.escape(f"record {last.record_id}: ids "
-                                                     f"[{bad_id}, 3] not all in catalog")):
+    with pytest.raises(InvalidConfig, match=re.escape(f"record {last.record_id}: ids "
+                                                      f"[{bad_id}, 3] not all in catalog")):
         C.save_manifest(man, tmp_path / "out" / "corpus.jsonl")
     assert list(tmp_path.iterdir()) == []
 
@@ -671,8 +673,8 @@ def test_save_rejects_a_label_outside_the_catalog_and_writes_no_file(tmp_path, c
                                                                       bad_label):
     man = C.build_labeled_clips(catalog, 6, 3, 0.2, seed=6)
     first = dc_replace(man.records[0], label_id=bad_label)
-    with pytest.raises(UnknownEvent, match=re.escape(f"record {first.record_id}: ids "
-                                                     f"[{bad_label}] not all in catalog")):
+    with pytest.raises(InvalidConfig, match=re.escape(f"record {first.record_id}: ids "
+                                                      f"[{bad_label}] not all in catalog")):
         C.save_manifest(dc_replace(man, records=(first,) + man.records[1:]),
                         tmp_path / "labeled.jsonl")
     assert list(tmp_path.iterdir()) == []

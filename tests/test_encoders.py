@@ -16,12 +16,7 @@ from tinyclap import corpus as C
 from tinyclap import encoders as E
 from tinyclap.cli import cmd_synth
 from tinyclap.config import run_config_from_dict
-from tinyclap.errors import (
-    EmptyInput,
-    InvalidConfig,
-    SequenceTooLong,
-    ShapeError,
-)
+from tinyclap.errors import DataError, InvalidConfig, NumericFailure
 from tinyclap.evaluate import embed_test_set
 from tinyclap.losses import LossConfig, similarity_matrix, train_loss
 
@@ -155,26 +150,26 @@ def test_encode_audio_checks_frame_dim(params):
 
 
 def test_empty_inputs_rejected(params):
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="text input 0 has 0 positions, max is 12"):
         E.encode_text_batch(params, [[]])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="audio input 0 has 0 positions, max is 12"):
         E.encode_audio_batch(params, [np.zeros((0, 6))])
-    for encode in (E.encode_text_batch, E.encode_audio_batch):
-        with pytest.raises(EmptyInput):
+    for encode, tower in ((E.encode_text_batch, "text"), (E.encode_audio_batch, "audio")):
+        with pytest.raises(DataError, match=f"{tower} batch is empty"):
             encode(params, [])
 
 
 def test_too_long_inputs_rejected(params):
-    with pytest.raises(SequenceTooLong):
+    with pytest.raises(DataError, match="text input 0 has 13 positions, max is 12"):
         E.encode_text_batch(params, [["dog"] * 13])
-    with pytest.raises(SequenceTooLong):
+    with pytest.raises(DataError, match="audio input 0 has 13 positions, max is 12"):
         E.encode_audio_batch(params, [np.zeros((13, 6))])
 
 
 @pytest.mark.parametrize("bad_id", [-1, 7])
 def test_token_id_outside_vocab_rejected(params, bad_id):
     # `tower` rejects it: as an index, a negative id would wrap around to the last table row
-    with pytest.raises(ShapeError, match="token ids"):
+    with pytest.raises(NumericFailure, match="token ids"):
         E.encode_sequences(params, "text", np.array([1, 2, 3, bad_id]), [2, 2])
 
 
@@ -305,13 +300,13 @@ def test_backward_over_a_value_raises(tiny_batch):
     for loss in (sum_node(caption_node(value, records, with_reversals=False)),
                  sum_node(E.encode_audio_batch(value, [np.ones((3, 16))])),
                  train_loss(emb, LossConfig(), value["log_temperature"]).l_train, T.Tensor(4.0)):
-        with pytest.raises(ShapeError, match="closure"):
+        with pytest.raises(NumericFailure, match="closure"):
             T.backward(loss, value.trainable())
     # a trainable copy's loss cannot fill a value's constants either
     params = trainable(value)
     loss = train_loss(E.forward_batch(params, records, mask), LossConfig(),
                       params["log_temperature"]).l_train
-    with pytest.raises(ShapeError, match="not a named parameter"):
+    with pytest.raises(NumericFailure, match="not a named parameter"):
         T.backward(loss, value.trainable())
     assert value.grad is None
 
@@ -341,7 +336,7 @@ def test_forward_batch_neg_rows_align(tiny_batch):
 
 def test_forward_batch_validates(tiny_batch):
     params, records = tiny_batch
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="forward_batch got an empty batch"):
         E.forward_batch(params, [], [])
     with pytest.raises(InvalidConfig):
         E.forward_batch(params, records, [True])
@@ -372,6 +367,19 @@ def test_forward_pool_gathers_what_forward_batch_encodes(tiny_batch):
     assert got.temporal_rows == want.temporal_rows == (1, 3)
     for a, b in ((got.text, want.text), (got.audio, want.audio)):
         assert a.data.tobytes() == b.data.tobytes()
+    # the trainer's step (a pool gather) and the benchmark's check (forward_batch) differentiate
+    # the same bits; backward returns the parameters' shared buffers, so each result is copied
+    copy = trainable(params)
+    results = []
+    for emb in (E.forward_pool(copy, pool, batch, np.flatnonzero(mask)),
+                E.forward_batch(copy, [records[i] for i in batch], mask)):
+        l_train = train_loss(emb, LossConfig(), copy["log_temperature"]).l_train
+        grads = T.backward(l_train, copy.trainable())
+        results.append((l_train.data.tobytes(), {k: g.tobytes() for k, g in grads.items()}))
+    (loss_a, grads_a), (loss_b, grads_b) = results
+    assert loss_a == loss_b
+    assert list(grads_a) == list(copy.tensors) and grads_a == grads_b
+    assert all(grads_a[k] != bytes(len(grads_a[k])) for k in ("text.embed", "audio.proj"))
 
 
 def test_a_batch_that_flags_no_row_encodes_no_reversals(tiny_batch, monkeypatch):
@@ -442,10 +450,10 @@ def test_caption_encodes_keep_the_length_check_and_the_narrowest_id_type(tiny_ba
                    lambda p: E.encode_pool(p, records, False),
                    lambda p: embed_test_set(p, records),
                    lambda p: cli._paired_similarity(p, records)):
-        with pytest.raises(SequenceTooLong, match="text input 0 has"):
+        with pytest.raises(DataError, match="text input 0 has"):
             encode(short)
     for with_reversals in (True, False):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="text batch is empty"):
             E.encode_pool(params, [], with_reversals)
     wide = E.TextVocab(tokens=(E.UNK_TOKEN, *params.vocab.tokens[1:],
                                *(f"w{i}" for i in range(300))))

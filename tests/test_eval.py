@@ -12,7 +12,7 @@ from tinyclap import evaluate as ev
 from tinyclap import trainer as tr
 from tinyclap.corpus import build_catalog, build_labeled_clips, build_mixed_dataset
 from tinyclap.encoders import EncoderConfig, encode_audio_batch, encode_text_batch
-from tinyclap.errors import InvalidConfig, IoError
+from tinyclap.errors import DataError, InvalidConfig
 from tinyclap.losses import similarity_matrix
 
 
@@ -355,5 +355,5 @@ def test_config_hash_properties():
 def test_report_io_errors(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
-    with pytest.raises(IoError, match="cannot write"):
+    with pytest.raises(DataError, match="cannot write report to"):
         ev.emit_report({}, blocker / "sub" / "r.json")

@@ -12,7 +12,7 @@ import pytest
 
 import tinyclap.tensor as T
 from tinyclap import losses as L
-from tinyclap.errors import InvalidConfig, ShapeError
+from tinyclap.errors import InvalidConfig, NumericFailure
 
 
 def oracle_contrastive(s, log_temp):
@@ -68,7 +68,8 @@ def test_similarity_is_the_plain_product_and_no_graph_node():
 
 
 def test_similarity_rejects_mismatched_dims():
-    with pytest.raises(ShapeError):
+    with pytest.raises(NumericFailure, match=r"similarity needs N x D and M x D, got \(2, 3\) "
+                                             r"and \(2, 4\)"):
         L.similarity_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
 
@@ -104,7 +105,8 @@ def test_contrastive_invariant_under_consistent_permutation():
 
 
 def test_contrastive_needs_square():
-    with pytest.raises(ShapeError):
+    with pytest.raises(NumericFailure, match=r"contrastive loss needs a square matrix, "
+                                             r"got \(2, 3\)"):
         L.contrastive_loss(T.Tensor(np.ones((2, 3))), 0.0)
 
 
@@ -204,7 +206,7 @@ def test_temporal_rejects_bad_reduction_and_shapes():
     a = np.ones((2, 3))
     with pytest.raises(InvalidConfig):
         L.temporal_loss(a, a, a, reduction="max")
-    with pytest.raises(ShapeError):
+    with pytest.raises(NumericFailure, match="temporal loss needs row-aligned shapes"):
         L.temporal_loss(a, a, np.ones((3, 3)))
 
 

@@ -24,13 +24,7 @@ from tinyclap.encoders import (
     param_count,
     param_shapes,
 )
-from tinyclap.errors import (
-    EmptyPool,
-    FormatError,
-    InvalidConfig,
-    NumericError,
-    SequenceTooLong,
-)
+from tinyclap.errors import DataError, FormatError, InvalidConfig, NumericFailure
 from tinyclap.losses import LossConfig
 
 
@@ -111,9 +105,9 @@ def test_compose_batch_empty_temporal_pool_allowed_at_zero_fraction():
 
 def test_compose_batch_pool_exhaustion():
     prim, temp = pools(3, 1)
-    with pytest.raises(EmptyPool):
+    with pytest.raises(InvalidConfig, match="batch needs 2 order-negative records, pool has 1"):
         tr.compose_batch(prim, temp, 8, 0.25, np.random.default_rng(4))
-    with pytest.raises(EmptyPool):
+    with pytest.raises(InvalidConfig, match="batch needs 8 primary records, pool has 3"):
         tr.compose_batch(prim, temp, 8, 0.0, np.random.default_rng(4))
 
 
@@ -268,7 +262,7 @@ def test_adam_rejects_non_finite_gradient():
                       ({"text.embed": inf}, "text.embed"),
                       ({"log_temperature": -inf}, "log_temperature"),
                       ({"audio.b2": nan, "audio.proj": inf}, "audio.proj")):
-        with pytest.raises(NumericError, match=rf"'{name}' at step 4"):
+        with pytest.raises(NumericFailure, match=rf"'{name}' at step 4"):
             tr.adam_step(params, tiny_grads(bad), *zero_moments(params), 4, lr=0.1)
     assert not params.flat.any()
 
@@ -723,11 +717,11 @@ def test_a_batch_larger_than_a_pool_is_rejected_before_anything_is_written(
     files = sorted(run_dir.iterdir())
     before = [f.read_bytes() for f in files]
     big = dc_replace(cfg, batch_size=batch_size, temporal_fraction=fraction)
-    with pytest.raises(EmptyPool, match=message):  # the log keeps its six lines
+    with pytest.raises(InvalidConfig, match=message):  # the log keeps its six lines
         tr.train(big, primary, temporal, out_dir=run_dir, resume_from=run_dir / "step000003.tckp")
-    with pytest.raises(EmptyPool, match=message):
+    with pytest.raises(InvalidConfig, match=message):
         tr.train(big, primary, temporal, out_dir=tmp_path / "fresh")
-    with pytest.raises(EmptyPool, match=message):
+    with pytest.raises(InvalidConfig, match=message):
         tr.train_fork([(big, tmp_path / "fork")], primary, temporal, 0)
     assert sorted(tmp_path.iterdir()) == [run_dir]
     assert sorted(run_dir.iterdir()) == files and [f.read_bytes() for f in files] == before
@@ -808,7 +802,7 @@ def test_train_requires_temporal_manifest_when_fraction_positive(
 ):
     primary, _ = corpora
     cfg = tiny_config(tiny_encoder)
-    with pytest.raises(EmptyPool, match="order-negative"):
+    with pytest.raises(InvalidConfig, match="temporal_fraction > 0 but no order-negative manifest"):
         tr.train(cfg, primary, None, out_dir=tmp_path)
 
 
@@ -931,7 +925,7 @@ def test_pool_checks_run_before_any_step(corpora, tiny_encoder, tmp_path):
     # a five-event caption has at least nine tokens; its five-row clip fits
     long = build_mixed_dataset(build_catalog(12, 8, seed=3), 16, 5, 1, 0.15, False, seed=6)
     short = dc_replace(tiny_encoder, vocab_size=0, max_positions=8)
-    with pytest.raises(SequenceTooLong, match=r"text input \d+ has \d+ positions, max is 8"):
+    with pytest.raises(DataError, match=r"text input \d+ has \d+ positions, max is 8"):
         tr.train(tiny_config(short), long, long, out_dir=tmp_path / "long")
     narrow = dc_replace(tiny_encoder, frame_dim=6)
     with pytest.raises(InvalidConfig, match=r"clip must be T x 6, got shape \(6, 8\)"):
